@@ -20,6 +20,7 @@
 #include "bitmap/bitmap.hpp"
 #include "common/bench_common.hpp"
 #include "compress/mzip.hpp"
+#include "exec/gather.hpp"
 #include "plod/plod.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -190,6 +191,39 @@ KernelResult bench_crc32(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
+/// The engine's gather: `n` distinct (position, value) pairs over a 2048^2
+/// grid, scattered by an odd multiplier (a bijection mod 2^22), sorted into
+/// grid order. Both sides start each rep from the same unsorted copy.
+KernelResult bench_gather(std::size_t n) {
+  constexpr std::uint64_t kVolume = 1ull << 22;
+  std::vector<std::uint64_t> positions(n);
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    positions[i] = (i * 0x9E3779B1ull) & (kVolume - 1);
+    values[i] = static_cast<double>(i) * 0.5;
+  }
+  KernelResult out;
+  out.name = "gather";
+  out.mb = static_cast<double>(n * (sizeof(std::uint64_t) + sizeof(double))) /
+           1e6;
+  std::vector<std::uint64_t> fast_pos;
+  std::vector<double> fast_vals;
+  std::vector<std::uint64_t> ref_pos;
+  std::vector<double> ref_vals;
+  out.fast_s = best_seconds([&] {
+    fast_pos = positions;
+    fast_vals = values;
+    exec::sort_by_position(fast_pos, fast_vals, kVolume);
+  });
+  out.scalar_s = best_seconds([&] {
+    ref_pos = positions;
+    ref_vals = values;
+    exec::detail::scalar::sort_by_position(ref_pos, ref_vals);
+  });
+  out.identical = fast_pos == ref_pos && fast_vals == ref_vals;
+  return out;
+}
+
 Bitmap random_bitmap(std::uint64_t nbits, double density, std::uint64_t seed) {
   Bitmap bm(nbits);
   Rng rng(seed);
@@ -295,6 +329,7 @@ int main() {
       std::vector<double>(field.begin(), field.begin() + (1u << 19))));
   results.push_back(bench_crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(field.data()), 300u << 10)));
+  results.push_back(bench_gather(300000));
   const Bitmap dense = random_bitmap(1u << 26, 0.5, 11);
   const Bitmap sparse = random_bitmap(1u << 26, 0.01, 13);
   results.push_back(bench_bitmap_count(dense));

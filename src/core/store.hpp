@@ -166,8 +166,8 @@ class MlocStore {
   [[nodiscard]] Result<QueryResult> execute(const std::string& var, const Query& q,
                               int num_ranks = 1) const;
 
-  /// Execute with explicit engine options (coalescing gap, naive I/O for
-  /// A/B comparison, decode worker count). The overload above uses
+  /// Execute with explicit engine options (coalescing gap, naive I/O and
+  /// the flat per-bin path for A/B comparison). The overload above uses
   /// exec::ExecOptions defaults.
   [[nodiscard]] Result<QueryResult> execute(const std::string& var, const Query& q,
                               int num_ranks,

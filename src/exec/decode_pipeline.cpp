@@ -7,16 +7,6 @@
 #include "util/timer.hpp"
 
 namespace mloc::exec {
-namespace {
-
-/// Row-major shape of a region (local-offset <-> coord mapping).
-NDShape region_shape(const Region& region) {
-  Coord extents{};
-  for (int d = 0; d < region.ndims(); ++d) extents[d] = region.extent(d);
-  return {region.ndims(), extents};
-}
-
-}  // namespace
 
 DecodedFragment decode_fragment(const DecodeInput& in) {
   DecodedFragment out;
@@ -24,6 +14,7 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
   const Query& q = *in.q;
   const FragmentTask& task = *in.task;
   const FragmentInfo& frag = *task.frag;
+  const Region chunk_region = view.chunk_grid->chunk_region(frag.chunk);
 
   std::size_t si = 0;  // cursor over the task's segments
   auto next_bytes = [&]() -> std::span<const std::uint8_t> {
@@ -53,6 +44,14 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
       return out;
     }
     decoded_positions = std::move(decoded).value();
+    // Offsets strictly ascend (decode_positions rejects anything else), so
+    // the last one bounds them all: nothing past the chunk reaches the
+    // filter, the bitmap lookups, the gather's key width, or the cache.
+    if (!decoded_positions.empty() &&
+        decoded_positions.back() >= chunk_region.volume()) {
+      out.status = corrupt_data("position index exceeds chunk volume");
+      return out;
+    }
     out.reconstruct_s += sw_pos.seconds();
     local = &decoded_positions;
     if (view.provider != nullptr) {
@@ -64,8 +63,10 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
   }
 
   // --- Values: decode at fetch_level, degrade to the requested level.
-  std::vector<double> vals;      // at fetch_level (filtering basis)
-  std::vector<double> out_vals;  // at q.plod_level (returned values)
+  std::vector<double> vals_owned;    // assembled or freshly decoded values
+  std::span<const double> vals;      // at fetch_level (filtering basis)
+  std::vector<double> degraded;      // q.plod_level < fetch_level only
+  std::span<const double> out_vals;  // at q.plod_level (returned values)
   if (task.fetch_values) {
     if (view.plod_capable()) {
       // Cached planes answer groups [0, cached_depth); the batch buffers
@@ -101,14 +102,15 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
       std::vector<std::span<const std::uint8_t>> spans;
       spans.reserve(static_cast<std::size_t>(task.fetch_level));
       for (int g = 0; g < task.fetch_level; ++g) spans.emplace_back(planes[g]);
-      vals.resize(frag.count);
+      vals_owned.resize(frag.count);
       const Status assembled =
-          plod::assemble_into(spans, task.fetch_level, vals);
+          plod::assemble_into(spans, task.fetch_level, vals_owned);
       out.reconstruct_s += sw.seconds();
       if (!assembled.is_ok()) {
         out.status = assembled;
         return out;
       }
+      vals = vals_owned;
     } else {
       // Whole-value mode: the decoded buffer is cached at full precision.
       if (task.cached_depth > 0) {
@@ -126,11 +128,13 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
           out.status = decoded.status();
           return out;
         }
-        vals = std::move(decoded).value();
+        vals_owned = std::move(decoded).value();
+        vals = vals_owned;
         if (view.provider != nullptr && vals.size() == frag.count) {
           auto fresh = std::make_shared<FragmentData>();
           fresh->count = frag.count;
-          fresh->values = vals;
+          fresh->values = std::move(vals_owned);
+          vals = fresh->values;
           out.fresh_payload = std::move(fresh);
         }
       }
@@ -139,32 +143,65 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
       out.status = corrupt_data("fragment value count mismatch");
       return out;
     }
-    if (q.values_needed) {
-      if (view.plod_capable() && task.fetch_level != q.plod_level) {
-        // One masked pass instead of shred + assemble round-tripping
-        // through byte planes; bit-identical by degrade_into's contract.
-        Stopwatch sw_degrade;
-        out_vals.resize(vals.size());
-        plod::degrade_into(vals, q.plod_level, out_vals);
-        out.reconstruct_s += sw_degrade.seconds();
-      } else {
-        out_vals = vals;
-      }
+    out_vals = vals;
+    if (q.values_needed && view.plod_capable() &&
+        task.fetch_level != q.plod_level) {
+      // One masked pass instead of shred + assemble round-tripping
+      // through byte planes; bit-identical by degrade_into's contract.
+      Stopwatch sw_degrade;
+      degraded.resize(vals.size());
+      plod::degrade_into(vals, q.plod_level, degraded);
+      out.reconstruct_s += sw_degrade.seconds();
+      out_vals = degraded;
     }
   }
 
-  // --- Filter + emit (reconstruction).
+  // --- Filter + emit (reconstruction), one chunk row at a time. A row is
+  // the run along the last dimension; chunk-local row-major order maps
+  // monotonically into grid row-major order and the offsets strictly
+  // ascend, so per row one delinearize fixes the row's grid base offset
+  // and whether its leading coordinates lie inside the SC, and per point
+  // the SC test is one subtract and one unsigned window compare.
   Stopwatch sw;
-  const Region chunk_region = view.chunk_grid->chunk_region(frag.chunk);
-  const NDShape local_shape = region_shape(chunk_region);
   const NDShape& shape = *view.shape;
+  const int last = shape.ndims() - 1;
+  const std::uint64_t row_len = chunk_region.extent(last);
+  // SC ∩ chunk in chunk-local coordinates, [win_lo, win_hi) per dimension
+  // (the whole chunk without an SC).
+  const Region win =
+      q.sc.has_value() ? chunk_region.intersection(*q.sc) : chunk_region;
+  Coord win_lo{};
+  Coord win_hi{};
+  for (int d = 0; d <= last; ++d) {
+    win_lo[d] = win.lo(d) - chunk_region.lo(d);
+    win_hi[d] = win.hi(d) - chunk_region.lo(d);
+  }
+  const std::uint64_t col_lo = win_lo[last];
+  std::uint64_t row_begin = 0;  // chunk-local offset of the row's column 0
+  std::uint64_t row_end = 0;    // first offset past the row
+  std::uint64_t row_base = 0;   // grid offset of the row's column 0
+  std::uint64_t col_n = 0;      // SC window width in this row (0: outside)
   for (std::size_t k = 0; k < local->size(); ++k) {
-    Coord coord = local_shape.delinearize((*local)[k]);
-    for (int d = 0; d < shape.ndims(); ++d) {
-      coord[d] += chunk_region.lo(d);
+    const std::uint64_t off = (*local)[k];
+    if (off >= row_end) {
+      std::uint64_t row = off / row_len;
+      row_begin = row * row_len;
+      row_end = row_begin + row_len;
+      Coord coord = chunk_region.lo();
+      bool inside = true;
+      for (int d = last - 1; d >= 0; --d) {
+        const auto c =
+            static_cast<std::uint32_t>(row % chunk_region.extent(d));
+        row /= chunk_region.extent(d);
+        inside = inside && c >= win_lo[d] && c < win_hi[d];
+        coord[d] += c;
+      }
+      row_base = shape.linearize(coord);
+      col_n = inside ? win_hi[last] - col_lo : 0;
     }
-    if (q.sc.has_value() && !q.sc->contains(coord)) continue;
-    const std::uint64_t linear = shape.linearize(coord);
+    const std::uint64_t col = off - row_begin;
+    if (col - col_lo >= col_n) continue;  // wraps when col < col_lo
+    const std::uint64_t linear = row_base + col;
     if (in.position_filter != nullptr && !in.position_filter->get(linear)) {
       continue;
     }
@@ -176,25 +213,6 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
   }
   out.reconstruct_s += sw.seconds();
   return out;
-}
-
-DecodePipeline::DecodePipeline(int workers, std::size_t expected_tasks,
-                               std::size_t min_tasks) {
-  if (workers > 0 && expected_tasks >= min_tasks) {
-    pool_ = std::make_unique<parallel::ThreadPool>(workers);
-  }
-}
-
-void DecodePipeline::submit(std::function<void()> job) {
-  if (pool_ != nullptr) {
-    pool_->submit(std::move(job));
-  } else {
-    job();
-  }
-}
-
-void DecodePipeline::wait() {
-  if (pool_ != nullptr) pool_->wait_idle();
 }
 
 }  // namespace mloc::exec

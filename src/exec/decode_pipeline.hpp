@@ -1,18 +1,17 @@
-// DecodePipeline — stage 3 of the query engine.
+// decode_fragment — stage 3 of the query engine.
 //
 // decode_fragment() is the decode-only successor of the old
 // MlocStore::fetch_fragment_values: it is fed pre-fetched buffers (the
 // merged batch-read extents) and performs positional-index decode, codec
 // decode, PLoD reassembly/degrade, and the VC/SC/bitmap filter for one
-// fragment. It touches no shared state — results, provider candidates,
-// and CPU timings come back in a DecodedFragment — so the pipeline can run
-// it on worker threads while the owning rank issues the next bin's batch
-// read. The rank folds results strictly in task order after wait(), which
-// keeps output and provider contents deterministic for any worker count.
+// fragment. The filter walks the fragment's ascending chunk-local offsets
+// one chunk row at a time, so a point costs a subtract, a window compare
+// and an add; coordinates are worked out once per row. It touches no
+// shared state — results, provider candidates, and CPU timings come back
+// in a DecodedFragment, which the rank folds in task order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "bitmap/bitmap.hpp"
 #include "exec/engine.hpp"
 #include "exec/io_scheduler.hpp"
-#include "parallel/runtime.hpp"
 #include "query/query.hpp"
 #include "util/bytes.hpp"
 
@@ -51,20 +49,5 @@ struct DecodedFragment {
 };
 
 DecodedFragment decode_fragment(const DecodeInput& in);
-
-/// Tiny wrapper around parallel::ThreadPool that degrades to inline
-/// execution when no workers are configured (or the task count is too
-/// small to amortize thread spawn).
-class DecodePipeline {
- public:
-  DecodePipeline(int workers, std::size_t expected_tasks,
-                 std::size_t min_tasks);
-
-  void submit(std::function<void()> job);
-  void wait();
-
- private:
-  std::unique_ptr<parallel::ThreadPool> pool_;
-};
 
 }  // namespace mloc::exec

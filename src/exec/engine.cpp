@@ -4,10 +4,10 @@
 // into the rank's IoLog, then walk the rank's tasks in consecutive
 // same-bin runs. Each run's segments are merged by the IoScheduler into a
 // handful of batch extents, fetched with one vectorized read_batch call,
-// and the per-fragment decode+filter jobs are handed to the DecodePipeline
-// — so workers decode bin N while the rank issues bin N+1's batch read.
-// Results are folded strictly in task order after the pipeline drains,
-// keeping output and provider contents identical for any worker count.
+// and each fragment is decoded and filtered by decode_fragment and folded
+// into the rank's output in task order on the rank's own thread. The
+// engine starts no thread; concurrency comes from the caller (the
+// QueryService worker pool runs whole queries side by side).
 #include <algorithm>
 #include <memory>
 #include <utility>
@@ -15,6 +15,7 @@
 
 #include "exec/decode_pipeline.hpp"
 #include "exec/engine.hpp"
+#include "exec/gather.hpp"
 #include "exec/io_scheduler.hpp"
 #include "parallel/runtime.hpp"
 #include "plod/plod.hpp"
@@ -185,16 +186,6 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       }
     }
 
-    DecodePipeline pipe(opts.decode_workers, rp.tasks.size(),
-                        opts.min_decode_tasks);
-    std::vector<DecodedFragment> decoded(rp.tasks.size());
-    // Batch buffers and slot tables live until the pipeline drains; jobs
-    // hold spans into them.
-    std::vector<std::shared_ptr<std::vector<Bytes>>> buffer_sets;
-    std::vector<std::shared_ptr<std::vector<SlotRef>>> slot_sets;
-    Status rank_status = Status::ok();
-    std::size_t folded_end = 0;  // tasks whose decode was dispatched
-
     std::size_t a = 0;
     while (a < rp.tasks.size()) {
       std::size_t b = a;
@@ -215,43 +206,38 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       if (view.verify_subfile) {
         if (need_idx) {
           if (Status st = view.verify_subfile(bin, false); !st.is_ok()) {
-            rank_status = std::move(st);
-            break;
+            exec_status = std::move(st);
+            return;
           }
         }
         if (need_dat) {
           if (Status st = view.verify_subfile(bin, true); !st.is_ok()) {
-            rank_status = std::move(st);
-            break;
+            exec_status = std::move(st);
+            return;
           }
         }
       }
 
       // Stage 2: merge the run's segments and fetch them in one batch.
-      auto slots = std::make_shared<std::vector<SlotRef>>();
+      std::vector<SlotRef> slots;
       const std::span<const PlannedSegment> run_segs(
           rp.segments.data() + seg_begin, seg_end - seg_begin);
       const std::vector<pfs::ReadRequest> requests =
           opts.naive_io
-              ? naive_schedule(run_segs, slots.get())
-              : coalesce_segments(run_segs, opts.coalesce_gap_bytes,
-                                  slots.get());
+              ? naive_schedule(run_segs, &slots)
+              : coalesce_segments(run_segs, opts.coalesce_gap_bytes, &slots);
       auto bufs = view.fs->read_batch(requests, &ctx.io_log,
                                       static_cast<std::uint32_t>(ctx.rank));
       if (!bufs.is_ok()) {
-        rank_status = bufs.status();
-        break;
+        exec_status = bufs.status();
+        return;
       }
-      auto buffers =
-          std::make_shared<std::vector<Bytes>>(std::move(bufs).value());
-      buffer_sets.push_back(buffers);
-      slot_sets.push_back(slots);
+      const std::vector<Bytes> buffers = std::move(bufs).value();
 
-      // Stage 3: dispatch decode+filter jobs; workers overlap the next
-      // run's batch read.
+      // Stage 3: decode + filter each fragment and fold it in task order.
       for (std::size_t ti = a; ti < b; ++ti) {
         const FragmentTask& task = rp.tasks[ti];
-        if (task.skipped) continue;  // decoded[ti] stays empty/ok
+        if (task.skipped) continue;
         DecodeInput in;
         in.view = &view;
         in.q = &q;
@@ -259,44 +245,33 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
         in.task = &task;
         in.segments = std::span<const PlannedSegment>(rp.segments)
                           .subspan(task.seg_begin, task.seg_count);
-        in.slots = std::span<const SlotRef>(*slots).subspan(
+        in.slots = std::span<const SlotRef>(slots).subspan(
             task.seg_begin - seg_begin, task.seg_count);
-        in.buffers = buffers.get();
-        pipe.submit(
-            [&decoded, ti, in]() { decoded[ti] = decode_fragment(in); });
+        in.buffers = &buffers;
+        DecodedFragment d = decode_fragment(in);
+        if (!d.status.is_ok()) {
+          exec_status = std::move(d.status);
+          return;
+        }
+        ctx.times.decompress += d.decompress_s;
+        ctx.times.reconstruct += d.reconstruct_s;
+        if (view.provider != nullptr) {
+          const FragmentKey key{*view.var, task.bin, task.frag->chunk,
+                                view.epoch};
+          if (d.fresh_positions != nullptr) {
+            view.provider->insert(key, std::move(d.fresh_positions));
+          }
+          if (d.fresh_payload != nullptr) {
+            view.provider->insert(key, std::move(d.fresh_payload));
+          }
+        }
+        out.positions.insert(out.positions.end(), d.positions.begin(),
+                             d.positions.end());
+        out.values.insert(out.values.end(), d.values.begin(),
+                          d.values.end());
       }
-      folded_end = b;
       a = b;
     }
-    pipe.wait();
-
-    // Fold in task order: first decode failure wins, then any run-boundary
-    // failure (verify/batch read) that stopped dispatch.
-    for (std::size_t ti = 0; ti < folded_end; ++ti) {
-      const FragmentTask& task = rp.tasks[ti];
-      DecodedFragment& d = decoded[ti];
-      if (!d.status.is_ok()) {
-        exec_status = std::move(d.status);
-        return;
-      }
-      if (task.skipped) continue;
-      ctx.times.decompress += d.decompress_s;
-      ctx.times.reconstruct += d.reconstruct_s;
-      if (view.provider != nullptr) {
-        const FragmentKey key{*view.var, task.bin, task.frag->chunk,
-                              view.epoch};
-        if (d.fresh_positions != nullptr) {
-          view.provider->insert(key, std::move(d.fresh_positions));
-        }
-        if (d.fresh_payload != nullptr) {
-          view.provider->insert(key, std::move(d.fresh_payload));
-        }
-      }
-      out.positions.insert(out.positions.end(), d.positions.begin(),
-                           d.positions.end());
-      out.values.insert(out.values.end(), d.values.begin(), d.values.end());
-    }
-    if (!rank_status.is_ok()) exec_status = std::move(rank_status);
   });
   MLOC_RETURN_IF_ERROR(exec_status);
 
@@ -333,21 +308,15 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
   } else {
     std::size_t total = 0;
     for (const auto& o : outputs) total += o.positions.size();
-    std::vector<std::pair<std::uint64_t, double>> merged;
-    merged.reserve(total);
+    result.positions.reserve(total);
+    if (q.values_needed) result.values.reserve(total);
     for (const auto& o : outputs) {
-      for (std::size_t k = 0; k < o.positions.size(); ++k) {
-        merged.emplace_back(o.positions[k],
-                            q.values_needed ? o.values[k] : 0.0);
-      }
+      result.positions.insert(result.positions.end(), o.positions.begin(),
+                              o.positions.end());
+      result.values.insert(result.values.end(), o.values.begin(),
+                           o.values.end());
     }
-    std::sort(merged.begin(), merged.end());
-    result.positions.reserve(merged.size());
-    if (q.values_needed) result.values.reserve(merged.size());
-    for (const auto& [pos, val] : merged) {
-      result.positions.push_back(pos);
-      if (q.values_needed) result.values.push_back(val);
-    }
+    sort_by_position(result.positions, result.values, view.shape->volume());
     if (region_wah != nullptr) {
       // SC/filter fallback: the WAH is built from the already-filtered
       // positions; callers see the same contract either way.

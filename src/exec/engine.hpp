@@ -11,14 +11,14 @@
 //                  cache decision is made before the first payload read;
 //   IoScheduler    merges each rank's segments into batch extents
 //                  (exec/io_scheduler.hpp);
-//   DecodePipeline decodes + filters fragments on worker threads while
-//                  the rank issues the next bin's batch read
-//                  (exec/decode_pipeline.hpp).
+//   decode_fragment decodes + filters each fragment on the rank's own
+//                  thread, folded in task order (exec/decode_pipeline.hpp);
+//   gather         radix-sorts the concatenated rank outputs into grid
+//                  order (exec/gather.hpp).
 //
-// Determinism: rank bodies run sequentially (parallel::run_ranks); decode
-// workers write disjoint per-task slots and are joined before any state is
-// folded, in task order — results and provider contents are identical for
-// any rank/worker count.
+// Determinism: rank bodies run sequentially (parallel::run_ranks) and each
+// folds its fragments in task order — results and provider contents are
+// identical for any rank count.
 #pragma once
 
 #include <cstdint>

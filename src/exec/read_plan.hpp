@@ -8,16 +8,16 @@
 //   2. IoScheduler   — sort + coalesce adjacent/near-adjacent extents per
 //                      subfile into merged batch reads (one modeled seek
 //                      per merged extent, matching the PFS cost model);
-//   3. DecodePipeline— PLoD reassembly, codec decode, and positional-index
-//                      decode on worker threads, overlapped with the next
-//                      bin's batch reads.
+//   3. decode_fragment— positional-index decode, codec decode, PLoD
+//                      reassembly and the row-walk filter, one fragment at
+//                      a time on the rank's own thread, folded in task
+//                      order.
 //
 // PlanSummary is the *costable* image of a query: the planner derives its
 // estimates from the same plan the engine executes, so extent and byte
 // predictions match the executed plan exactly on cold caches.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "pfs/pfs.hpp"
@@ -52,10 +52,6 @@ struct ExecOptions {
   /// batches — reproduces the pre-engine access pattern, kept for A/B
   /// comparison in tests and bench_service_throughput.
   bool naive_io = false;
-  /// Decode worker threads per rank (0 = decode inline on the rank).
-  int decode_workers = 2;
-  /// Don't spin up workers for fewer decode tasks than this.
-  std::size_t min_decode_tasks = 8;
   /// Resolve region-only value-constraint queries through the variable's
   /// hierarchical bitmap index (.hbx) when it has one: aligned bins are
   /// answered from tree-node bitmaps with zero .idx reads and only

@@ -2,21 +2,28 @@
 // coalesced-vs-naive bit-identical results across every layout config,
 // extent/seek reduction on a Table-VI-style query mix, planner exact-match
 // against execution on cold caches, header-cache reuse on reopened stores,
-// fsck cleanliness after engine queries, and a threads x shared-cache
-// stress for TSan.
+// fsck cleanliness after engine queries, a threads x shared-cache
+// stress for TSan, and the radix gather against the pair-sort reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
+#include "exec/gather.hpp"
 #include "exec/io_scheduler.hpp"
 #include "planner/planner.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
+#include "util/rng.hpp"
 
 namespace mloc {
 namespace {
@@ -154,7 +161,6 @@ TEST_P(EngineConfigs, CoalescedAndNaiveAreBitIdentical) {
   exec::ExecOptions coalesced;
   exec::ExecOptions naive;
   naive.naive_io = true;
-  naive.decode_workers = 0;  // also exercise the inline-decode path
 
   const bool plod = store.value().describe("phi").value().plod_capable;
   for (const Query& q : query_mix(plod)) {
@@ -337,7 +343,6 @@ TEST(Engine, MixedLayoutVariablesThroughOneEngineAndCache) {
 
   exec::ExecOptions naive;
   naive.naive_io = true;
-  naive.decode_workers = 0;
   for (const Query& q : query_mix(/*plod=*/true)) {
     for (int ranks : {1, 3}) {
       for (const exec::ExecOptions& opts : {exec::ExecOptions{}, naive}) {
@@ -359,44 +364,125 @@ TEST(Engine, MixedLayoutVariablesThroughOneEngineAndCache) {
   EXPECT_TRUE(report.ok()) << report.human();
 }
 
-TEST(Engine, ConcurrentQueriesWithSharedCacheAndWorkers) {
+TEST(Engine, ConcurrentQueriesWithSharedCache) {
   pfs::PfsStorage fs;
   auto store = build_store(fs, "mzip", LevelOrder::kVMS);
   ASSERT_TRUE(store.is_ok());
-  service::FragmentCache cache;
-  store.value().set_fragment_provider(&cache);
-
-  exec::ExecOptions opts;
-  opts.decode_workers = 2;
-  opts.min_decode_tasks = 1;  // force the worker pool on
 
   Query q;
   q.vc = ValueConstraint{-0.5, 0.75};
-  auto expected = store.value().execute("phi", q, 1, opts);
+
+  // The shared cache is sized at half of what one query decodes: it can
+  // never hold a whole query, so every query reads and decodes bytes, and
+  // the threads' inserts race each other's lookups and evictions.
+  service::FragmentCache probe;
+  store.value().set_fragment_provider(&probe);
+  auto expected = store.value().execute("phi", q, 1);
+  store.value().set_fragment_provider(nullptr);
   ASSERT_TRUE(expected.is_ok());
+  const std::uint64_t query_bytes = probe.stats().bytes_cached;
+  ASSERT_GT(query_bytes, 0u);
+  service::FragmentCache cache(
+      service::FragmentCache::Config{query_bytes / 2, 8});
+  store.value().set_fragment_provider(&cache);
 
   constexpr int kThreads = 4;
+  constexpr int kIters = 3;
   std::vector<std::thread> threads;
   std::vector<Status> statuses(kThreads, Status::ok());
-  std::vector<std::vector<std::uint64_t>> positions(kThreads);
+  std::vector<std::vector<std::vector<std::uint64_t>>> positions(kThreads);
+  std::vector<std::vector<std::uint64_t>> bytes_read(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
-      for (int iter = 0; iter < 3; ++iter) {
-        auto r = store.value().execute("phi", q, 2, opts);
+      for (int iter = 0; iter < kIters; ++iter) {
+        auto r = store.value().execute("phi", q, 2);
         if (!r.is_ok()) {
           statuses[t] = r.status();
           return;
         }
-        positions[t] = std::move(r.value().positions);
+        bytes_read[t].push_back(r.value().exec.bytes_read);
+        positions[t].push_back(std::move(r.value().positions));
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(statuses[t].is_ok()) << statuses[t].to_string();
-    EXPECT_EQ(positions[t], expected.value().positions);
+    ASSERT_EQ(positions[t].size(), static_cast<std::size_t>(kIters));
+    for (int iter = 0; iter < kIters; ++iter) {
+      EXPECT_GT(bytes_read[t][iter], 0u) << "thread " << t << " iter " << iter;
+      EXPECT_EQ(positions[t][iter], expected.value().positions);
+    }
   }
   store.value().set_fragment_provider(nullptr);
+}
+
+// ---------------------------------------------------------------- gather
+
+void shuffle(std::vector<std::uint64_t>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[rng.next_below(i)]);
+  }
+}
+
+/// `n` distinct positions below `volume`, in random order.
+std::vector<std::uint64_t> distinct_positions(std::uint64_t volume,
+                                              std::size_t n, Rng& rng) {
+  std::vector<std::uint64_t> out;
+  if (volume <= 4 * static_cast<std::uint64_t>(n)) {
+    out.resize(volume);
+    std::iota(out.begin(), out.end(), std::uint64_t{0});
+    shuffle(out, rng);
+    out.resize(n);
+  } else {
+    std::unordered_set<std::uint64_t> seen;
+    while (out.size() < n) {
+      const std::uint64_t p = rng.next_below(volume);
+      if (seen.insert(p).second) out.push_back(p);
+    }
+  }
+  return out;
+}
+
+// Volumes straddle the 11-bit digit (one and two passes), leave a top
+// digit that is constant for nearly every input (2^22 + 1), and need more
+// than 32 key bits (2^33 + 5).
+TEST(Gather, RadixMatchesPairSortReference) {
+  Rng rng(2024);
+  const std::uint64_t volumes[] = {
+      1, 2, 1u << 11, (1u << 11) + 1, (1u << 22) + 1, (1ull << 33) + 5};
+  const std::size_t sizes[] = {0, 1, 2, 100000};
+  for (const std::uint64_t volume : volumes) {
+    for (const std::size_t size : sizes) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(size, volume));
+      const std::vector<std::uint64_t> shuffled =
+          distinct_positions(volume, n, rng);
+      for (const std::string_view order : {"shuffled", "sorted", "reversed"}) {
+        std::vector<std::uint64_t> input = shuffled;
+        if (order == "sorted") std::sort(input.begin(), input.end());
+        if (order == "reversed") std::sort(input.rbegin(), input.rend());
+        for (const bool with_values : {false, true}) {
+          std::vector<double> values;
+          if (with_values) {
+            for (std::size_t k = 0; k < n; ++k) {
+              values.push_back(rng.next_double(-1e6, 1e6));
+            }
+          }
+          std::vector<std::uint64_t> ref_pos = input;
+          std::vector<double> ref_vals = values;
+          exec::detail::scalar::sort_by_position(ref_pos, ref_vals);
+          std::vector<std::uint64_t> pos = input;
+          std::vector<double> vals = values;
+          exec::sort_by_position(pos, vals, volume);
+          ASSERT_EQ(pos, ref_pos) << "volume " << volume << " n " << n << " "
+                                  << order << " values " << with_values;
+          ASSERT_EQ(vals, ref_vals) << "volume " << volume << " n " << n
+                                    << " " << order;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "array/chunking.hpp"
 #include "core/layout.hpp"
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
 #include "tools/fsck.hpp"
+#include "util/hash.hpp"
 
 namespace mloc {
 namespace {
@@ -183,6 +185,64 @@ TEST(Fsck, CorruptPositionBlobDetected) {
   tamper_resealed(fs, file_named(fs, ".idx"), [](Bytes& payload) {
     payload.back() ^= 0xFF;  // last blob byte (blobs sit after the table)
   });
+
+  fsck::LayoutVerifier verifier(&fs);
+  const fsck::Report report = verifier.verify_store("s");
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_check(report, "positions")) << checks_of(report);
+}
+
+// positions: a blob whose last offset lies one past its chunk, with the
+// blob's fragment-table FNV recomputed and the footer re-sealed, so only a
+// range check can catch it. The engine must refuse it on first decode
+// (before any filter or bitmap lookup sees the offset), and fsck must
+// still attribute it to the positional index.
+TEST(Fsck, PositionPastChunkVolumeRejected) {
+  pfs::PfsStorage fs;
+  build_store(fs, "mzip");
+  const ChunkGrid chunks(NDShape{64, 64}, NDShape{16, 16});
+  tamper_resealed(fs, file_named(fs, ".idx"), [&](Bytes& payload) {
+    ByteReader r{std::span<const std::uint8_t>(payload)};
+    auto layout = BinLayout::deserialize(r);
+    ASSERT_TRUE(layout.is_ok());
+    const std::size_t header_len = r.position();
+    // The blob that ends the blob section: re-encoding it at a new length
+    // moves no other blob.
+    auto& frags = layout.value().fragments;
+    auto victim = std::max_element(
+        frags.begin(), frags.end(), [](const auto& a, const auto& b) {
+          return a.positions.offset < b.positions.offset;
+        });
+    ASSERT_NE(victim, frags.end());
+    const std::size_t blob_at = header_len + victim->positions.offset;
+    ASSERT_EQ(blob_at + victim->positions.length, payload.size());
+    auto offsets = decode_positions(
+        std::span<const std::uint8_t>(payload).subspan(
+            blob_at, victim->positions.length),
+        victim->count);
+    ASSERT_TRUE(offsets.is_ok());
+    offsets.value().back() = static_cast<std::uint32_t>(
+        chunks.chunk_region(victim->chunk).volume());
+    const Bytes blob = encode_positions(offsets.value());
+    victim->positions.length = blob.size();
+    victim->positions.checksum = fnv1a64(blob);
+    ByteWriter w;
+    layout.value().serialize(w);
+    const Bytes header = std::move(w).take();
+    ASSERT_EQ(header.size(), header_len);
+    payload.resize(blob_at);
+    std::copy(header.begin(), header.end(), payload.begin());
+    payload.insert(payload.end(), blob.begin(), blob.end());
+  });
+
+  auto reopened = MlocStore::open(&fs, "s");
+  ASSERT_TRUE(reopened.is_ok());
+  Query q;  // full fetch: every fragment's blob is decoded
+  q.values_needed = true;
+  auto res = reopened.value().execute("phi", q);
+  ASSERT_FALSE(res.is_ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData)
+      << res.status().to_string();
 
   fsck::LayoutVerifier verifier(&fs);
   const fsck::Report report = verifier.verify_store("s");
