@@ -3,8 +3,9 @@
 // deliberately mismatched default layout, tunes it against a recorded
 // workload, re-ingests the variable under the recommendation, and then
 // replays the trace on both stores, asserting
-//   (a) the planner oracle is exact: for every query, measured PFS bytes
-//       and modeled seeks equal the estimate used during tuning, and
+//   (a) the plan oracle is exact: for every query, measured PFS bytes
+//       and modeled seeks equal MlocStore::plan's prediction (the plan
+//       that estimate_io_seconds costs during tuning), and
 //   (b) the recommendation wins where it counts: measured modeled I/O
 //       under the tuned layout beats the default layout.
 // Emits a one-object JSON summary on stdout for CI (`jq` asserts the
@@ -13,7 +14,6 @@
 #include <string>
 
 #include "common/bench_common.hpp"
-#include "planner/planner.hpp"
 #include "tune/tuner.hpp"
 
 using namespace mloc;
@@ -50,21 +50,20 @@ tune::QueryTrace make_trace(const Dataset& ds, std::uint64_t seed) {
 /// Returns total measured modeled I/O seconds.
 double replay_and_check(MlocStore& store, const tune::QueryTrace& trace,
                         const char* label) {
-  planner::QueryPlanner planner(&store);
   double measured_io = 0.0;
   for (const tune::TracedQuery& tq : trace.queries) {
-    auto est = planner.estimate("v", tq.query, tq.num_ranks);
+    auto est = store.plan("v", tq.query, tq.num_ranks);
     MLOC_CHECK_MSG(est.is_ok(), est.status().to_string().c_str());
     auto res = store.execute("v", tq.query, tq.num_ranks);
     MLOC_CHECK_MSG(res.is_ok(), res.status().to_string().c_str());
-    if (est.value().est_bytes != res.value().exec.bytes_read ||
-        est.value().est_seeks != res.value().exec.modeled_seeks) {
+    if (est.value().stats.bytes_read != res.value().exec.bytes_read ||
+        est.value().stats.modeled_seeks != res.value().exec.modeled_seeks) {
       std::fprintf(stderr,
                    "%s: oracle mismatch: predicted %llu B / %llu seeks, "
                    "measured %llu B / %llu seeks\n",
                    label,
-                   (unsigned long long)est.value().est_bytes,
-                   (unsigned long long)est.value().est_seeks,
+                   (unsigned long long)est.value().stats.bytes_read,
+                   (unsigned long long)est.value().stats.modeled_seeks,
                    (unsigned long long)res.value().exec.bytes_read,
                    (unsigned long long)res.value().exec.modeled_seeks);
       MLOC_CHECK(false);

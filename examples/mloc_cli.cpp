@@ -7,11 +7,17 @@
 //   mloc_cli info  --store DIR
 //   mloc_cli query --store DIR [--var NAME] [--vc LO:HI]
 //            [--sc LO:HI[,LO:HI...]] [--plod L] [--ranks R] [--region-only]
+//   mloc_cli plan  --store DIR (same query options) [--max-ranks N]
+//
+// `build` defaults --chunk to 128 (gts) or 32 (3-D), capped at --edge.
+// `plan` costs a query without running it: the recommended rank count and
+// the plan's bins, fragments, seeks, bytes and modeled I/O seconds.
 //
 // Examples:
 //   mloc_cli build --out /tmp/gts --dataset gts --edge 1024 --codec isobar
 //   mloc_cli query --store /tmp/gts --vc 0.5:1.0 --region-only
 //   mloc_cli query --store /tmp/gts --sc 100:200,300:400 --plod 2
+//   mloc_cli plan  --store /tmp/gts --vc 0.4:0.6 --max-ranks 16
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +29,7 @@
 #include "compress/registry.hpp"
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
-#include "planner/planner.hpp"
+#include "tune/tuner.hpp"
 
 using namespace mloc;
 
@@ -92,8 +98,10 @@ int cmd_build(const Args& args) {
       static_cast<std::uint64_t>(std::atoll(args.get("seed", "1").c_str()));
   const auto edge = static_cast<std::uint32_t>(
       std::atoi(args.get("edge", dataset == "gts" ? "1024" : "96").c_str()));
-  const auto chunk = static_cast<std::uint32_t>(
-      std::atoi(args.get("chunk", dataset == "gts" ? "128" : "32").c_str()));
+  const std::uint32_t default_chunk =
+      std::min<std::uint32_t>(dataset == "gts" ? 128 : 32, edge);
+  const auto chunk = static_cast<std::uint32_t>(std::atoi(
+      args.get("chunk", std::to_string(default_chunk)).c_str()));
 
   Grid grid;
   if (dataset == "gts") {
@@ -277,23 +285,25 @@ int cmd_plan(const Args& args) {
       args.get("var", store.variables().empty() ? "v" : store.variables()[0]);
   const int max_ranks = std::atoi(args.get("max-ranks", "128").c_str());
 
-  planner::QueryPlanner planner(&store);
-  auto ranks = planner.recommend_ranks(var, q, max_ranks);
+  auto ranks = tune::recommend_ranks(store, var, q, max_ranks);
   if (!ranks.is_ok()) return fail(ranks.status());
-  auto est = planner.estimate(var, q, ranks.value());
-  if (!est.is_ok()) return fail(est.status());
+  auto plan = store.plan(var, q, ranks.value());
+  if (!plan.is_ok()) return fail(plan.status());
+  auto io_s = tune::estimate_io_seconds(store, var, q, ranks.value());
+  if (!io_s.is_ok()) return fail(io_s.status());
+  const exec::PlanSummary& sum = plan.value();
   std::printf("plan for %s (recommended ranks: %d of max %d)\n", var.c_str(),
               ranks.value(), max_ranks);
   std::printf("  bins touched    %llu (%llu aligned)\n",
-              static_cast<unsigned long long>(est.value().bins_touched),
-              static_cast<unsigned long long>(est.value().aligned_bins));
+              static_cast<unsigned long long>(sum.bins_touched),
+              static_cast<unsigned long long>(sum.aligned_bins));
   std::printf("  est fragments   %llu, est seeks %llu\n",
-              static_cast<unsigned long long>(est.value().est_fragments),
-              static_cast<unsigned long long>(est.value().est_seeks));
+              static_cast<unsigned long long>(sum.fragments_to_fetch),
+              static_cast<unsigned long long>(sum.stats.modeled_seeks));
   std::printf("  est bytes       %.2f MB\n",
-              static_cast<double>(est.value().est_bytes) / 1e6);
-  std::printf("  est result size %.0f points\n", est.value().est_points);
-  std::printf("  est I/O time    %.4f s\n", est.value().est_io_seconds);
+              static_cast<double>(sum.stats.bytes_read) / 1e6);
+  std::printf("  est result size %.0f points\n", sum.est_points);
+  std::printf("  est I/O time    %.4f s\n", io_s.value());
   return 0;
 }
 

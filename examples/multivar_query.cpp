@@ -31,8 +31,9 @@ int main() {
   MLOC_CHECK(store.value().write_variable("fuel", fuel).is_ok());
 
   const ValueConstraint burning{2000.0, 2400.0};
-  auto res = store.value().multivar_query("temperature", burning, "fuel",
-                                          /*plod_level=*/7, /*num_ranks=*/8);
+  auto res = store.value().multivar_select(
+      {{"temperature", burning}}, MlocStore::Combine::kAnd, "fuel",
+      /*plod_level=*/7, /*num_ranks=*/8);
   MLOC_CHECK(res.is_ok());
 
   const auto stats = analytics::compute_stats(res.value().values);

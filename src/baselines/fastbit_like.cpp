@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "parallel/runtime.hpp"
 #include "util/timer.hpp"
 
 namespace mloc::baselines {
@@ -118,120 +119,112 @@ Result<std::vector<double>> FastBitStore::read_values_paged(
   return out;
 }
 
+// Both queries run as one rank: FastBit's query path — index load, bitmap
+// work and raw-value fetches — is serial, and is charged that way
+// (DESIGN.md, modeling substitutions).
 Result<QueryResult> FastBitStore::region_query(ValueConstraint vc,
-                                               bool values_needed,
-                                               int num_ranks) const {
-  if (num_ranks < 1) return invalid_argument("num_ranks must be >= 1");
+                                               bool values_needed) const {
   QueryResult result;
-  pfs::IoLog io;
-  MLOC_ASSIGN_OR_RETURN(auto bitmaps, load_index(&io, &result.times));
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), 1,
+      [&](parallel::RankContext& ctx) -> Status {
+        MLOC_ASSIGN_OR_RETURN(auto bitmaps,
+                              load_index(&ctx.io_log, &ctx.times));
+        const auto span = scheme_.bins_overlapping(vc.lo, vc.hi);
+        if (span.empty()) return Status::ok();
 
-  const auto span = scheme_.bins_overlapping(vc.lo, vc.hi);
-  if (!span.empty()) {
-    Stopwatch sw;
-    // OR together aligned bins; collect candidate (edge) bins for checks.
-    WahBitmap matched;
-    bool have = false;
-    std::vector<int> candidates;
-    for (int b = span.first; b <= span.last; ++b) {
-      if (scheme_.aligned(b, vc.lo, vc.hi)) {
-        matched = have ? WahBitmap::logical_or(matched, bitmaps[b])
-                       : bitmaps[b];
-        have = true;
-      } else {
-        candidates.push_back(b);
-      }
-    }
-    Bitmap plain = have ? matched.decompress() : Bitmap(shape_.volume());
-    result.times.reconstruct += sw.seconds();
-    result.bins_touched = static_cast<std::uint64_t>(span.last - span.first + 1);
-    result.aligned_bins =
-        result.bins_touched - static_cast<std::uint64_t>(candidates.size());
+        Stopwatch sw;
+        // OR together aligned bins; collect candidate (edge) bins for checks.
+        WahBitmap matched;
+        bool have = false;
+        std::vector<int> candidates;
+        for (int b = span.first; b <= span.last; ++b) {
+          if (scheme_.aligned(b, vc.lo, vc.hi)) {
+            matched = have ? WahBitmap::logical_or(matched, bitmaps[b])
+                           : bitmaps[b];
+            have = true;
+          } else {
+            candidates.push_back(b);
+          }
+        }
+        Bitmap plain = have ? matched.decompress() : Bitmap(shape_.volume());
+        ctx.times.reconstruct += sw.seconds();
+        result.bins_touched =
+            static_cast<std::uint64_t>(span.last - span.first + 1);
+        result.aligned_bins =
+            result.bins_touched - static_cast<std::uint64_t>(candidates.size());
 
-    // Candidate check: fetch raw values page-wise (FastBit reads the raw
-    // column in large sequential pages, not per point).
-    for (int b : candidates) {
-      Bitmap cand = bitmaps[b].decompress();
-      std::vector<std::uint64_t> cand_pos;
-      cand.for_each_set([&](std::uint64_t pos) { cand_pos.push_back(pos); });
-      MLOC_ASSIGN_OR_RETURN(auto vals, read_values_paged(cand_pos, &io));
-      Stopwatch sw_check;
-      for (std::size_t i = 0; i < cand_pos.size(); ++i) {
-        if (vc.matches(vals[i])) plain.set(cand_pos[i]);
-      }
-      result.times.reconstruct += sw_check.seconds();
-    }
+        // Candidate check: fetch raw values page-wise (FastBit reads the raw
+        // column in large sequential pages, not per point).
+        for (int b : candidates) {
+          Bitmap cand = bitmaps[b].decompress();
+          std::vector<std::uint64_t> cand_pos;
+          cand.for_each_set(
+              [&](std::uint64_t pos) { cand_pos.push_back(pos); });
+          MLOC_ASSIGN_OR_RETURN(auto vals,
+                                read_values_paged(cand_pos, &ctx.io_log));
+          Stopwatch sw_check;
+          for (std::size_t i = 0; i < cand_pos.size(); ++i) {
+            if (vc.matches(vals[i])) plain.set(cand_pos[i]);
+          }
+          ctx.times.reconstruct += sw_check.seconds();
+        }
 
-    Stopwatch sw2;
-    plain.for_each_set([&](std::uint64_t pos) {
-      result.positions.push_back(pos);
-    });
-    result.times.reconstruct += sw2.seconds();
-    if (values_needed) {
-      MLOC_ASSIGN_OR_RETURN(result.values,
-                            read_values_paged(result.positions, &io));
-    }
-  }
-
-  result.bytes_read = io.total_bytes();
-  // Index load + bitmap work is inherently serial in FastBit's query path;
-  // rank parallelism is granted for the raw-value fetches by splitting the
-  // log's records round-robin (approximation documented in DESIGN.md).
-  result.times.io = pfs::model_makespan(fs_->config(), io, 1);
+        Stopwatch sw2;
+        plain.for_each_set([&](std::uint64_t pos) {
+          result.positions.push_back(pos);
+        });
+        ctx.times.reconstruct += sw2.seconds();
+        if (values_needed) {
+          MLOC_ASSIGN_OR_RETURN(
+              result.values, read_values_paged(result.positions, &ctx.io_log));
+        }
+        return Status::ok();
+      },
+      &result));
   return result;
 }
 
-Result<QueryResult> FastBitStore::value_query(const Region& sc,
-                                              int num_ranks) const {
-  if (num_ranks < 1) return invalid_argument("num_ranks must be >= 1");
+Result<QueryResult> FastBitStore::value_query(const Region& sc) const {
   if (sc.ndims() != shape_.ndims()) {
     return invalid_argument("fastbit: SC dimensionality mismatch");
   }
   QueryResult result;
-  pfs::IoLog io;
-  // FastBit still pays the full index load before query processing.
-  MLOC_ASSIGN_OR_RETURN(auto bitmaps, load_index(&io, &result.times));
-  (void)bitmaps;
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), 1,
+      [&](parallel::RankContext& ctx) -> Status {
+        // FastBit still pays the full index load before query processing.
+        MLOC_RETURN_IF_ERROR(load_index(&ctx.io_log, &ctx.times).status());
+        if (sc.empty()) return Status::ok();
 
-  if (!sc.empty()) {
-    // Fetch the SC's rows from the raw file.
-    const int last = shape_.ndims() - 1;
-    Coord hi = sc.hi();
-    hi[last] = sc.lo(last) + 1;
-    const Region outer(sc.ndims(), sc.lo(), hi);
-    const std::uint32_t run = sc.extent(last);
-    Status status = Status::ok();
-    Stopwatch sw;
-    double filter_s = 0;
-    outer.for_each([&](const Coord& c) {
-      if (!status.is_ok()) return;
-      const std::uint64_t start = shape_.linearize(c);
-      auto raw = fs_->read(raw_file_, start * sizeof(double),
-                           static_cast<std::uint64_t>(run) * sizeof(double),
-                           &io, 0);
-      if (!raw.is_ok()) {
-        status = raw.status();
-        return;
-      }
-      Stopwatch sw_inner;
-      auto vals = bytes_to_doubles(raw.value());
-      if (!vals.is_ok()) {
-        status = vals.status();
-        return;
-      }
-      for (std::uint32_t i = 0; i < run; ++i) {
-        result.positions.push_back(start + i);
-        result.values.push_back(vals.value()[i]);
-      }
-      filter_s += sw_inner.seconds();
-    });
-    MLOC_RETURN_IF_ERROR(status);
-    (void)sw;
-    result.times.reconstruct += filter_s;
-  }
-
-  result.bytes_read = io.total_bytes();
-  result.times.io = pfs::model_makespan(fs_->config(), io, 1);
+        // Fetch the SC's rows from the raw file.
+        const int last = shape_.ndims() - 1;
+        Coord hi = sc.hi();
+        hi[last] = sc.lo(last) + 1;
+        const Region outer(sc.ndims(), sc.lo(), hi);
+        const std::uint32_t run = sc.extent(last);
+        std::vector<std::uint64_t> run_starts;  // linear offsets
+        outer.for_each([&](const Coord& c) {
+          run_starts.push_back(shape_.linearize(c));
+        });
+        for (const std::uint64_t start : run_starts) {
+          MLOC_ASSIGN_OR_RETURN(
+              const Bytes raw,
+              fs_->read(raw_file_, start * sizeof(double),
+                        static_cast<std::uint64_t>(run) * sizeof(double),
+                        &ctx.io_log, 0));
+          Stopwatch sw;
+          MLOC_ASSIGN_OR_RETURN(const std::vector<double> vals,
+                                bytes_to_doubles(raw));
+          for (std::uint32_t i = 0; i < run; ++i) {
+            result.positions.push_back(start + i);
+            result.values.push_back(vals[i]);
+          }
+          ctx.times.reconstruct += sw.seconds();
+        }
+        return Status::ok();
+      },
+      &result));
   return result;
 }
 

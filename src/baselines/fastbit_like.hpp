@@ -35,14 +35,12 @@ class FastBitStore {
   /// Region query (VC): load index, OR covered bins' bitmaps; candidate
   /// (edge) bins are verified against the raw data.
   [[nodiscard]] Result<QueryResult> region_query(ValueConstraint vc,
-                                                 bool values_needed,
-                                                 int num_ranks = 1) const;
+                                                 bool values_needed) const;
 
   /// Value query (SC): FastBit has no spatial structure — the index is
   /// still loaded (its operating assumption), then qualifying cells are
   /// fetched from the raw file by computed offsets.
-  [[nodiscard]] Result<QueryResult> value_query(const Region& sc,
-                                                int num_ranks = 1) const;
+  [[nodiscard]] Result<QueryResult> value_query(const Region& sc) const;
 
   [[nodiscard]] std::uint64_t data_bytes() const;
   [[nodiscard]] std::uint64_t index_bytes() const;

@@ -62,41 +62,38 @@ Result<QueryResult> SciDbStore::value_query(const Region& sc,
     double overhead_s = 0;
   };
   std::vector<RankOut> outs(num_ranks);
-  Status status = Status::ok();
-  auto ranks = parallel::run_ranks(num_ranks, [&](parallel::RankContext& ctx) {
-    if (!status.is_ok()) return;
-    const auto ranges = parallel::split_even(covering.size(), ctx.num_ranks);
-    for (std::size_t i = ranges[ctx.rank].first; i < ranges[ctx.rank].second;
-         ++i) {
-      const ChunkId c = covering[i];
-      auto raw = fs_->read(file_, chunk_offsets_[c], chunk_lengths_[c],
-                           &ctx.io_log, static_cast<std::uint32_t>(ctx.rank));
-      if (!raw.is_ok()) {
-        status = raw.status();
-        return;
-      }
-      Stopwatch sw;
-      auto vals = bytes_to_doubles(raw.value());
-      if (!vals.is_ok()) {
-        status = vals.status();
-        return;
-      }
-      const Region wide = stored_region(c);
-      const Region core = chunks_.chunk_region(c);  // avoid overlap dupes
-      std::size_t k = 0;
-      wide.for_each([&](const Coord& coord) {
-        const double v = vals.value()[k++];
-        if (core.contains(coord) && sc.contains(coord)) {
-          outs[ctx.rank].hits.emplace_back(shape_.linearize(coord), v);
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), num_ranks,
+      [&](parallel::RankContext& ctx) -> Status {
+        const auto ranges =
+            parallel::split_even(covering.size(), ctx.num_ranks);
+        for (std::size_t i = ranges[ctx.rank].first;
+             i < ranges[ctx.rank].second; ++i) {
+          const ChunkId c = covering[i];
+          MLOC_ASSIGN_OR_RETURN(
+              const Bytes raw,
+              fs_->read(file_, chunk_offsets_[c], chunk_lengths_[c],
+                        &ctx.io_log, static_cast<std::uint32_t>(ctx.rank)));
+          Stopwatch sw;
+          MLOC_ASSIGN_OR_RETURN(const std::vector<double> vals,
+                                bytes_to_doubles(raw));
+          const Region wide = stored_region(c);
+          const Region core = chunks_.chunk_region(c);  // avoid overlap dupes
+          std::size_t k = 0;
+          wide.for_each([&](const Coord& coord) {
+            const double v = vals[k++];
+            if (core.contains(coord) && sc.contains(coord)) {
+              outs[ctx.rank].hits.emplace_back(shape_.linearize(coord), v);
+            }
+          });
+          ctx.times.reconstruct += sw.seconds();
+          outs[ctx.rank].overhead_s +=
+              opts_.per_chunk_overhead_s +
+              static_cast<double>(chunk_lengths_[c]) / opts_.executor_bps;
         }
-      });
-      ctx.times.reconstruct += sw.seconds();
-      outs[ctx.rank].overhead_s +=
-          opts_.per_chunk_overhead_s +
-          static_cast<double>(chunk_lengths_[c]) / opts_.executor_bps;
-    }
-  });
-  MLOC_RETURN_IF_ERROR(status);
+        return Status::ok();
+      },
+      &result));
 
   std::vector<std::pair<std::uint64_t, double>> merged;
   double max_overhead = 0;
@@ -109,12 +106,7 @@ Result<QueryResult> SciDbStore::value_query(const Region& sc,
     result.positions.push_back(pos);
     result.values.push_back(val);
   }
-  const auto io = parallel::merged_io_log(ranks);
-  result.bytes_read = io.total_bytes();
-  result.times.io = pfs::model_makespan(fs_->config(), io, num_ranks);
-  const auto cpu = parallel::max_rank_times(ranks);
-  result.times.decompress = cpu.decompress;
-  result.times.reconstruct = cpu.reconstruct + max_overhead;
+  result.times.reconstruct += max_overhead;
   return result;
 }
 
@@ -129,42 +121,38 @@ Result<QueryResult> SciDbStore::region_query(ValueConstraint vc,
     double overhead_s = 0;
   };
   std::vector<RankOut> outs(num_ranks);
-  Status status = Status::ok();
-  auto ranks = parallel::run_ranks(num_ranks, [&](parallel::RankContext& ctx) {
-    if (!status.is_ok()) return;
-    const auto ranges = parallel::split_even(chunks_.num_chunks(),
-                                             ctx.num_ranks);
-    for (std::size_t i = ranges[ctx.rank].first; i < ranges[ctx.rank].second;
-         ++i) {
-      const auto c = static_cast<ChunkId>(i);
-      auto raw = fs_->read(file_, chunk_offsets_[c], chunk_lengths_[c],
-                           &ctx.io_log, static_cast<std::uint32_t>(ctx.rank));
-      if (!raw.is_ok()) {
-        status = raw.status();
-        return;
-      }
-      Stopwatch sw;
-      auto vals = bytes_to_doubles(raw.value());
-      if (!vals.is_ok()) {
-        status = vals.status();
-        return;
-      }
-      const Region wide = stored_region(c);
-      const Region core = chunks_.chunk_region(c);
-      std::size_t k = 0;
-      wide.for_each([&](const Coord& coord) {
-        const double v = vals.value()[k++];
-        if (core.contains(coord) && vc.matches(v)) {
-          outs[ctx.rank].hits.emplace_back(shape_.linearize(coord), v);
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), num_ranks,
+      [&](parallel::RankContext& ctx) -> Status {
+        const auto ranges =
+            parallel::split_even(chunks_.num_chunks(), ctx.num_ranks);
+        for (std::size_t i = ranges[ctx.rank].first;
+             i < ranges[ctx.rank].second; ++i) {
+          const ChunkId c = static_cast<ChunkId>(i);
+          MLOC_ASSIGN_OR_RETURN(
+              const Bytes raw,
+              fs_->read(file_, chunk_offsets_[c], chunk_lengths_[c],
+                        &ctx.io_log, static_cast<std::uint32_t>(ctx.rank)));
+          Stopwatch sw;
+          MLOC_ASSIGN_OR_RETURN(const std::vector<double> vals,
+                                bytes_to_doubles(raw));
+          const Region wide = stored_region(c);
+          const Region core = chunks_.chunk_region(c);  // avoid overlap dupes
+          std::size_t k = 0;
+          wide.for_each([&](const Coord& coord) {
+            const double v = vals[k++];
+            if (core.contains(coord) && vc.matches(v)) {
+              outs[ctx.rank].hits.emplace_back(shape_.linearize(coord), v);
+            }
+          });
+          ctx.times.reconstruct += sw.seconds();
+          outs[ctx.rank].overhead_s +=
+              opts_.per_chunk_overhead_s +
+              static_cast<double>(chunk_lengths_[c]) / opts_.executor_bps;
         }
-      });
-      ctx.times.reconstruct += sw.seconds();
-      outs[ctx.rank].overhead_s +=
-          opts_.per_chunk_overhead_s +
-          static_cast<double>(chunk_lengths_[c]) / opts_.executor_bps;
-    }
-  });
-  MLOC_RETURN_IF_ERROR(status);
+        return Status::ok();
+      },
+      &result));
 
   std::vector<std::pair<std::uint64_t, double>> merged;
   double max_overhead = 0;
@@ -177,12 +165,7 @@ Result<QueryResult> SciDbStore::region_query(ValueConstraint vc,
     result.positions.push_back(pos);
     if (values_needed) result.values.push_back(val);
   }
-  const auto io = parallel::merged_io_log(ranks);
-  result.bytes_read = io.total_bytes();
-  result.times.io = pfs::model_makespan(fs_->config(), io, num_ranks);
-  const auto cpu = parallel::max_rank_times(ranks);
-  result.times.decompress = cpu.decompress;
-  result.times.reconstruct = cpu.reconstruct + max_overhead;
+  result.times.reconstruct += max_overhead;
   return result;
 }
 

@@ -50,34 +50,29 @@ Result<QueryResult> SeqScanStore::region_query(ValueConstraint vc,
     std::vector<double> values;
   };
   std::vector<RankOut> outs(num_ranks);
-  Status status = Status::ok();
-  auto ranks = parallel::run_ranks(num_ranks, [&](parallel::RankContext& ctx) {
-    if (!status.is_ok()) return;
-    const auto ranges = parallel::split_even(n, ctx.num_ranks);
-    const auto [lo, hi] = ranges[ctx.rank];
-    if (lo == hi) return;
-    auto raw = fs_->read(file_, lo * sizeof(double),
-                         (hi - lo) * sizeof(double), &ctx.io_log,
-                         static_cast<std::uint32_t>(ctx.rank));
-    if (!raw.is_ok()) {
-      status = raw.status();
-      return;
-    }
-    Stopwatch sw;
-    auto vals = bytes_to_doubles(raw.value());
-    if (!vals.is_ok()) {
-      status = vals.status();
-      return;
-    }
-    for (std::uint64_t i = 0; i < vals.value().size(); ++i) {
-      if (vc.matches(vals.value()[i])) {
-        outs[ctx.rank].positions.push_back(lo + i);
-        if (values_needed) outs[ctx.rank].values.push_back(vals.value()[i]);
-      }
-    }
-    ctx.times.reconstruct += sw.seconds();
-  });
-  MLOC_RETURN_IF_ERROR(status);
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), num_ranks,
+      [&](parallel::RankContext& ctx) -> Status {
+        const auto ranges = parallel::split_even(n, ctx.num_ranks);
+        const auto [lo, hi] = ranges[ctx.rank];
+        if (lo == hi) return Status::ok();
+        MLOC_ASSIGN_OR_RETURN(
+            const Bytes raw,
+            fs_->read(file_, lo * sizeof(double), (hi - lo) * sizeof(double),
+                      &ctx.io_log, static_cast<std::uint32_t>(ctx.rank)));
+        Stopwatch sw;
+        MLOC_ASSIGN_OR_RETURN(const std::vector<double> vals,
+                              bytes_to_doubles(raw));
+        for (std::uint64_t i = 0; i < vals.size(); ++i) {
+          if (vc.matches(vals[i])) {
+            outs[ctx.rank].positions.push_back(lo + i);
+            if (values_needed) outs[ctx.rank].values.push_back(vals[i]);
+          }
+        }
+        ctx.times.reconstruct += sw.seconds();
+        return Status::ok();
+      },
+      &result));
 
   for (auto& o : outs) {
     result.positions.insert(result.positions.end(), o.positions.begin(),
@@ -85,12 +80,6 @@ Result<QueryResult> SeqScanStore::region_query(ValueConstraint vc,
     result.values.insert(result.values.end(), o.values.begin(),
                          o.values.end());
   }
-  const auto io = parallel::merged_io_log(ranks);
-  result.bytes_read = io.total_bytes();
-  result.times.io = pfs::model_makespan(fs_->config(), io, num_ranks);
-  const auto cpu = parallel::max_rank_times(ranks);
-  result.times.decompress = cpu.decompress;
-  result.times.reconstruct = cpu.reconstruct;
   return result;
 }
 
@@ -120,33 +109,30 @@ Result<QueryResult> SeqScanStore::value_query(const Region& sc,
     std::vector<double> values;
   };
   std::vector<RankOut> outs(num_ranks);
-  Status status = Status::ok();
-  auto ranks = parallel::run_ranks(num_ranks, [&](parallel::RankContext& ctx) {
-    if (!status.is_ok()) return;
-    const auto ranges = parallel::split_even(run_starts.size(), ctx.num_ranks);
-    for (std::size_t r = ranges[ctx.rank].first; r < ranges[ctx.rank].second;
-         ++r) {
-      auto raw = fs_->read(file_, run_starts[r] * sizeof(double),
-                           static_cast<std::uint64_t>(run) * sizeof(double),
-                           &ctx.io_log, static_cast<std::uint32_t>(ctx.rank));
-      if (!raw.is_ok()) {
-        status = raw.status();
-        return;
-      }
-      Stopwatch sw;
-      auto vals = bytes_to_doubles(raw.value());
-      if (!vals.is_ok()) {
-        status = vals.status();
-        return;
-      }
-      for (std::uint32_t i = 0; i < run; ++i) {
-        outs[ctx.rank].positions.push_back(run_starts[r] + i);
-        outs[ctx.rank].values.push_back(vals.value()[i]);
-      }
-      ctx.times.reconstruct += sw.seconds();
-    }
-  });
-  MLOC_RETURN_IF_ERROR(status);
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), num_ranks,
+      [&](parallel::RankContext& ctx) -> Status {
+        const auto ranges =
+            parallel::split_even(run_starts.size(), ctx.num_ranks);
+        for (std::size_t r = ranges[ctx.rank].first;
+             r < ranges[ctx.rank].second; ++r) {
+          MLOC_ASSIGN_OR_RETURN(
+              const Bytes raw,
+              fs_->read(file_, run_starts[r] * sizeof(double),
+                        static_cast<std::uint64_t>(run) * sizeof(double),
+                        &ctx.io_log, static_cast<std::uint32_t>(ctx.rank)));
+          Stopwatch sw;
+          MLOC_ASSIGN_OR_RETURN(const std::vector<double> vals,
+                                bytes_to_doubles(raw));
+          for (std::uint32_t i = 0; i < run; ++i) {
+            outs[ctx.rank].positions.push_back(run_starts[r] + i);
+            outs[ctx.rank].values.push_back(vals[i]);
+          }
+          ctx.times.reconstruct += sw.seconds();
+        }
+        return Status::ok();
+      },
+      &result));
 
   // Runs were assigned in ascending order, so concatenation stays sorted.
   for (auto& o : outs) {
@@ -155,12 +141,6 @@ Result<QueryResult> SeqScanStore::value_query(const Region& sc,
     result.values.insert(result.values.end(), o.values.begin(),
                          o.values.end());
   }
-  const auto io = parallel::merged_io_log(ranks);
-  result.bytes_read = io.total_bytes();
-  result.times.io = pfs::model_makespan(fs_->config(), io, num_ranks);
-  const auto cpu = parallel::max_rank_times(ranks);
-  result.times.decompress = cpu.decompress;
-  result.times.reconstruct = cpu.reconstruct;
   return result;
 }
 

@@ -462,15 +462,6 @@ Result<QueryResult> MlocStore::execute_impl(
                              opts, region_wah);
 }
 
-Result<QueryResult> MlocStore::multivar_query(const std::string& select_var,
-                                              ValueConstraint vc,
-                                              const std::string& fetch_var,
-                                              int plod_level,
-                                              int num_ranks) const {
-  return multivar_select({{select_var, vc}}, Combine::kAnd, fetch_var,
-                         plod_level, num_ranks);
-}
-
 Result<QueryResult> MlocStore::multivar_select(
     const std::vector<VarConstraint>& preds, Combine combine,
     const std::string& fetch_var, int plod_level, int num_ranks) const {

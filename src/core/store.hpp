@@ -179,19 +179,10 @@ class MlocStore {
   /// Feeding summary.planned_io to pfs::model_makespan reproduces the
   /// modeled I/O seconds execution would report; on cold caches the byte
   /// and extent counts match execution exactly. Drives
-  /// QueryPlanner::estimate.
+  /// tune::estimate_io_seconds.
   [[nodiscard]] Result<exec::PlanSummary> plan(const std::string& var, const Query& q,
                                  int num_ranks = 1,
                                  const exec::ExecOptions& opts = {}) const;
-
-  /// Multi-variable access (§III-D-4): select positions where `select_var`
-  /// satisfies `vc` (region-only pass), then retrieve `fetch_var` values at
-  /// those positions via a shared position bitmap.
-  [[nodiscard]] Result<QueryResult> multivar_query(const std::string& select_var,
-                                     ValueConstraint vc,
-                                     const std::string& fetch_var,
-                                     int plod_level = 7,
-                                     int num_ranks = 1) const;
 
   /// One predicate of a multi-variable selection.
   struct VarConstraint {
@@ -205,7 +196,8 @@ class MlocStore {
   /// predicate as a region-only pass, combine the resulting position
   /// bitmaps in the WAH compressed domain, then fetch `fetch_var` at the
   /// surviving positions. With an empty `fetch_var` only positions are
-  /// returned.
+  /// returned. One kAnd predicate is the §III-D-4 bitmap hand-off: select
+  /// where one variable qualifies, fetch another there.
   [[nodiscard]] Result<QueryResult> multivar_select(const std::vector<VarConstraint>& preds,
                                       Combine combine,
                                       const std::string& fetch_var,

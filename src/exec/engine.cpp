@@ -77,11 +77,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
     std::vector<WahBitmap> level_wahs;
   };
   std::vector<RankOutput> outputs(static_cast<std::size_t>(num_ranks));
-  Status exec_status = Status::ok();
 
-  auto contexts = parallel::run_ranks(num_ranks, [&](parallel::RankContext&
-                                                         ctx) {
-    if (!exec_status.is_ok()) return;
+  const auto rank_body = [&](parallel::RankContext& ctx) -> Status {
     RankPlan& rp = plan.ranks[static_cast<std::size_t>(ctx.rank)];
     RankOutput& out = outputs[static_cast<std::size_t>(ctx.rank)];
 
@@ -98,10 +95,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
     // fresh ones checksum-verified, decoded, and published back.
     if (!rp.hbx_tasks.empty()) {
       if (!rp.hbx_segments.empty() && view.verify_hbx) {
-        if (Status st = view.verify_hbx(); !st.is_ok()) {
-          exec_status = std::move(st);
-          return;
-        }
+        MLOC_RETURN_IF_ERROR(view.verify_hbx());
       }
       std::vector<SlotRef> hbx_slots;
       const std::vector<pfs::ReadRequest> hbx_requests =
@@ -109,13 +103,10 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
               ? naive_schedule(rp.hbx_segments, &hbx_slots)
               : coalesce_segments(rp.hbx_segments, opts.coalesce_gap_bytes,
                                   &hbx_slots);
-      auto hbx_bufs = view.fs->read_batch(
-          hbx_requests, &ctx.io_log, static_cast<std::uint32_t>(ctx.rank));
-      if (!hbx_bufs.is_ok()) {
-        exec_status = hbx_bufs.status();
-        return;
-      }
-      const std::vector<Bytes> hbx_buffers = std::move(hbx_bufs).value();
+      MLOC_ASSIGN_OR_RETURN(
+          const std::vector<Bytes> hbx_buffers,
+          view.fs->read_batch(hbx_requests, &ctx.io_log,
+                              static_cast<std::uint32_t>(ctx.rank)));
       if (wah_mode) {
         out.level_wahs.resize(
             static_cast<std::size_t>(plan.hbx_header->num_levels()));
@@ -134,22 +125,15 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
           const std::span<const std::uint8_t> raw(buf.data() + slot.delta,
                                                   node.length);
           if (fnv1a64(raw) != node.checksum) {
-            exec_status = corrupt_data("hbx: node bitmap checksum mismatch");
-            return;
+            return corrupt_data("hbx: node bitmap checksum mismatch");
           }
           Stopwatch sw;
           ByteReader rd(raw);
-          auto parsed = WahBitmap::deserialize(rd);
-          if (!parsed.is_ok()) {
-            exec_status = parsed.status();
-            return;
-          }
-          fresh = std::move(parsed).value();
+          MLOC_ASSIGN_OR_RETURN(fresh, WahBitmap::deserialize(rd));
           ctx.times.decompress += sw.seconds();
           if (fresh.size_bits() != view.shape->volume() ||
               fresh.count() != node.popcount) {
-            exec_status = corrupt_data("hbx: node bitmap geometry mismatch");
-            return;
+            return corrupt_data("hbx: node bitmap geometry mismatch");
           }
           if (view.provider != nullptr) {
             auto data = std::make_shared<FragmentData>();
@@ -203,19 +187,11 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       for (std::size_t s = seg_begin; s < seg_end; ++s) {
         (rp.segments[s].file == ref.idx ? need_idx : need_dat) = true;
       }
-      if (view.verify_subfile) {
-        if (need_idx) {
-          if (Status st = view.verify_subfile(bin, false); !st.is_ok()) {
-            exec_status = std::move(st);
-            return;
-          }
-        }
-        if (need_dat) {
-          if (Status st = view.verify_subfile(bin, true); !st.is_ok()) {
-            exec_status = std::move(st);
-            return;
-          }
-        }
+      if (view.verify_subfile && need_idx) {
+        MLOC_RETURN_IF_ERROR(view.verify_subfile(bin, false));
+      }
+      if (view.verify_subfile && need_dat) {
+        MLOC_RETURN_IF_ERROR(view.verify_subfile(bin, true));
       }
 
       // Stage 2: merge the run's segments and fetch them in one batch.
@@ -226,13 +202,10 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
           opts.naive_io
               ? naive_schedule(run_segs, &slots)
               : coalesce_segments(run_segs, opts.coalesce_gap_bytes, &slots);
-      auto bufs = view.fs->read_batch(requests, &ctx.io_log,
-                                      static_cast<std::uint32_t>(ctx.rank));
-      if (!bufs.is_ok()) {
-        exec_status = bufs.status();
-        return;
-      }
-      const std::vector<Bytes> buffers = std::move(bufs).value();
+      MLOC_ASSIGN_OR_RETURN(
+          const std::vector<Bytes> buffers,
+          view.fs->read_batch(requests, &ctx.io_log,
+                              static_cast<std::uint32_t>(ctx.rank)));
 
       // Stage 3: decode + filter each fragment and fold it in task order.
       for (std::size_t ti = a; ti < b; ++ti) {
@@ -249,10 +222,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
             task.seg_begin - seg_begin, task.seg_count);
         in.buffers = &buffers;
         DecodedFragment d = decode_fragment(in);
-        if (!d.status.is_ok()) {
-          exec_status = std::move(d.status);
-          return;
-        }
+        MLOC_RETURN_IF_ERROR(std::move(d.status));
         ctx.times.decompress += d.decompress_s;
         ctx.times.reconstruct += d.reconstruct_s;
         if (view.provider != nullptr) {
@@ -272,8 +242,10 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       }
       a = b;
     }
-  });
-  MLOC_RETURN_IF_ERROR(exec_status);
+    return Status::ok();
+  };
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(view.fs->config(), num_ranks,
+                                                 rank_body, &result));
 
   // --- Gather: merge rank outputs sorted by position (root process role).
   Stopwatch sw_gather;
@@ -326,18 +298,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       result.positions.clear();
     }
   }
-  const double gather_s = sw_gather.seconds();
-
-  // --- Timing: modeled I/O makespan over the merged logs plus per-rank
-  // CPU maxima (ranks synchronize before the gather).
-  const pfs::IoLog io = parallel::merged_io_log(contexts);
-  result.bytes_read = io.total_bytes();
-  result.exec.bytes_read = io.total_bytes();
-  result.exec.modeled_seeks = pfs::coalesced_extent_count(io);
-  result.times.io = pfs::model_makespan(view.fs->config(), io, num_ranks);
-  const ComponentTimes cpu = parallel::max_rank_times(contexts);
-  result.times.decompress = cpu.decompress;
-  result.times.reconstruct = cpu.reconstruct + gather_s;
+  // Ranks synchronize before the gather, so it adds to their CPU maximum.
+  result.times.reconstruct += sw_gather.seconds();
   return result;
 }
 

@@ -1,7 +1,7 @@
 // Staged query engine (paper §III-D executed in three explicit stages).
 //
 // MlocStore::execute / multivar_* are thin wrappers over execute_query;
-// QueryPlanner::estimate costs the identical plan through plan_query.
+// MlocStore::plan costs the identical plan through plan_query.
 // Both consume a StoreView — a non-owning projection of one variable's
 // state — so the engine stays free of MlocStore internals.
 //
@@ -16,9 +16,10 @@
 //   gather         radix-sorts the concatenated rank outputs into grid
 //                  order (exec/gather.hpp).
 //
-// Determinism: rank bodies run sequentially (parallel::run_ranks) and each
-// folds its fragments in task order — results and provider contents are
-// identical for any rank count.
+// Determinism: rank bodies run sequentially (parallel::run_query_ranks,
+// which also charges the merged I/O and per-phase CPU) and each folds its
+// fragments in task order — results and provider contents are identical
+// for any rank count.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
-// Read-plan types shared by the staged query engine (src/exec), MlocStore,
-// and QueryPlanner.
+// Read-plan types shared by the staged query engine (src/exec), MlocStore
+// (MlocStore::plan returns the PlanSummary), and src/tune's cost oracle.
 //
-// A query is executed in three explicit stages (ISSUE 3 tentpole):
+// A query is executed in three explicit stages:
 //   1. PlanBuilder   — resolve bins/fragments/byte-groups into per-file
 //                      extents; prune everything satisfiable from the
 //                      FragmentProvider (cache hits decided at *plan* time);

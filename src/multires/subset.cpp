@@ -277,54 +277,47 @@ Result<QueryResult> SubsetStore::read_level(const std::string& var, int level,
   }
 
   QueryResult result;
-  struct RankOut {
-    std::vector<std::pair<std::uint64_t, double>> hits;
-  };
-  std::vector<RankOut> outs(num_ranks);
-  Status status = Status::ok();
-  auto ranks = parallel::run_ranks(num_ranks, [&](parallel::RankContext& ctx) {
-    if (!status.is_ok()) return;
-    const auto ranges = parallel::split_even(items.size(), ctx.num_ranks);
-    for (std::size_t i = ranges[ctx.rank].first; i < ranges[ctx.rank].second;
-         ++i) {
-      const Item& item = items[i];
-      const auto& seg = vs->levels[item.lvl].segments[item.seg];
-      auto raw = fs_->read(vs->levels[item.lvl].file, seg.offset, seg.length,
-                           &ctx.io_log, static_cast<std::uint32_t>(ctx.rank));
-      if (!raw.is_ok()) {
-        status = raw.status();
-        return;
-      }
-      Stopwatch sw_dec;
-      auto values = codec_->decode(raw.value());
-      ctx.times.decompress += sw_dec.seconds();
-      if (!values.is_ok()) {
-        status = values.status();
-        return;
-      }
-      if (values.value().size() != seg.count) {
-        status = corrupt_data("subset: segment count mismatch");
-        return;
-      }
-      Stopwatch sw_rec;
-      const auto& positions = level_positions_[item.lvl];
-      for (std::size_t k = 0; k < seg.count; ++k) {
-        const std::uint64_t pos = positions[item.pos_base + k];
-        if (sc.has_value() && !sc->contains(cfg_.shape.delinearize(pos))) {
-          continue;
+  std::vector<std::vector<std::pair<std::uint64_t, double>>> hits(
+      static_cast<std::size_t>(num_ranks));
+  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(
+      fs_->config(), num_ranks,
+      [&](parallel::RankContext& ctx) -> Status {
+        auto& out = hits[static_cast<std::size_t>(ctx.rank)];
+        const auto ranges = parallel::split_even(items.size(), ctx.num_ranks);
+        for (std::size_t i = ranges[ctx.rank].first;
+             i < ranges[ctx.rank].second; ++i) {
+          const Item& item = items[i];
+          const auto& seg = vs->levels[item.lvl].segments[item.seg];
+          MLOC_ASSIGN_OR_RETURN(
+              const Bytes raw,
+              fs_->read(vs->levels[item.lvl].file, seg.offset, seg.length,
+                        &ctx.io_log, static_cast<std::uint32_t>(ctx.rank)));
+          Stopwatch sw_dec;
+          MLOC_ASSIGN_OR_RETURN(const std::vector<double> values,
+                                codec_->decode(raw));
+          ctx.times.decompress += sw_dec.seconds();
+          if (values.size() != seg.count) {
+            return corrupt_data("subset: segment count mismatch");
+          }
+          Stopwatch sw_rec;
+          const auto& positions = level_positions_[item.lvl];
+          for (std::size_t k = 0; k < seg.count; ++k) {
+            const std::uint64_t pos = positions[item.pos_base + k];
+            if (sc.has_value() &&
+                !sc->contains(cfg_.shape.delinearize(pos))) {
+              continue;
+            }
+            out.emplace_back(pos, values[k]);
+          }
+          ctx.times.reconstruct += sw_rec.seconds();
         }
-        outs[ctx.rank].hits.emplace_back(pos, values.value()[k]);
-      }
-      ctx.times.reconstruct += sw_rec.seconds();
-    }
-  });
-  MLOC_RETURN_IF_ERROR(status);
+        return Status::ok();
+      },
+      &result));
 
   Stopwatch sw_gather;
   std::vector<std::pair<std::uint64_t, double>> merged;
-  for (auto& o : outs) {
-    merged.insert(merged.end(), o.hits.begin(), o.hits.end());
-  }
+  for (auto& h : hits) merged.insert(merged.end(), h.begin(), h.end());
   std::sort(merged.begin(), merged.end());
   result.positions.reserve(merged.size());
   result.values.reserve(merged.size());
@@ -332,15 +325,8 @@ Result<QueryResult> SubsetStore::read_level(const std::string& var, int level,
     result.positions.push_back(pos);
     result.values.push_back(val);
   }
-  const double gather_s = sw_gather.seconds();
-
-  const auto io = parallel::merged_io_log(ranks);
-  result.bytes_read = io.total_bytes();
   result.fragments_read = items.size();
-  result.times.io = pfs::model_makespan(fs_->config(), io, num_ranks);
-  const auto cpu = parallel::max_rank_times(ranks);
-  result.times.decompress = cpu.decompress;
-  result.times.reconstruct = cpu.reconstruct + gather_s;
+  result.times.reconstruct += sw_gather.seconds();
   return result;
 }
 

@@ -4,28 +4,27 @@
 
 namespace mloc::parallel {
 
-std::vector<RankContext> run_ranks(
-    int num_ranks, const std::function<void(RankContext&)>& fn) {
+Status run_query_ranks(const pfs::PfsConfig& cfg, int num_ranks,
+                       const std::function<Status(RankContext&)>& body,
+                       QueryResult* result) {
   MLOC_CHECK(num_ranks >= 1);
-  std::vector<RankContext> contexts(num_ranks);
+  pfs::IoLog io;
+  ComponentTimes cpu;
   for (int r = 0; r < num_ranks; ++r) {
-    contexts[r].rank = r;
-    contexts[r].num_ranks = num_ranks;
-    fn(contexts[r]);
+    RankContext ctx;
+    ctx.rank = r;
+    ctx.num_ranks = num_ranks;
+    MLOC_RETURN_IF_ERROR(body(ctx));
+    io.merge_from(ctx.io_log);
+    cpu.max_with(ctx.times);
   }
-  return contexts;
-}
-
-pfs::IoLog merged_io_log(const std::vector<RankContext>& ranks) {
-  pfs::IoLog out;
-  for (const auto& ctx : ranks) out.merge_from(ctx.io_log);
-  return out;
-}
-
-ComponentTimes max_rank_times(const std::vector<RankContext>& ranks) {
-  ComponentTimes out;
-  for (const auto& ctx : ranks) out.max_with(ctx.times);
-  return out;
+  result->bytes_read = io.total_bytes();
+  result->exec.bytes_read = result->bytes_read;
+  result->exec.modeled_seeks = pfs::coalesced_extent_count(io);
+  result->times.io = pfs::model_makespan(cfg, io, num_ranks);
+  result->times.decompress = cpu.decompress;
+  result->times.reconstruct = cpu.reconstruct;
+  return Status::ok();
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> split_even(std::size_t n,

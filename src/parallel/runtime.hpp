@@ -4,10 +4,12 @@
 // reproduction targets a single machine, so "ranks" are tasks:
 //   * Each rank gets a RankContext carrying its private pfs::IoLog and a
 //     measured-CPU ComponentTimes. Ranks execute deterministically.
-//   * Execution is sequential by default: with per-rank CPU measured
-//     independently, the parallel makespan of a phase is the max across
-//     ranks (plus PFS-modeled I/O contention from the merged logs) — this
-//     gives faithful scaling results even on a 1-core host.
+//   * run_query_ranks executes ranks sequentially: with per-rank CPU
+//     measured independently, the parallel makespan of a phase is the max
+//     across ranks (plus PFS-modeled I/O contention from the merged logs)
+//     — this gives faithful scaling results even on a 1-core host. Every
+//     rank-parallel query path (engine, baselines, multires) is charged
+//     through it.
 //   * A ThreadPool is provided for genuinely concurrent work where wall
 //     time is not being attributed per rank.
 //
@@ -25,6 +27,8 @@
 #include <vector>
 
 #include "pfs/pfs.hpp"
+#include "query/query.hpp"
+#include "util/status.hpp"
 #include "util/sync.hpp"
 #include "util/timer.hpp"
 
@@ -38,17 +42,16 @@ struct RankContext {
   ComponentTimes times;   ///< measured decompress/reconstruct CPU
 };
 
-/// Execute fn(ctx) for ranks 0..num_ranks-1 (sequentially, deterministic
-/// order) and return the per-rank contexts for aggregation.
-std::vector<RankContext> run_ranks(
-    int num_ranks, const std::function<void(RankContext&)>& fn);
-
-/// Merge all per-rank logs into one (records keep their rank tags).
-pfs::IoLog merged_io_log(const std::vector<RankContext>& ranks);
-
-/// Max of measured per-rank ComponentTimes — phase makespan under the
-/// ranks-synchronize-at-phase-barriers execution model.
-ComponentTimes max_rank_times(const std::vector<RankContext>& ranks);
+/// Run body(ctx) for ranks 0..num_ranks-1 (sequentially, deterministic
+/// order), stopping at and returning the first error. Then charge the
+/// query in `result` from the merged rank logs (records keep their rank
+/// tags): bytes_read and exec.bytes_read, exec.modeled_seeks, and the
+/// modeled I/O makespan in times.io. times.decompress/reconstruct become
+/// the per-phase maxima over ranks (ranks synchronize at phase barriers).
+/// Callers add their own gather or overhead term afterwards.
+[[nodiscard]] Status run_query_ranks(
+    const pfs::PfsConfig& cfg, int num_ranks,
+    const std::function<Status(RankContext&)>& body, QueryResult* result);
 
 /// Split n items into `parts` contiguous chunks of near-equal size
 /// (first n % parts chunks get one extra). Returns [begin, end) pairs.

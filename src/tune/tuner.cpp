@@ -8,7 +8,6 @@
 
 #include "array/chunking.hpp"
 #include "array/region.hpp"
-#include "planner/planner.hpp"
 #include "sfc/hilbert.hpp"
 #include "util/rng.hpp"
 
@@ -78,7 +77,7 @@ Result<Grid> reconstruct_grid(const MlocStore& source,
 
 /// Total modeled I/O seconds of the trace under one candidate layout:
 /// ingest into private scratch storage and replay every query through the
-/// planner's exact-plan oracle.
+/// exact-plan oracle (estimate_io_seconds).
 Result<double> trace_cost(const pfs::PfsConfig& pfs_cfg, const NDShape& shape,
                           const std::string& var, const Grid& grid,
                           const VariableLayout& layout,
@@ -90,12 +89,12 @@ Result<double> trace_cost(const pfs::PfsConfig& pfs_cfg, const NDShape& shape,
   MLOC_ASSIGN_OR_RETURN(MlocStore store,
                         MlocStore::create(&scratch, "tune-scratch", cfg));
   MLOC_RETURN_IF_ERROR(store.write_variable(var, grid, layout));
-  planner::QueryPlanner planner(&store);
   double total = 0.0;
   for (const TracedQuery* tq : queries) {
-    MLOC_ASSIGN_OR_RETURN(planner::CostEstimate est,
-                          planner.estimate(var, tq->query, tq->num_ranks));
-    total += est.est_io_seconds;
+    MLOC_ASSIGN_OR_RETURN(
+        const double est,
+        estimate_io_seconds(store, var, tq->query, tq->num_ranks));
+    total += est;
   }
   return total;
 }
@@ -143,9 +142,9 @@ std::vector<NDShape> default_chunk_shapes(const NDShape& shape) {
 
 /// Workload mix of the trace, for seeding the level-order axis with the
 /// closed-form advisor before the planner-exact search refines it.
-planner::WorkloadProfile profile_of(
+WorkloadProfile profile_of(
     const std::vector<const TracedQuery*>& queries) {
-  planner::WorkloadProfile w;
+  WorkloadProfile w;
   int reduced_level_sum = 0, reduced_n = 0;
   for (const TracedQuery* tq : queries) {
     if (!tq->query.values_needed) {
@@ -225,7 +224,7 @@ Result<TuneResult> tune_variable(const MlocStore& source,
   std::vector<LevelOrder> orders = {LevelOrder::kVMS, LevelOrder::kVSM};
   {
     MLOC_ASSIGN_OR_RETURN(LevelOrder advised,
-                          planner::recommend_order(profile_of(queries)));
+                          recommend_order(profile_of(queries)));
     if (advised == LevelOrder::kVSM) std::swap(orders[0], orders[1]);
   }
 
@@ -365,6 +364,81 @@ std::string tune_report_json(const std::vector<TuneResult>& results) {
   }
   out += "\n]}\n";
   return out;
+}
+
+Result<double> estimate_io_seconds(const MlocStore& store,
+                                   const std::string& var, const Query& q,
+                                   int num_ranks) {
+  if (num_ranks < 1) return invalid_argument("tune: num_ranks >= 1");
+  // Cost the exact ReadPlan the engine would execute (MlocStore::plan is
+  // side-effect-free: it consults the header cache and any attached
+  // FragmentProvider but never warms them), so on cold caches this is a
+  // prediction of the real plan, not a closed-form approximation.
+  //
+  // The engine's rank split is not guaranteed monotone in the rank count
+  // (a lucky split at fewer ranks can beat an unlucky one at more), but a
+  // scheduler granted `num_ranks` processes may always leave some idle.
+  // Cost the plan at every power-of-two candidate up to num_ranks and take
+  // the best — candidates nest along the power-of-two chain, so more ranks
+  // never estimate slower.
+  MLOC_ASSIGN_OR_RETURN(exec::PlanSummary sum, store.plan(var, q, num_ranks));
+  const pfs::PfsConfig& pfs = store.pfs_config();
+  double best = pfs::model_makespan(pfs, sum.planned_io, num_ranks);
+  for (int r = 1; r < num_ranks; r *= 2) {
+    MLOC_ASSIGN_OR_RETURN(exec::PlanSummary s, store.plan(var, q, r));
+    best = std::min(best, pfs::model_makespan(pfs, s.planned_io, r));
+  }
+  return best;
+}
+
+Result<int> recommend_ranks(const MlocStore& store, const std::string& var,
+                            const Query& q, int max_ranks, double tolerance) {
+  if (max_ranks < 1) return invalid_argument("tune: max_ranks >= 1");
+  MLOC_ASSIGN_OR_RETURN(const double at_max,
+                        estimate_io_seconds(store, var, q, max_ranks));
+  for (int ranks = 1; ranks < max_ranks; ranks *= 2) {
+    MLOC_ASSIGN_OR_RETURN(const double est,
+                          estimate_io_seconds(store, var, q, ranks));
+    if (est <= at_max * (1.0 + tolerance)) return ranks;
+  }
+  return max_ranks;
+}
+
+Result<LevelOrder> recommend_order(const WorkloadProfile& workload,
+                                   double avg_fragments_per_bin) {
+  // Relative seek cost per bin for each order (byte model of §III-B-5):
+  //   V-M-S: reduced-precision read touches `level` group runs; full
+  //          precision touches all 7.
+  //   V-S-M: full precision streams fragments in one run; reduced
+  //          precision seeks once per fragment.
+  // The comparison is scale-invariant, so fractions need not sum to 1 —
+  // but a negative or non-finite input means the caller's workload
+  // accounting is broken, and silently clamping it would launder that bug
+  // into a confident recommendation. Reject instead.
+  const auto check = [](double w, const char* name) {
+    if (!std::isfinite(w) || w < 0.0) {
+      return invalid_argument(std::string("recommend_order: ") + name +
+                              " must be finite and non-negative");
+    }
+    return Status::ok();
+  };
+  MLOC_RETURN_IF_ERROR(check(workload.region_queries, "region_queries"));
+  MLOC_RETURN_IF_ERROR(
+      check(workload.value_full_precision, "value_full_precision"));
+  MLOC_RETURN_IF_ERROR(check(workload.value_reduced, "value_reduced"));
+  MLOC_RETURN_IF_ERROR(
+      check(avg_fragments_per_bin, "avg_fragments_per_bin"));
+  const double region = workload.region_queries;
+  const double full = workload.value_full_precision;
+  const double reduced = workload.value_reduced;
+  // A bin never holds fewer than one fragment.
+  const double frags_per_bin = std::max(1.0, avg_fragments_per_bin);
+  const double reduced_groups =
+      static_cast<double>(std::clamp(workload.reduced_level, 1, 7));
+  const double vms =
+      reduced * reduced_groups + full * 7.0 + region * 1.0;
+  const double vsm = reduced * frags_per_bin + full * 1.0 + region * 1.0;
+  return vms <= vsm ? LevelOrder::kVMS : LevelOrder::kVSM;
 }
 
 }  // namespace mloc::tune

@@ -4,7 +4,7 @@
 // count, level order, curve, chunk shape); the right setting depends on
 // the workload, and the paper leaves the choice to "user-defined
 // priorities". mloc_tune closes that loop mechanically: replay a recorded
-// QueryTrace through QueryPlanner::estimate against candidate layouts and
+// QueryTrace through estimate_io_seconds against candidate layouts and
 // recommend the one with the lowest total modeled I/O.
 //
 // The oracle is exact, not a proxy: each candidate layout is actually
@@ -66,5 +66,41 @@ struct TuneResult {
 /// JSON report over per-variable results (stable keys, jq-friendly).
 [[nodiscard]] std::string tune_report_json(
     const std::vector<TuneResult>& results);
+
+/// Modeled I/O seconds of `q` on `var` granted `num_ranks` processes,
+/// without executing it: the PFS makespan of the exact ReadPlan
+/// (MlocStore::plan), best over the power-of-two rank counts up to
+/// num_ranks. The search oracle above; on cold caches it equals the
+/// executed times.io at one rank.
+[[nodiscard]] Result<double> estimate_io_seconds(const MlocStore& store,
+                                                 const std::string& var,
+                                                 const Query& q,
+                                                 int num_ranks = 1);
+
+/// Smallest power-of-two rank count (<= max_ranks) whose estimated I/O
+/// makespan is within `tolerance` of the max_ranks estimate.
+[[nodiscard]] Result<int> recommend_ranks(const MlocStore& store,
+                                          const std::string& var,
+                                          const Query& q, int max_ranks,
+                                          double tolerance = 0.1);
+
+/// Fractions of an exploration workload, summing to ~1.
+struct WorkloadProfile {
+  double region_queries = 0.0;      ///< VC region-only accesses
+  double value_full_precision = 0.0;///< SC value retrieval at PLoD 7
+  double value_reduced = 0.0;       ///< SC value retrieval at low PLoD
+  int reduced_level = 2;            ///< typical reduced PLoD level
+};
+
+/// Level-order recommendation from the seek model (the paper leaves the
+/// choice to the user, §IV-D Table VII): V-M-S keeps each byte group
+/// contiguous bin-wide (cheap reduced-precision reads, 7 runs for full
+/// precision); V-S-M keeps each fragment contiguous (1 run for full
+/// precision, one run per fragment for reduced). Workload weights must be
+/// finite and non-negative (InvalidArgument otherwise — a NaN/inf weight
+/// means the caller's accounting broke and any pick would be arbitrary);
+/// negative fragment counts are likewise rejected.
+[[nodiscard]] Result<LevelOrder> recommend_order(
+    const WorkloadProfile& workload, double avg_fragments_per_bin = 16.0);
 
 }  // namespace mloc::tune

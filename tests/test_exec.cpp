@@ -20,7 +20,7 @@
 #include "datagen/datagen.hpp"
 #include "exec/gather.hpp"
 #include "exec/io_scheduler.hpp"
-#include "planner/planner.hpp"
+#include "tune/tuner.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
 #include "util/rng.hpp"
@@ -228,17 +228,19 @@ TEST(Engine, PlannerEstimateMatchesColdExecutionExactly) {
     // the header reads too.
     auto store = MlocStore::open(&fs, "s");
     ASSERT_TRUE(store.is_ok());
-    planner::QueryPlanner planner(&store.value());
-    auto est = planner.estimate("phi", q, 1);
+    auto est = store.value().plan("phi", q, 1);
     ASSERT_TRUE(est.is_ok());
+    auto io_s = tune::estimate_io_seconds(store.value(), "phi", q, 1);
+    ASSERT_TRUE(io_s.is_ok());
     auto run = store.value().execute("phi", q, 1);
     ASSERT_TRUE(run.is_ok());
     EXPECT_EQ(est.value().bins_touched, run.value().bins_touched);
     EXPECT_EQ(est.value().aligned_bins, run.value().aligned_bins);
-    EXPECT_EQ(est.value().est_fragments, run.value().fragments_read);
-    EXPECT_EQ(est.value().est_bytes, run.value().bytes_read);
-    EXPECT_EQ(est.value().est_seeks, run.value().exec.modeled_seeks);
-    EXPECT_DOUBLE_EQ(est.value().est_io_seconds, run.value().times.io);
+    EXPECT_EQ(est.value().fragments_to_fetch, run.value().fragments_read);
+    EXPECT_EQ(est.value().stats.bytes_read, run.value().bytes_read);
+    EXPECT_EQ(est.value().stats.modeled_seeks,
+              run.value().exec.modeled_seeks);
+    EXPECT_DOUBLE_EQ(io_s.value(), run.value().times.io);
   }
 }
 

@@ -14,7 +14,7 @@
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
 #include "index/hbx.hpp"
-#include "planner/planner.hpp"
+#include "tune/tuner.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
 #include "tune/trace.hpp"
@@ -335,21 +335,23 @@ TEST(HbxStore, PlannerEstimateMatchesColdExecution) {
       Query q;
       q.vc = datagen::random_vc(grid, sel, rng);
       q.values_needed = false;
-      planner::QueryPlanner planner(&store.value());
-      auto est = planner.estimate("phi", q, ranks);
+      auto est = store.value().plan("phi", q, ranks);
       ASSERT_TRUE(est.is_ok()) << est.status().to_string();
+      auto io_s = tune::estimate_io_seconds(store.value(), "phi", q, ranks);
+      ASSERT_TRUE(io_s.is_ok()) << io_s.status().to_string();
       auto res = store.value().execute("phi", q, ranks);
       ASSERT_TRUE(res.is_ok()) << res.status().to_string();
-      EXPECT_EQ(est.value().est_bytes, res.value().bytes_read)
+      EXPECT_EQ(est.value().stats.bytes_read, res.value().bytes_read)
           << "sel " << sel << " ranks " << ranks;
-      EXPECT_EQ(est.value().est_seeks, res.value().exec.modeled_seeks);
+      EXPECT_EQ(est.value().stats.modeled_seeks,
+                res.value().exec.modeled_seeks);
       EXPECT_EQ(est.value().aligned_bins, res.value().aligned_bins);
       if (ranks == 1) {
-        EXPECT_DOUBLE_EQ(est.value().est_io_seconds, res.value().times.io);
+        EXPECT_DOUBLE_EQ(io_s.value(), res.value().times.io);
       } else {
-        // estimate() takes the best makespan over nested power-of-two
-        // rank splits, so it lower-bounds the executed split.
-        EXPECT_LE(est.value().est_io_seconds, res.value().times.io + 1e-12);
+        // estimate_io_seconds takes the best makespan over nested
+        // power-of-two rank splits, so it lower-bounds the executed split.
+        EXPECT_LE(io_s.value(), res.value().times.io + 1e-12);
       }
     }
   }

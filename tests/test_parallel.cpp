@@ -1,5 +1,5 @@
-// Tests for src/parallel: rank execution/aggregation, even splitting,
-// thread pool correctness under load.
+// Tests for src/parallel: rank execution and query charging, even
+// splitting, thread pool correctness under load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,35 +12,84 @@
 namespace mloc::parallel {
 namespace {
 
-TEST(RunRanks, ExecutesEveryRankOnce) {
+TEST(RunQueryRanks, RunsEveryRankOnceInOrder) {
   std::vector<int> visited;
-  auto ctxs = run_ranks(5, [&](RankContext& ctx) {
-    visited.push_back(ctx.rank);
-    EXPECT_EQ(ctx.num_ranks, 5);
-  });
+  QueryResult result;
+  const Status st = run_query_ranks(
+      pfs::PfsConfig{}, 5,
+      [&](RankContext& ctx) {
+        visited.push_back(ctx.rank);
+        EXPECT_EQ(ctx.num_ranks, 5);
+        return Status::ok();
+      },
+      &result);
+  EXPECT_TRUE(st.is_ok());
   EXPECT_EQ(visited, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(ctxs.size(), 5u);
 }
 
-TEST(RunRanks, MergedLogKeepsRankTags) {
-  auto ctxs = run_ranks(3, [&](RankContext& ctx) {
-    ctx.io_log.add(0, static_cast<std::uint64_t>(ctx.rank) * 100, 10,
-                   static_cast<std::uint32_t>(ctx.rank));
-  });
-  auto merged = merged_io_log(ctxs);
-  ASSERT_EQ(merged.records().size(), 3u);
-  EXPECT_EQ(merged.records()[2].rank, 2u);
-  EXPECT_EQ(merged.total_bytes(), 30u);
+TEST(RunQueryRanks, FirstErrorStopsLaterRanksAndIsReturned) {
+  std::vector<int> visited;
+  QueryResult result;
+  const Status st = run_query_ranks(
+      pfs::PfsConfig{}, 5,
+      [&](RankContext& ctx) {
+        visited.push_back(ctx.rank);
+        if (ctx.rank == 2) return corrupt_data("rank 2 failed");
+        if (ctx.rank == 3) return internal_error("rank 3 must not run");
+        return Status::ok();
+      },
+      &result);
+  EXPECT_EQ(st.code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(st.message(), "rank 2 failed");
+  EXPECT_EQ(visited, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(RunRanks, MaxRankTimesIsPerComponentMax) {
-  auto ctxs = run_ranks(3, [&](RankContext& ctx) {
-    ctx.times.decompress = 1.0 + ctx.rank;      // max at rank 2
-    ctx.times.reconstruct = 3.0 - ctx.rank;     // max at rank 0
-  });
-  const ComponentTimes t = max_rank_times(ctxs);
-  EXPECT_DOUBLE_EQ(t.decompress, 3.0);
-  EXPECT_DOUBLE_EQ(t.reconstruct, 3.0);
+TEST(RunQueryRanks, ChargesTheMergedLogThroughThePfsModel) {
+  // Rank r reads two extents of its own file (adjacent on rank 0, so they
+  // coalesce into one seek there) plus a shared file.
+  const auto reads = [](int rank, pfs::IoLog* log) {
+    const auto r = static_cast<std::uint32_t>(rank);
+    log->add(r, 0, 4096, r);
+    log->add(r, rank == 0 ? 4096 : 65536, 1000 + r, r);
+    log->add(7, 1u << 20, 333, r);
+  };
+  pfs::PfsConfig cfg;
+  cfg.num_osts = 3;
+  cfg.stripe_size = 8192;
+  QueryResult result;
+  ASSERT_TRUE(run_query_ranks(
+                  cfg, 3,
+                  [&](RankContext& ctx) {
+                    reads(ctx.rank, &ctx.io_log);
+                    return Status::ok();
+                  },
+                  &result)
+                  .is_ok());
+
+  pfs::IoLog expect;
+  for (int r = 0; r < 3; ++r) reads(r, &expect);
+  EXPECT_EQ(result.bytes_read, expect.total_bytes());
+  EXPECT_EQ(result.exec.bytes_read, expect.total_bytes());
+  EXPECT_EQ(result.exec.modeled_seeks, pfs::coalesced_extent_count(expect));
+  EXPECT_EQ(result.exec.modeled_seeks, 8u);
+  EXPECT_EQ(result.times.io, pfs::model_makespan(cfg, expect, 3));
+  EXPECT_GT(result.times.io, 0.0);
+}
+
+TEST(RunQueryRanks, CpuPhasesArePerPhaseMaxima) {
+  QueryResult result;
+  ASSERT_TRUE(run_query_ranks(
+                  pfs::PfsConfig{}, 3,
+                  [&](RankContext& ctx) {
+                    ctx.times.decompress = 1.0 + ctx.rank;   // max at rank 2
+                    ctx.times.reconstruct = 3.0 - ctx.rank;  // max at rank 0
+                    return Status::ok();
+                  },
+                  &result)
+                  .is_ok());
+  EXPECT_DOUBLE_EQ(result.times.decompress, 3.0);
+  EXPECT_DOUBLE_EQ(result.times.reconstruct, 3.0);
+  EXPECT_EQ(result.times.io, 0.0);  // no reads logged
 }
 
 TEST(SplitEven, CoversWithoutOverlap) {

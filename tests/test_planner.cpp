@@ -1,15 +1,17 @@
-// Tests for src/planner: estimates track measured query behaviour within a
-// modest factor, monotonicity properties, rank recommendation, and the
-// order advisor's Table VII crossover.
+// Tests for query costing without execution — MlocStore::plan's
+// PlanSummary and src/tune's estimate_io_seconds / recommend_ranks:
+// estimates track measured query behaviour within a modest factor,
+// monotonicity properties, rank recommendation, and the order advisor's
+// Table VII crossover.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
-#include "planner/planner.hpp"
+#include "tune/tuner.hpp"
 
-namespace mloc::planner {
+namespace mloc::tune {
 namespace {
 
 struct StoreFixture {
@@ -37,13 +39,12 @@ struct StoreFixture {
 TEST(Planner, BinCountsMatchEngineExactly) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
   Rng rng(1);
   for (int i = 0; i < 10; ++i) {
     Query q;
     q.vc = datagen::random_vc(fx.grid, 0.05, rng);
     q.values_needed = false;
-    auto est = planner.estimate("phi", q);
+    auto est = fx.store.value().plan("phi", q);
     auto actual = fx.store.value().execute("phi", q);
     ASSERT_TRUE(est.is_ok() && actual.is_ok());
     EXPECT_EQ(est.value().bins_touched, actual.value().bins_touched);
@@ -54,15 +55,14 @@ TEST(Planner, BinCountsMatchEngineExactly) {
 TEST(Planner, ByteEstimateWithinSmallFactorOfMeasured) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
   Rng rng(2);
   for (double sel : {0.01, 0.1}) {
     Query q;
     q.sc = datagen::random_sc(fx.grid.shape(), sel, rng);
-    auto est = planner.estimate("phi", q);
+    auto est = fx.store.value().plan("phi", q);
     auto actual = fx.store.value().execute("phi", q);
     ASSERT_TRUE(est.is_ok() && actual.is_ok());
-    const double ratio = static_cast<double>(est.value().est_bytes) /
+    const double ratio = static_cast<double>(est.value().stats.bytes_read) /
                          static_cast<double>(actual.value().bytes_read);
     EXPECT_GT(ratio, 0.2) << sel;
     EXPECT_LT(ratio, 5.0) << sel;
@@ -72,12 +72,11 @@ TEST(Planner, ByteEstimateWithinSmallFactorOfMeasured) {
 TEST(Planner, PointEstimateTracksSelectivity) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
   Rng rng(3);
   Query q;
   q.vc = datagen::random_vc(fx.grid, 0.10, rng);
   q.values_needed = false;
-  auto est = planner.estimate("phi", q);
+  auto est = fx.store.value().plan("phi", q);
   auto actual = fx.store.value().execute("phi", q);
   ASSERT_TRUE(est.is_ok() && actual.is_ok());
   const double measured = static_cast<double>(actual.value().positions.size());
@@ -88,52 +87,52 @@ TEST(Planner, PointEstimateTracksSelectivity) {
 TEST(Planner, LowerPlodEstimatesFewerBytes) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
+  const MlocStore& store = fx.store.value();
   Query q;
   q.sc = Region(2, {0, 0}, {128, 128});
   q.plod_level = 2;
-  auto low = planner.estimate("phi", q);
+  auto low = store.plan("phi", q);
+  auto low_io = estimate_io_seconds(store, "phi", q);
   q.plod_level = 7;
-  auto full = planner.estimate("phi", q);
-  ASSERT_TRUE(low.is_ok() && full.is_ok());
-  EXPECT_LT(low.value().est_bytes, full.value().est_bytes);
-  EXPECT_LT(low.value().est_io_seconds, full.value().est_io_seconds);
+  auto full = store.plan("phi", q);
+  auto full_io = estimate_io_seconds(store, "phi", q);
+  ASSERT_TRUE(low.is_ok() && full.is_ok() && low_io.is_ok() &&
+              full_io.is_ok());
+  EXPECT_LT(low.value().stats.bytes_read, full.value().stats.bytes_read);
+  EXPECT_LT(low_io.value(), full_io.value());
 }
 
 TEST(Planner, MoreRanksNeverSlower) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
   Query q;
   q.sc = Region(2, {0, 0}, {128, 128});
   double prev = 1e18;
   for (int ranks : {1, 2, 4, 8, 16}) {
-    auto est = planner.estimate("phi", q, ranks);
+    auto est = estimate_io_seconds(fx.store.value(), "phi", q, ranks);
     ASSERT_TRUE(est.is_ok());
-    EXPECT_LE(est.value().est_io_seconds, prev * (1 + 1e-9));
-    prev = est.value().est_io_seconds;
+    EXPECT_LE(est.value(), prev * (1 + 1e-9));
+    prev = est.value();
   }
 }
 
 TEST(Planner, EmptyQueriesEstimateZero) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
   Query q;
   q.vc = ValueConstraint{5.0, 5.0};
-  auto est = planner.estimate("phi", q);
+  auto est = fx.store.value().plan("phi", q);
   ASSERT_TRUE(est.is_ok());
   EXPECT_EQ(est.value().bins_touched, 0u);
-  EXPECT_EQ(est.value().est_bytes, 0u);
+  EXPECT_EQ(est.value().stats.bytes_read, 0u);
 }
 
 TEST(Planner, RecommendRanksSaturates) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
   Query q;
   q.sc = Region(2, {0, 0}, {64, 64});  // small query: few ranks suffice
-  auto ranks = planner.recommend_ranks("phi", q, 128);
+  auto ranks = recommend_ranks(fx.store.value(), "phi", q, 128);
   ASSERT_TRUE(ranks.is_ok());
   EXPECT_GE(ranks.value(), 1);
   EXPECT_LE(ranks.value(), 128);
@@ -144,8 +143,9 @@ TEST(Planner, RecommendRanksSaturates) {
 TEST(Planner, UnknownVariableFails) {
   StoreFixture fx;
   ASSERT_TRUE(fx.store.is_ok());
-  QueryPlanner planner(&fx.store.value());
-  EXPECT_FALSE(planner.estimate("ghost", Query{}).is_ok());
+  EXPECT_FALSE(fx.store.value().plan("ghost", Query{}).is_ok());
+  EXPECT_FALSE(
+      estimate_io_seconds(fx.store.value(), "ghost", Query{}).is_ok());
 }
 
 // -------------------------------------------------------- order advisor
@@ -266,4 +266,4 @@ TEST(OrderAdvisor, NonFiniteAndNegativeWeightsAreRejected) {
 }
 
 }  // namespace
-}  // namespace mloc::planner
+}  // namespace mloc::tune

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <tuple>
@@ -61,6 +62,25 @@ MlocConfig small_config(const NDShape& shape, const NDShape& chunk,
 
 Grid test_grid_2d() { return datagen::gts_like(64, 42); }
 Grid test_grid_3d() { return datagen::s3d_like(24, 43); }
+
+/// The highest-numbered bin's subfile ending in `suffix` (".idx"/".dat").
+/// Its fragments come last in bin-major order, so a query run at several
+/// ranks meets it on the last rank, not on rank 0.
+std::string last_bin_file(const pfs::PfsStorage& fs,
+                          const std::string& suffix) {
+  std::string last;
+  int last_bin = -1;
+  for (const auto& [name, size] : fs.listing()) {
+    const std::size_t at = name.rfind(".bin");
+    if (!name.ends_with(suffix) || at == std::string::npos) continue;
+    const int bin = std::atoi(name.c_str() + at + 4);
+    if (bin > last_bin) {
+      last_bin = bin;
+      last = name;
+    }
+  }
+  return last;
+}
 
 // ------------------------------------------------- parameterized sweeps
 
@@ -258,7 +278,8 @@ TEST(StoreMultivar, BitmapHandoffMatchesBruteForce) {
   ASSERT_TRUE(store.value().write_variable("yfuel", species).is_ok());
 
   const ValueConstraint vc{2000.0, 2500.0};
-  auto res = store.value().multivar_query("temp", vc, "yfuel");
+  auto res = store.value().multivar_select({{"temp", vc}},
+                                           MlocStore::Combine::kAnd, "yfuel");
   ASSERT_TRUE(res.is_ok()) << res.status().to_string();
 
   // Reference: positions where temp qualifies; values from species there.
@@ -365,7 +386,8 @@ TEST(StoreMultivar, EmptySelectionYieldsEmptyResult) {
   ASSERT_TRUE(store.is_ok());
   ASSERT_TRUE(store.value().write_variable("temp", temp).is_ok());
   ASSERT_TRUE(store.value().write_variable("yfuel", species).is_ok());
-  auto res = store.value().multivar_query("temp", {1e9, 2e9}, "yfuel");
+  auto res = store.value().multivar_select({{"temp", {1e9, 2e9}}},
+                                           MlocStore::Combine::kAnd, "yfuel");
   ASSERT_TRUE(res.is_ok());
   EXPECT_TRUE(res.value().positions.empty());
   EXPECT_TRUE(res.value().values.empty());
@@ -415,54 +437,59 @@ TEST(StorePersistence, CorruptMetaRejected) {
 }
 
 TEST(StorePersistence, CorruptDataSegmentDetectedByChecksum) {
-  pfs::PfsStorage fs;
-  Grid grid = test_grid_2d();
-  auto store = MlocStore::create(
-      &fs, "c", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
-  ASSERT_TRUE(store.is_ok());
-  ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+  for (int ranks : {1, 3}) {
+    pfs::PfsStorage fs;
+    Grid grid = test_grid_2d();
+    auto store = MlocStore::create(
+        &fs, "c", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
+    ASSERT_TRUE(store.is_ok());
+    ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
 
-  // Flip one byte in the middle of every bin's data file.
-  for (auto& [name, size] : fs.listing()) {
-    if (name.ends_with(".dat") && size > 0) {
-      auto id = fs.open(name).value();
-      Bytes content = fs.read(id, 0, size).value();
-      content[size / 2] ^= 0xFF;
-      ASSERT_TRUE(fs.set_contents(id, std::move(content)).is_ok());
-    }
+    // Flip one byte in the middle of the last bin's data file.
+    const std::string name = last_bin_file(fs, ".dat");
+    ASSERT_FALSE(name.empty());
+    auto id = fs.open(name).value();
+    const std::uint64_t size = fs.file_size(id).value();
+    Bytes content = fs.read(id, 0, size).value();
+    content[size / 2] ^= 0xFF;
+    ASSERT_TRUE(fs.set_contents(id, std::move(content)).is_ok());
+
+    Query q;
+    q.sc = Region(2, {0, 0}, {64, 64});
+    auto res = store.value().execute("phi", q, ranks);
+    ASSERT_FALSE(res.is_ok()) << "ranks " << ranks;
+    EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
   }
-  Query q;
-  q.sc = Region(2, {0, 0}, {64, 64});
-  auto res = store.value().execute("phi", q);
-  ASSERT_FALSE(res.is_ok());
-  EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
 }
 
 TEST(StorePersistence, CorruptPositionBlobDetectedByChecksum) {
-  pfs::PfsStorage fs;
-  Grid grid = test_grid_2d();
-  auto store = MlocStore::create(
-      &fs, "c", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
-  ASSERT_TRUE(store.is_ok());
-  ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+  for (int ranks : {1, 3}) {
+    pfs::PfsStorage fs;
+    Grid grid = test_grid_2d();
+    auto store = MlocStore::create(
+        &fs, "c", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
+    ASSERT_TRUE(store.is_ok());
+    ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
 
-  // Corrupt the blob section (bytes after the header) of every .idx file.
-  // The last kSubfileFooterSize bytes are the CRC footer, so the last blob
-  // byte sits just before it.
-  for (auto& [name, size] : fs.listing()) {
-    if (name.ends_with(".idx") && size > 2 * kSubfileFooterSize) {
-      auto id = fs.open(name).value();
-      Bytes content = fs.read(id, 0, size).value();
-      content[size - kSubfileFooterSize - 1] ^= 0xFF;  // last blob byte
-      ASSERT_TRUE(fs.set_contents(id, std::move(content)).is_ok());
-    }
+    // Corrupt the blob section (bytes after the header) of the last bin's
+    // .idx file. The last kSubfileFooterSize bytes are the CRC footer, so
+    // the last blob byte sits just before it.
+    const std::string name = last_bin_file(fs, ".idx");
+    ASSERT_FALSE(name.empty());
+    auto id = fs.open(name).value();
+    const std::uint64_t size = fs.file_size(id).value();
+    ASSERT_GT(size, 2 * kSubfileFooterSize);
+    Bytes content = fs.read(id, 0, size).value();
+    content[size - kSubfileFooterSize - 1] ^= 0xFF;  // last blob byte
+    ASSERT_TRUE(fs.set_contents(id, std::move(content)).is_ok());
+
+    Query q;
+    q.vc = ValueConstraint{-1e30, 1e30};
+    q.values_needed = false;
+    auto res = store.value().execute("phi", q, ranks);
+    ASSERT_FALSE(res.is_ok()) << "ranks " << ranks;
+    EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
   }
-  Query q;
-  q.vc = ValueConstraint{-1e30, 1e30};
-  q.values_needed = false;
-  auto res = store.value().execute("phi", q);
-  ASSERT_FALSE(res.is_ok());
-  EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
 }
 
 // ---------------------------------------------------------- misc behavior
@@ -903,7 +930,8 @@ TEST(MixedLayout, TwoLayoutsInOneStoreMatchSingleLayoutStores) {
   EXPECT_EQ(res.value().values, truth.values);
 
   // Cross-variable bitmap hand-off works across differing layouts.
-  auto mv = mixed.value().multivar_query("a", ValueConstraint{0.3, 0.8}, "b");
+  auto mv = mixed.value().multivar_select({{"a", ValueConstraint{0.3, 0.8}}},
+                                          MlocStore::Combine::kAnd, "b");
   ASSERT_TRUE(mv.is_ok()) << mv.status().to_string();
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "datagen/datagen.hpp"
-#include "planner/planner.hpp"
 #include "service/query_service.hpp"
 #include "tune/tuner.hpp"
 
@@ -211,7 +210,7 @@ TEST(Tuner, PredictedTunedCostIsReproducible) {
   ASSERT_TRUE(tuned.is_ok());
 
   // Re-ingest under the recommended layout and replay the trace through
-  // the planner: the summed cost must equal the tuner's prediction.
+  // estimate_io_seconds: the summed cost must equal the tuner's prediction.
   pfs::PfsStorage scratch;
   MlocConfig cfg;
   cfg.shape = fx.grid.shape();
@@ -220,12 +219,12 @@ TEST(Tuner, PredictedTunedCostIsReproducible) {
   ASSERT_TRUE(replay.is_ok());
   ASSERT_TRUE(replay.value().write_variable("temp", fx.grid).is_ok());
 
-  planner::QueryPlanner planner(&replay.value());
   double total = 0.0;
   for (const TracedQuery& tq : trace.queries) {
-    auto est = planner.estimate("temp", tq.query, tq.num_ranks);
+    auto est = estimate_io_seconds(replay.value(), "temp", tq.query,
+                                   tq.num_ranks);
     ASSERT_TRUE(est.is_ok());
-    total += est.value().est_io_seconds;
+    total += est.value();
   }
   EXPECT_NEAR(total, tuned.value().predicted_cost_tuned,
               1e-12 * std::abs(total));
