@@ -60,6 +60,24 @@ class Bitmap {
   /// Number of set bits (8-way unrolled word popcount; see DESIGN.md §11).
   [[nodiscard]] std::uint64_t count() const noexcept;
 
+  /// True when a bit in [begin, end) is set (false for an empty range).
+  /// Word-level: masks the first and last word, tests whole words between.
+  /// Precondition: begin <= end <= size().
+  [[nodiscard]] bool any(std::uint64_t begin, std::uint64_t end) const noexcept {
+    MLOC_DCHECK(begin <= end && end <= nbits_);
+    if (begin >= end) return false;
+    const std::uint64_t first = begin >> 6;
+    const std::uint64_t last = (end - 1) >> 6;
+    const std::uint64_t head = ~0ull << (begin & 63);
+    const std::uint64_t tail = ~0ull >> (63 - ((end - 1) & 63));
+    if (first == last) return (words_[first] & head & tail) != 0;
+    if ((words_[first] & head) != 0) return true;
+    for (std::uint64_t w = first + 1; w < last; ++w) {
+      if (words_[w] != 0) return true;
+    }
+    return (words_[last] & tail) != 0;
+  }
+
   /// In-place logical ops. Preconditions: equal sizes.
   Bitmap& operator&=(const Bitmap& o) noexcept;
   Bitmap& operator|=(const Bitmap& o) noexcept;

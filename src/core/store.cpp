@@ -413,7 +413,7 @@ Result<QueryResult> MlocStore::execute(const std::string& var, const Query& q,
                                        int num_ranks,
                                        const exec::ExecOptions& opts) const {
   MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  return execute_impl(*vs, q, num_ranks, nullptr, opts);
+  return exec::execute_query(make_view(*vs), q, num_ranks, nullptr, opts);
 }
 
 Result<exec::PlanSummary> MlocStore::plan(const std::string& var,
@@ -454,38 +454,84 @@ exec::StoreView MlocStore::make_view(const VariableState& vs) const {
   return view;
 }
 
-Result<QueryResult> MlocStore::execute_impl(
-    const VariableState& vs, const Query& q, int num_ranks,
-    const Bitmap* position_filter, const exec::ExecOptions& opts,
-    WahBitmap* region_wah) const {
-  return exec::execute_query(make_view(vs), q, num_ranks, position_filter,
-                             opts, region_wah);
-}
-
 Result<QueryResult> MlocStore::multivar_select(
     const std::vector<VarConstraint>& preds, Combine combine,
     const std::string& fetch_var, int plod_level, int num_ranks) const {
   if (preds.empty()) {
     return invalid_argument("multivar: at least one predicate required");
   }
+  const bool fetch = !fetch_var.empty();
+  // Under kAnd every selected position satisfies every predicate, so the
+  // first one on `fetch_var` needs no region-only pass: it becomes pass 2's
+  // VC, which prunes pass 2's bins and tests boundary bins at full
+  // precision exactly as pass 1 would have.
+  std::size_t fused = preds.size();
+  if (fetch && combine == Combine::kAnd) {
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      if (preds[i].var == fetch_var) {
+        fused = i;
+        break;
+      }
+    }
+  }
 
-  // Pass 1: one region-only query per predicate; the engine returns each
-  // result directly as a WAH bitmap (hierarchical-index node bitmaps merge
-  // per tree level in the compressed domain, boundary bins are rasterized
-  // once), combined here without ever materializing flat per-variable
-  // position vectors (§III-D-4's "synchronized bitmaps").
+  // Validate every pass before running any, so an empty selection cannot
+  // hide a bad predicate or fetch.
+  Query region_q;
+  region_q.values_needed = false;
+  struct RegionPass {
+    exec::StoreView view;
+    ValueConstraint vc;
+  };
+  std::vector<RegionPass> pass1;
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    if (i == fused) continue;
+    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(preds[i].var));
+    pass1.push_back({make_view(*vs), preds[i].vc});
+    region_q.vc = preds[i].vc;
+    MLOC_RETURN_IF_ERROR(
+        exec::validate_query(pass1.back().view, region_q, num_ranks));
+  }
+  exec::StoreView fetch_view;
+  Query fetch_q;
+  if (fetch) {
+    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(fetch_var));
+    fetch_view = make_view(*vs);
+    fetch_q.plod_level = plod_level;
+    if (fused < preds.size()) fetch_q.vc = preds[fused].vc;
+    MLOC_RETURN_IF_ERROR(exec::validate_query(fetch_view, fetch_q, num_ranks));
+  }
+  if (pass1.empty()) {
+    // The fused predicate was the only one: a plain VC query answers it.
+    return exec::execute_query(fetch_view, fetch_q, num_ranks, nullptr,
+                               exec::ExecOptions{});
+  }
+
+  // The passes' accounting folds into the one answer.
+  const auto add_stats = [](QueryResult& into, const QueryResult& from) {
+    into.times += from.times;
+    into.bins_touched += from.bins_touched;
+    into.aligned_bins += from.aligned_bins;
+    into.fragments_read += from.fragments_read;
+    into.bytes_read += from.bytes_read;
+    into.cache += from.cache;
+    into.exec += from.exec;
+  };
+
+  // Pass 1: one region-only query per remaining predicate; the engine
+  // returns each result directly as a WAH bitmap (hierarchical-index node
+  // bitmaps merge per tree level in the compressed domain, boundary bins
+  // are rasterized once), combined here without ever materializing flat
+  // per-variable position vectors (§III-D-4's "synchronized bitmaps").
   QueryResult accumulated;
   std::optional<WahBitmap> combined;
-  for (const auto& pred : preds) {
-    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(pred.var));
-    Query region_q;
-    region_q.vc = pred.vc;
-    region_q.values_needed = false;
+  for (const RegionPass& pass : pass1) {
+    region_q.vc = pass.vc;
     WahBitmap wah;
     MLOC_ASSIGN_OR_RETURN(
         QueryResult selected,
-        execute_impl(*vs, region_q, num_ranks, nullptr, exec::ExecOptions{},
-                     &wah));
+        exec::execute_query(pass.view, region_q, num_ranks, nullptr,
+                            exec::ExecOptions{}, &wah));
     Stopwatch sw;
     if (!combined.has_value()) {
       combined = std::move(wah);
@@ -495,57 +541,30 @@ Result<QueryResult> MlocStore::multivar_select(
       combined = WahBitmap::logical_or(*combined, wah);
     }
     selected.times.reconstruct += sw.seconds();
-    accumulated.times += selected.times;
-    accumulated.bins_touched += selected.bins_touched;
-    accumulated.aligned_bins += selected.aligned_bins;
-    accumulated.fragments_read += selected.fragments_read;
-    accumulated.bytes_read += selected.bytes_read;
-    accumulated.cache += selected.cache;
-    accumulated.exec += selected.exec;
+    add_stats(accumulated, selected);
   }
 
+  // The selection is materialized as positions only when it is the answer.
   Stopwatch sw;
-  const Bitmap positions = combined->decompress();
-  std::vector<std::uint64_t> selected_positions;
-  selected_positions.reserve(positions.count());
-  positions.for_each_set(
-      [&](std::uint64_t p) { selected_positions.push_back(p); });
-  accumulated.times.reconstruct += sw.seconds();
-
-  if (fetch_var.empty() || selected_positions.empty()) {
-    accumulated.positions = std::move(selected_positions);
+  if (!fetch) {
+    const Bitmap positions = combined->decompress();
+    accumulated.positions.reserve(positions.count());
+    positions.for_each_set(
+        [&](std::uint64_t p) { accumulated.positions.push_back(p); });
+    accumulated.times.reconstruct += sw.seconds();
     return accumulated;
   }
+  if (combined->count() == 0) return accumulated;
+  const Bitmap selection = combined->decompress();
+  accumulated.times.reconstruct += sw.seconds();
 
-  // Pass 2: value retrieval restricted by the combined bitmap, narrowed to
-  // the selection's bounding box so only covering chunks are touched.
-  MLOC_ASSIGN_OR_RETURN(const VariableState* fetch, find_var(fetch_var));
-  Query fetch_q;
-  fetch_q.plod_level = plod_level;
-  fetch_q.values_needed = true;
-  Coord lo = cfg_.shape.delinearize(selected_positions.front());
-  Coord hi = lo;
-  for (std::uint64_t p : selected_positions) {
-    const Coord c = cfg_.shape.delinearize(p);
-    for (int d = 0; d < cfg_.shape.ndims(); ++d) {
-      lo[d] = std::min(lo[d], c[d]);
-      hi[d] = std::max(hi[d], c[d]);
-    }
-  }
-  for (int d = 0; d < cfg_.shape.ndims(); ++d) ++hi[d];
-  fetch_q.sc = Region(cfg_.shape.ndims(), lo, hi);
+  // Pass 2: value retrieval filtered by the selection; the plan keeps only
+  // the chunks holding a selected position.
   MLOC_ASSIGN_OR_RETURN(
       QueryResult fetched,
-      execute_impl(*fetch, fetch_q, num_ranks, &positions,
-                   exec::ExecOptions{}));
-
-  fetched.times += accumulated.times;
-  fetched.bins_touched += accumulated.bins_touched;
-  fetched.aligned_bins += accumulated.aligned_bins;
-  fetched.fragments_read += accumulated.fragments_read;
-  fetched.bytes_read += accumulated.bytes_read;
-  fetched.cache += accumulated.cache;
-  fetched.exec += accumulated.exec;
+      exec::execute_query(fetch_view, fetch_q, num_ranks, &selection,
+                          exec::ExecOptions{}));
+  add_stats(fetched, accumulated);
   return fetched;
 }
 

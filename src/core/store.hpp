@@ -198,6 +198,17 @@ class MlocStore {
   /// surviving positions. With an empty `fetch_var` only positions are
   /// returned. One kAnd predicate is the §III-D-4 bitmap hand-off: select
   /// where one variable qualifies, fetch another there.
+  ///
+  /// Under kAnd, the first predicate on `fetch_var` runs no region-only
+  /// pass: it is the fetch's VC, so the fetch reads only its bins (boundary
+  /// bins are tested at full precision, then degraded to `plod_level`).
+  /// The fetch reads only the chunks where the combined bitmap has a set
+  /// bit. Answers equal evaluating every predicate as its own pass.
+  ///
+  /// The whole request is validated before any pass runs: every variable
+  /// exists, every VC is valid, and for a fetch `plod_level` is in [1, 7]
+  /// (below 7 only on a PLoD-capable variable), with execute()'s error
+  /// codes — whether or not the selection turns out empty.
   [[nodiscard]] Result<QueryResult> multivar_select(const std::vector<VarConstraint>& preds,
                                       Combine combine,
                                       const std::string& fetch_var,
@@ -333,14 +344,6 @@ class MlocStore {
   [[nodiscard]] Status ensure_hbx_verified(const HbxFiles& files) const;
   [[nodiscard]] Result<const VariableState*> find_var(
       const std::string& var) const MLOC_EXCLUDES(vars_mu_);
-
-  /// Shared query engine entry; `position_filter` (over linear grid
-  /// offsets) implements the multi-variable second pass. Delegates to
-  /// exec::execute_query over make_view(vs).
-  [[nodiscard]] Result<QueryResult> execute_impl(const VariableState& vs, const Query& q,
-                                   int num_ranks, const Bitmap* position_filter,
-                                   const exec::ExecOptions& opts,
-                                   WahBitmap* region_wah = nullptr) const;
 
   /// Build the engine-facing projection of one variable (non-owning; valid
   /// while `vs` and this store are alive and unmodified).

@@ -24,10 +24,7 @@
 
 namespace mloc::exec {
 
-Result<QueryResult> execute_query(const StoreView& view, const Query& q,
-                                  int num_ranks, const Bitmap* position_filter,
-                                  const ExecOptions& opts,
-                                  WahBitmap* region_wah) {
+Status validate_query(const StoreView& view, const Query& q, int num_ranks) {
   if (num_ranks < 1) return invalid_argument("query: num_ranks must be >= 1");
   if (q.plod_level < 1 || q.plod_level > 7) {
     return invalid_argument("query: PLoD level must be in [1,7]");
@@ -46,6 +43,14 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
     return invalid_argument(
         "query: value constraint is empty or NaN (requires lo < hi)");
   }
+  return Status::ok();
+}
+
+Result<QueryResult> execute_query(const StoreView& view, const Query& q,
+                                  int num_ranks, const Bitmap* position_filter,
+                                  const ExecOptions& opts,
+                                  WahBitmap* region_wah) {
+  MLOC_RETURN_IF_ERROR(validate_query(view, q, num_ranks));
   if (region_wah != nullptr && q.values_needed) {
     return invalid_argument("query: region_wah requires a region-only query");
   }
@@ -57,8 +62,9 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
   const bool wah_mode = region_wah != nullptr && !q.sc.has_value() &&
                         position_filter == nullptr;
 
-  MLOC_ASSIGN_OR_RETURN(ReadPlan plan,
-                        build_plan(view, q, num_ranks, opts, /*warm=*/true));
+  MLOC_ASSIGN_OR_RETURN(
+      ReadPlan plan,
+      build_plan(view, q, num_ranks, opts, /*warm=*/true, position_filter));
   const PlanSummary& sum = plan.summary;
 
   QueryResult result;

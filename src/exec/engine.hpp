@@ -1,7 +1,8 @@
 // Staged query engine (paper §III-D executed in three explicit stages).
 //
-// MlocStore::execute / multivar_* are thin wrappers over execute_query;
-// MlocStore::plan costs the identical plan through plan_query.
+// MlocStore::execute / multivar_select are thin wrappers over
+// execute_query; MlocStore::plan costs the identical plan through
+// plan_query.
 // Both consume a StoreView — a non-owning projection of one variable's
 // state — so the engine stays free of MlocStore internals.
 //
@@ -148,12 +149,26 @@ struct ReadPlan {
 /// freshly parsed headers are published to the bin header cache. With
 /// `warm == false` (planner mode) the call is side-effect-free — it reads
 /// the caches but never mutates them.
+///
+/// `position_filter` (optional, over linear grid offsets): the selection
+/// a multivariable pass 2 fetches. The plan keeps only the chunks where
+/// the filter has a set bit, tested one chunk row at a time with
+/// Bitmap::any; no other chunk holds a position the filter passes, so
+/// the answer is unchanged. plan_query passes none.
 Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
-                            int num_ranks, const ExecOptions& opts, bool warm);
+                            int num_ranks, const ExecOptions& opts, bool warm,
+                            const Bitmap* position_filter = nullptr);
 
-/// Execute a query end to end (validation, plan, batch I/O, overlapped
-/// decode, gather). `position_filter` implements the multi-variable
-/// second pass, as before the refactor.
+/// The request checks execute_query makes before planning: rank count,
+/// PLoD level (and a byte-column codec below 7), SC dimensionality and a
+/// valid VC. MlocStore::multivar_select runs them on every pass before
+/// running any.
+Status validate_query(const StoreView& view, const Query& q, int num_ranks);
+
+/// Execute a query end to end (validation, plan, batch I/O, decode,
+/// gather). `position_filter` (optional, over linear grid offsets) is the
+/// multivariable pass 2: only positions with a set bit qualify, and
+/// build_plan prunes the chunks that hold none.
 ///
 /// `region_wah` (optional, region-only queries without SC/filter only):
 /// when non-null, qualifying positions are returned as a WAH bitmap over

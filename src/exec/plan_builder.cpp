@@ -3,7 +3,8 @@
 //
 // Every decision the old monolithic execute path made mid-read is made
 // here, up front:
-//   - bins from the VC, chunks from the SC (paper Fig. 5 steps 1-2);
+//   - bins from the VC, chunks from the SC (paper Fig. 5 steps 1-2) and,
+//     in a multivariable pass 2, from the position filter;
 //   - fragment-table headers via the per-bin BinHeaderCache (cold reads
 //     are consumed here and charged to the owning phase-1 rank);
 //   - zone-map pruning and aligned-bin/-fragment classification;
@@ -16,7 +17,6 @@
 // match the executed plan exactly.
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "exec/engine.hpp"
 #include "exec/io_scheduler.hpp"
@@ -44,6 +44,26 @@ double sc_fraction(const Region& chunk_region, const std::optional<Region>& sc) 
          static_cast<double>(chunk_region.volume());
 }
 
+/// True when `filter` has a set bit inside `region`, tested one row (the
+/// run along the last dimension, contiguous in grid order) at a time.
+bool region_has_bit(const Bitmap& filter, const NDShape& shape,
+                    const Region& region) {
+  if (region.empty()) return false;
+  const int last = shape.ndims() - 1;
+  const std::uint64_t row_len = region.extent(last);
+  Coord c = region.lo();
+  while (true) {
+    const std::uint64_t row = shape.linearize(c);
+    if (filter.any(row, row + row_len)) return true;
+    int d = last - 1;
+    for (; d >= 0; --d) {
+      if (++c[d] < region.hi(d)) break;
+      c[d] = region.lo(d);
+    }
+    if (d < 0) return false;
+  }
+}
+
 }  // namespace
 
 int StoreView::num_groups() const noexcept {
@@ -51,8 +71,8 @@ int StoreView::num_groups() const noexcept {
 }
 
 Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
-                            int num_ranks, const ExecOptions& opts,
-                            bool warm) {
+                            int num_ranks, const ExecOptions& opts, bool warm,
+                            const Bitmap* position_filter) {
   ReadPlan plan;
   plan.num_ranks = num_ranks;
   plan.ranks.resize(static_cast<std::size_t>(num_ranks));
@@ -74,12 +94,26 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
     last_bin = span.last;
   }
 
-  // --- Step 2: chunks to access, from the SC mapped to the chunk lattice.
-  std::optional<std::set<ChunkId>> chunk_filter;
-  if (q.sc.has_value()) {
-    if (q.sc->empty()) return plan;
-    const auto hits = view.chunk_grid->chunks_overlapping(*q.sc);
-    chunk_filter.emplace(hits.begin(), hits.end());
+  // --- Step 2: chunks to access, from the SC mapped to the chunk lattice
+  // and, in a multivariable pass 2, from the position filter: a chunk with
+  // no selected position holds nothing to fetch. Empty = every chunk.
+  const ChunkGrid& grid = *view.chunk_grid;
+  std::vector<bool> chunk_keep;
+  if (q.sc.has_value() || position_filter != nullptr) {
+    if (q.sc.has_value() && q.sc->empty()) return plan;
+    chunk_keep.assign(grid.num_chunks(), !q.sc.has_value());
+    if (q.sc.has_value()) {
+      for (const ChunkId c : grid.chunks_overlapping(*q.sc)) {
+        chunk_keep[c] = true;
+      }
+    }
+    if (position_filter != nullptr) {
+      for (ChunkId c = 0; c < grid.num_chunks(); ++c) {
+        chunk_keep[c] = chunk_keep[c] &&
+                        region_has_bit(*position_filter, *view.shape,
+                                       grid.chunk_region(c));
+      }
+    }
   }
 
   const int nbins_touched = last_bin - first_bin + 1;
@@ -235,7 +269,8 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
       w.aligned = q.vc.has_value() &&
                   view.scheme->aligned(bin, q.vc->lo, q.vc->hi);
       for (const auto& f : layout->fragments) {
-        if (!chunk_filter.has_value() || chunk_filter->contains(f.chunk)) {
+        if (chunk_keep.empty() ||
+            (f.chunk < chunk_keep.size() && chunk_keep[f.chunk])) {
           w.frags.push_back(&f);
         }
       }
@@ -400,7 +435,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
       }
       sum.est_points +=
           static_cast<double>(frag.count) * vc_frac *
-          sc_fraction(view.chunk_grid->chunk_region(frag.chunk), q.sc);
+          sc_fraction(grid.chunk_region(frag.chunk), q.sc);
 
       rp.tasks.push_back(std::move(task));
     }

@@ -253,11 +253,13 @@ void QueryService::dispatch_one() {
       if (!p->req.multivar.has_value()) {
         rec->record({p->req.var, p->req.query, ranks});
       } else {
-        // A multivariable request decomposes into one region-only query
-        // per predicate (its fetch pass depends on the selection's
-        // bounding box, unknowable from the request alone, so it is not
-        // traced). Recording the decomposed form keeps the trace
-        // replayable through single-variable planner estimation.
+        // A multivariable request is recorded as one region-only query
+        // per predicate. Its fetch pass is not traced: the chunks it
+        // reads depend on the selection's bitmap, unknowable from the
+        // request alone (and under kAnd the fetch variable's first
+        // predicate runs as that pass's VC, not as a region-only query).
+        // Recording the decomposed form keeps the trace replayable
+        // through single-variable planner estimation.
         for (const auto& pred : p->req.multivar->preds) {
           Query region_q;
           region_q.vc = pred.vc;

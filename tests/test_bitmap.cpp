@@ -75,6 +75,41 @@ TEST(Bitmap, ForEachSetAscending) {
   EXPECT_EQ(seen, positions);
 }
 
+TEST(Bitmap, AnyMatchesBitLoop) {
+  const auto bit_loop = [](const Bitmap& b, std::uint64_t begin,
+                           std::uint64_t end) {
+    for (std::uint64_t i = begin; i < end; ++i) {
+      if (b.get(i)) return true;
+    }
+    return false;
+  };
+  for (const std::uint64_t nbits : {std::uint64_t{192}, std::uint64_t{200}}) {
+    const std::vector<std::uint64_t> edges = {0,   1,   63,        64,   65,
+                                              127, 128, nbits - 1, nbits};
+    // One bitmap per edge bit set alone (an off-by-one at either end of
+    // the range flips the answer), plus a dense and a sparse random one.
+    std::vector<Bitmap> maps;
+    for (const std::uint64_t e : edges) {
+      if (e == nbits) continue;
+      Bitmap b(nbits);
+      b.set(e);
+      maps.push_back(b);
+    }
+    maps.push_back(Bitmap(nbits));
+    maps.push_back(random_bitmap(nbits, 0.5, nbits));
+    maps.push_back(random_bitmap(nbits, 0.02, nbits + 1));
+    for (const Bitmap& b : maps) {
+      for (const std::uint64_t begin : edges) {
+        for (const std::uint64_t end : edges) {
+          if (begin > end) continue;  // begin == end: the empty range
+          EXPECT_EQ(b.any(begin, end), bit_loop(b, begin, end))
+              << "nbits " << nbits << " [" << begin << ", " << end << ")";
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------- WAH
 
 class WahRoundTrip

@@ -16,6 +16,8 @@
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
 #include "plod/plod.hpp"
+#include "service/fragment_cache.hpp"
+#include "util/rng.hpp"
 
 namespace mloc {
 namespace {
@@ -391,6 +393,244 @@ TEST(StoreMultivar, EmptySelectionYieldsEmptyResult) {
   ASSERT_TRUE(res.is_ok());
   EXPECT_TRUE(res.value().positions.empty());
   EXPECT_TRUE(res.value().values.empty());
+}
+
+TEST(StoreMultivar, SelectValidatesEveryPassBeforeRunningAny) {
+  pfs::PfsStorage fs;
+  Grid temp = test_grid_3d();
+  auto store = MlocStore::create(
+      &fs, "t", small_config(temp.shape(), NDShape{8, 8, 8}, "mzip"));
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("temp", temp).is_ok());
+  VariableLayout whole = store.value().config().layout;
+  whole.codec = "isobar";  // whole-value codec: no PLoD below 7
+  ASSERT_TRUE(store.value().write_variable("whole", temp, whole).is_ok());
+
+  using C = MlocStore::Combine;
+  struct Case {
+    const char* what;
+    std::vector<MlocStore::VarConstraint> extra;  // after the selection
+    std::string fetch;
+    int plod;
+    ErrorCode code;
+  };
+  const std::vector<Case> cases = {
+      {"unknown predicate variable", {{"ghost", {0, 1}}}, "", 7,
+       ErrorCode::kNotFound},
+      {"empty predicate VC", {{"temp", {5, 5}}}, "", 7,
+       ErrorCode::kInvalidArgument},
+      {"NaN predicate VC", {{"temp", {std::nan(""), 1}}}, "temp", 7,
+       ErrorCode::kInvalidArgument},
+      {"unknown fetch variable", {}, "ghost", 7, ErrorCode::kNotFound},
+      {"PLoD above 7", {}, "temp", 9, ErrorCode::kInvalidArgument},
+      {"PLoD below 1", {}, "whole", 0, ErrorCode::kInvalidArgument},
+      {"PLoD below 7 on a whole-value variable", {}, "whole", 3,
+       ErrorCode::kUnsupported},
+  };
+  // The same bad request must fail the same way whether the selection
+  // comes out empty or not.
+  const ValueConstraint empty_sel{1e9, 2e9};
+  const ValueConstraint some_sel{2000.0, 2500.0};
+  for (const Case& c : cases) {
+    for (const ValueConstraint& sel : {empty_sel, some_sel}) {
+      for (const C combine : {C::kAnd, C::kOr}) {
+        std::vector<MlocStore::VarConstraint> preds = {{"temp", sel}};
+        preds.insert(preds.end(), c.extra.begin(), c.extra.end());
+        auto res = store.value().multivar_select(preds, combine, c.fetch,
+                                                 c.plod, 2);
+        ASSERT_FALSE(res.is_ok())
+            << c.what << " (selection " << sel.lo << ")";
+        EXPECT_EQ(res.status().code(), c.code)
+            << c.what << ": " << res.status().to_string();
+      }
+    }
+  }
+}
+
+/// Brute-force multivariable answer: positions from the full-precision
+/// predicates, values of `fetch` degraded to `plod_level`.
+Truth multivar_truth(
+    const std::vector<std::pair<const Grid*, ValueConstraint>>& preds,
+    MlocStore::Combine combine, const Grid& fetch, int plod_level) {
+  std::vector<double> level_values(fetch.size());
+  plod::degrade_into(fetch.values(), plod_level, level_values);
+  Truth out;
+  for (std::uint64_t i = 0; i < fetch.size(); ++i) {
+    bool hit = combine == MlocStore::Combine::kAnd;
+    for (const auto& [grid, vc] : preds) {
+      const bool m = vc.matches(grid->at_linear(i));
+      hit = combine == MlocStore::Combine::kAnd ? hit && m : hit || m;
+    }
+    if (!hit) continue;
+    out.positions.push_back(i);
+    out.values.push_back(level_values[i]);
+  }
+  return out;
+}
+
+/// Pass 2 against brute force on a 2-D GTS-like or 3-D S3D-like store,
+/// flat or with an .hbx index: every request shape that fuses the fetch
+/// variable's predicate into pass 2, or must not, at PLoD 2/5/7, 1 and 3
+/// ranks, without a provider and through a FragmentCache (fill, then hit).
+class StoreMultivarPass2
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(StoreMultivarPass2, MatchesBruteForce) {
+  const auto [dims, hbx] = GetParam();
+  const Grid a = dims == 2 ? test_grid_2d() : test_grid_3d();
+  const Grid b = dims == 2 ? datagen::gts_like(64, 77)
+                           : datagen::s3d_species_like(a, 99);
+  MlocConfig cfg = small_config(
+      a.shape(), dims == 2 ? NDShape{16, 16} : NDShape{8, 8, 8}, "mzip");
+  cfg.layout.index_fanout = hbx ? 4 : 0;
+  service::FragmentCache cache;
+  pfs::PfsStorage fs;
+  auto store = MlocStore::create(&fs, "t", cfg);
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("a", a).is_ok());
+  ASSERT_TRUE(store.value().write_variable("b", b).is_ok());
+
+  Rng rng(static_cast<std::uint64_t>(dims) * 10 + (hbx ? 1 : 0));
+  const ValueConstraint va = datagen::random_vc(a, 0.4, rng);
+  // Overlaps the upper half of va, so two predicates on `a` intersect.
+  const ValueConstraint va2{(va.lo + va.hi) / 2, va.hi + (va.hi - va.lo)};
+  const ValueConstraint vb = datagen::random_vc(b, 0.5, rng);
+  const ValueConstraint vb2 = datagen::random_vc(b, 0.6, rng);
+
+  using C = MlocStore::Combine;
+  struct Shape {
+    const char* what;
+    std::vector<std::pair<std::string, ValueConstraint>> preds;
+    C combine;
+  };
+  const std::vector<Shape> shapes = {
+      {"AND, fetch predicate first", {{"a", va}, {"b", vb}}, C::kAnd},
+      {"AND, fetch predicate second", {{"b", vb}, {"a", va}}, C::kAnd},
+      {"single fetch predicate", {{"a", va}}, C::kAnd},
+      {"two fetch predicates", {{"a", va}, {"a", va2}}, C::kAnd},
+      {"AND, no fetch predicate", {{"b", vb}, {"b", vb2}}, C::kAnd},
+      {"OR with a fetch", {{"a", va}, {"b", vb}}, C::kOr},
+  };
+  for (const int plod_level : {2, 5, 7}) {
+    for (const int ranks : {1, 3}) {
+      for (const bool cached : {false, true}) {
+        store.value().set_fragment_provider(cached ? &cache : nullptr);
+        for (const Shape& sh : shapes) {
+          std::vector<MlocStore::VarConstraint> preds;
+          std::vector<std::pair<const Grid*, ValueConstraint>> truth_preds;
+          for (const auto& [var, vc] : sh.preds) {
+            preds.push_back({var, vc});
+            truth_preds.emplace_back(var == "a" ? &a : &b, vc);
+          }
+          const Truth want =
+              multivar_truth(truth_preds, sh.combine, a, plod_level);
+          ASSERT_FALSE(want.positions.empty()) << sh.what;
+          // Cached: the first run fills the cache, the second hits it.
+          for (int pass = 0; pass < (cached ? 2 : 1); ++pass) {
+            auto got = store.value().multivar_select(preds, sh.combine, "a",
+                                                     plod_level, ranks);
+            ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+            const std::string where =
+                std::string(sh.what) + " at PLoD " +
+                std::to_string(plod_level) + ", " + std::to_string(ranks) +
+                " ranks" + (cached ? ", cached pass " : ", uncached") +
+                (cached ? std::to_string(pass) : "");
+            EXPECT_EQ(got.value().positions, want.positions) << where;
+            EXPECT_EQ(got.value().values, want.values) << where;
+          }
+        }
+      }
+    }
+  }
+  store.value().set_fragment_provider(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stores, StoreMultivarPass2,
+    ::testing::Combine(::testing::Values(2, 3), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "d" +
+             (std::get<1>(info.param) ? "Hbx" : "Flat");
+    });
+
+TEST(StoreMultivar, PassTwoFetchesOnlySelectedChunks) {
+  const Grid phi = test_grid_2d();  // 64x64 in 16x16 chunks
+  const Region one(2, {16, 32}, {32, 48});
+  const Region corner_a(2, {0, 0}, {16, 16});
+  const Region corner_b(2, {48, 48}, {64, 64});
+  // `mask` qualifies a sparse set of points: `m1` in one chunk, `m2` in
+  // two opposite corner chunks, whose bounding box is the whole grid.
+  const auto make_mask = [&](const std::vector<Region>& chunks) {
+    std::vector<double> m(phi.size());
+    for (std::uint64_t i = 0; i < phi.size(); ++i) {
+      const Coord c = phi.shape().delinearize(i);
+      bool picked = false;
+      for (const Region& r : chunks) picked = picked || r.contains(c);
+      picked = picked && i % 3 == 0;
+      m[i] = picked ? 5.0 + static_cast<double>(i % 13) / 13.0
+                    : static_cast<double>(i % 97) / 97.0;
+    }
+    return Grid(phi.shape(), m);
+  };
+  const Grid m1 = make_mask({one});
+  const Grid m2 = make_mask({corner_a, corner_b});
+  pfs::PfsStorage fs;
+  auto store = MlocStore::create(
+      &fs, "t", small_config(phi.shape(), NDShape{16, 16}, "mzip"));
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("phi", phi).is_ok());
+  ASSERT_TRUE(store.value().write_variable("m1", m1).is_ok());
+  ASSERT_TRUE(store.value().write_variable("m2", m2).is_ok());
+  const ValueConstraint sel{4.0, 7.0};
+
+  struct Case {
+    std::string mask;
+    const Grid* grid;
+    std::vector<Region> chunks;
+  };
+  for (const Case& c : {Case{"m1", &m1, {one}},
+                        Case{"m2", &m2, {corner_a, corner_b}}}) {
+    for (const int ranks : {1, 3}) {
+      auto mv = store.value().multivar_select(
+          {{c.mask, sel}}, MlocStore::Combine::kAnd, "phi", 7, ranks);
+      ASSERT_TRUE(mv.is_ok()) << mv.status().to_string();
+      const Truth want =
+          multivar_truth({{c.grid, sel}}, MlocStore::Combine::kAnd, phi, 7);
+      ASSERT_FALSE(want.positions.empty());
+      EXPECT_EQ(mv.value().positions, want.positions) << c.mask;
+      EXPECT_EQ(mv.value().values, want.values) << c.mask;
+
+      // Pass 2's share of the accounting is the answer minus pass 1. It
+      // must equal fetching the selected chunks alone (no provider: every
+      // fragment is read from the PFS).
+      Query region_q;
+      region_q.vc = sel;
+      region_q.values_needed = false;
+      auto pass1 = store.value().execute(c.mask, region_q, ranks);
+      ASSERT_TRUE(pass1.is_ok());
+      std::uint64_t chunk_frags = 0;
+      std::uint64_t chunk_bytes = 0;
+      for (const Region& chunk : c.chunks) {
+        Query in_chunk;
+        in_chunk.sc = chunk;
+        auto r = store.value().execute("phi", in_chunk, ranks);
+        ASSERT_TRUE(r.is_ok());
+        chunk_frags += r.value().fragments_read;
+        chunk_bytes += r.value().bytes_read;
+      }
+      auto whole = store.value().execute("phi", Query{}, ranks);
+      ASSERT_TRUE(whole.is_ok());
+      const std::uint64_t pass2_frags =
+          mv.value().fragments_read - pass1.value().fragments_read;
+      const std::uint64_t pass2_bytes =
+          mv.value().bytes_read - pass1.value().bytes_read;
+      EXPECT_EQ(pass2_frags, chunk_frags) << c.mask << ", " << ranks;
+      if (c.chunks.size() == 1) {
+        EXPECT_EQ(pass2_bytes, chunk_bytes) << c.mask << ", " << ranks;
+      }
+      EXPECT_LT(pass2_bytes, whole.value().bytes_read) << c.mask;
+    }
+  }
 }
 
 // ------------------------------------------------------------ persistence
