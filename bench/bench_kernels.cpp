@@ -176,6 +176,51 @@ KernelResult bench_mzip_encode(const std::vector<double>& values) {
   return out;
 }
 
+/// The streams a cold query inflates: the field shredded into 1024-value
+/// fragments, each fragment's 7 PLoD planes mzip-encoded one by one, as
+/// ingest writes them. Identical only if every output equals both the
+/// other side's output and the raw plane.
+KernelResult bench_mzip_decode(const std::vector<double>& values) {
+  constexpr std::size_t kFragment = 1024;
+  const MzipCodec codec;
+  std::vector<Bytes> raws;
+  std::vector<Bytes> streams;
+  double raw_bytes = 0;
+  for (std::size_t at = 0; at + kFragment <= values.size(); at += kFragment) {
+    const plod::Shredded planes = plod::shred(
+        std::span<const double>(values.data() + at, kFragment));
+    for (const Bytes& plane : planes.groups) {
+      auto enc = codec.encode(plane);
+      MLOC_CHECK(enc.is_ok());
+      streams.push_back(std::move(enc).value());
+      raws.push_back(plane);
+      raw_bytes += static_cast<double>(plane.size());
+    }
+  }
+
+  std::vector<Bytes> fast_out(streams.size());
+  std::vector<Bytes> ref_out(streams.size());
+  KernelResult out;
+  out.name = "mzip_decode";
+  out.mb = raw_bytes / 1e6;
+  out.fast_s = best_seconds([&] {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      auto dec = codec.decode(streams[i]);
+      MLOC_CHECK(dec.is_ok());
+      fast_out[i] = std::move(dec).value();
+    }
+  });
+  out.scalar_s = best_seconds([&] {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      auto dec = detail::scalar::mzip_decode(streams[i]);
+      MLOC_CHECK(dec.is_ok());
+      ref_out[i] = std::move(dec).value();
+    }
+  });
+  out.identical = fast_out == ref_out && fast_out == raws;
+  return out;
+}
+
 /// One response-sized buffer: the CRC-32 every TCP frame payload and every
 /// subfile footer pays, sealed on one side and verified on the other.
 KernelResult bench_crc32(std::span<const std::uint8_t> bytes) {
@@ -326,6 +371,8 @@ int main() {
   results.push_back(bench_bin_route(mixed, 64));
   results.push_back(bench_bin_route(mixed, 1024));
   results.push_back(bench_mzip_encode(
+      std::vector<double>(field.begin(), field.begin() + (1u << 19))));
+  results.push_back(bench_mzip_decode(
       std::vector<double>(field.begin(), field.begin() + (1u << 19))));
   results.push_back(bench_crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(field.data()), 300u << 10)));

@@ -1,9 +1,12 @@
 // Canonical Huffman coding over small alphabets (<= 512 symbols).
 //
-// Shared entropy-coding stage of the mzip (DEFLATE-style) codec and the
-// ISOBAR-like byte-plane compressor. Code lengths are limited to
-// kMaxCodeLen via the standard overflow-rebalancing step, and only the
-// length table is transmitted (canonical assignment is reproducible).
+// The entropy-coding stage of the mzip (DEFLATE-style) encoder, which the
+// ISOBAR-like byte-plane compressor reaches through mzip. Code lengths are
+// limited to kMaxCodeLen via the standard overflow-rebalancing step, and
+// only the length table is transmitted (canonical assignment is
+// reproducible). HuffmanCode drives encode and the retained reference
+// decoder (detail::scalar::mzip_decode) only: MzipCodec::decode builds its
+// own decode tables on the stack for each stream (src/compress/mzip.cpp).
 #pragma once
 
 #include <cstdint>

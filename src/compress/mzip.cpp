@@ -336,6 +336,188 @@ Result<Bytes> encode_tokens(std::size_t raw_size,
   return std::move(out).take();
 }
 
+// ------------------------------------------------------------------ inflate
+
+// Code lengths travel nibble-packed, two per byte (serialize_lengths).
+constexpr std::size_t kLitLenBytes = (kNumLitLen + 1) / 2;
+constexpr std::size_t kDistLenBytes = (kNumDist + 1) / 2;
+constexpr int kRootBits = 10;
+
+template <std::size_t N>
+void unpack_lengths(std::span<const std::uint8_t> packed,
+                    std::array<std::uint8_t, N>& lens) {
+  static_assert(N % 2 == 0);
+  for (std::size_t i = 0; i < N / 2; ++i) {
+    lens[2 * i] = packed[i] & 0x0F;
+    lens[2 * i + 1] = packed[i] >> 4;
+  }
+}
+
+/// Canonical-Huffman decoder for one alphabet of one block, built on the
+/// stack from the transmitted lengths under HuffmanCode::from_lengths'
+/// rules and messages. Codes up to kRootBits long resolve with one lookup
+/// in `root_`; longer ones walk the per-length counts in canonical order,
+/// as puff does.
+template <std::size_t kSyms>
+class InflateTable {
+ public:
+  Status build(const std::array<std::uint8_t, kSyms>& lens) {
+    constexpr int kMaxLen = HuffmanCode::kMaxCodeLen;
+    for (const std::uint8_t l : lens) ++count_[l];
+    if (count_[0] == kSyms) {
+      return corrupt_data("Huffman table has no symbols");
+    }
+    std::int64_t kraft = 0;
+    for (int l = 1; l <= kMaxLen; ++l) {
+      kraft += static_cast<std::int64_t>(count_[l]) << (kMaxLen - l);
+      if (count_[l] != 0) max_len_ = l;
+    }
+    if (kraft > (1ll << kMaxLen)) {
+      return corrupt_data("Huffman lengths over-subscribed");
+    }
+
+    // Counting sort by (length, symbol): canonical order.
+    std::array<std::uint16_t, kMaxLen + 1> next{};
+    for (int l = 1; l < kMaxLen; ++l) {
+      next[l + 1] = static_cast<std::uint16_t>(next[l] + count_[l]);
+    }
+    for (std::size_t s = 0; s < kSyms; ++s) {
+      if (lens[s] != 0) {
+        sorted_[next[lens[s]]++] = static_cast<std::uint16_t>(s);
+      }
+    }
+
+    // Fill the root table one length at a time. Entries [0, end) are final
+    // for every code of length <= len; doubling that prefix before the next
+    // length replicates them into the wider window, so each entry is written
+    // about once. The codeword is kept bit-reversed (the stream is
+    // LSB-first), where appending zeros for a longer code is a no-op.
+    // Unassigned patterns of an incomplete code stay 0: "no code".
+    root_bits_ = std::min(max_len_, kRootBits);
+    const std::size_t codes = kSyms - count_[0];
+    std::size_t end = 2;
+    root_[0] = 0;
+    root_[1] = 0;
+    std::uint32_t code = 0;
+    std::size_t next_sym = 0;
+    for (int len = 1; len <= root_bits_; ++len) {
+      if (len > 1) {
+        std::memcpy(&root_[end], &root_[0], end * sizeof root_[0]);
+        end *= 2;
+      }
+      for (int c = 0; c < count_[len]; ++c) {
+        root_[code] =
+            static_cast<std::uint16_t>(sorted_[next_sym] << 4 | len);
+        if (++next_sym == codes) break;
+        // Canonical +1, bit-reversed: set the highest clear bit below len,
+        // clear the ones above it. Not all-ones: a code follows this one.
+        const auto mask = static_cast<std::uint32_t>(end - 1);
+        const std::uint32_t bit = 1u << (31 - std::countl_zero(code ^ mask));
+        code = (code & (bit - 1)) | bit;
+      }
+    }
+    return Status::ok();
+  }
+
+  /// Symbol whose code prefixes `bits` (LSB-first), with its length in
+  /// `len`; -1 when none does.
+  int decode(std::uint64_t bits, int& len) const {
+    const std::uint16_t e = root_[bits & ((1u << root_bits_) - 1)];
+    if (e != 0) {
+      len = e & 0xF;
+      return e >> 4;
+    }
+    // Longer than the root, or no code: the codes of each length are
+    // consecutive integers from `first`, MSB-first.
+    std::uint32_t code = 0;
+    std::uint32_t first = 0;
+    std::uint32_t index = 0;
+    for (int l = 1; l <= max_len_; ++l) {
+      code |= static_cast<std::uint32_t>(bits >> (l - 1)) & 1u;
+      const std::uint32_t n = count_[l];
+      if (code - first < n) {
+        len = l;
+        return sorted_[index + code - first];
+      }
+      index += n;
+      first = (first + n) << 1;
+      code <<= 1;
+    }
+    return -1;
+  }
+
+ private:
+  // Left uninitialized: zeroing them would add ~2.6 KB of stores per
+  // table to every stream. build() writes root_[0, 2^root_bits_) and
+  // sorted_[0, symbols with a code), the only entries decode() reads.
+  std::array<std::uint16_t, 1u << kRootBits> root_;  // sym << 4 | len; 0: none
+  std::array<std::uint16_t, kSyms> sorted_;  // symbols in canonical order
+  std::array<std::uint16_t, HuffmanCode::kMaxCodeLen + 1> count_{};
+  int root_bits_ = 0;
+  int max_len_ = 0;
+};
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (int k = 7; k >= 0; --k) v = (v << 8) | p[k];
+  }
+  return v;
+}
+
+/// LSB-first 64-bit bit buffer over the payload. refill() tops it up to at
+/// least 56 bits: one 8-byte load while 8 payload bytes remain, then byte
+/// by byte, then zero padding. Padding is counted, so overrun() reports
+/// whether any of it was consumed, like BitReader::overrun().
+class BitIn {
+ public:
+  explicit BitIn(std::span<const std::uint8_t> data) noexcept
+      : p_(data.data()), end_(data.data() + data.size()) {}
+
+  void refill() noexcept {
+    if (end_ - p_ >= 8) {
+      // Bits loaded past n_ | 56 belong to the byte at the new p_; the next
+      // refill ORs the same bits in again.
+      buf_ |= load_le64(p_) << n_;
+      p_ += (63 - n_) >> 3;
+      n_ |= 56;
+      return;
+    }
+    while (n_ < 56) {
+      if (p_ != end_) {
+        buf_ |= static_cast<std::uint64_t>(*p_++) << n_;
+      } else {
+        pad_ += 8;
+      }
+      n_ += 8;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t bits() const noexcept { return buf_; }
+
+  void consume(int count) noexcept {
+    buf_ >>= count;
+    n_ -= static_cast<unsigned>(count);
+  }
+
+  std::uint32_t take(int count) noexcept {
+    const auto v = static_cast<std::uint32_t>(buf_ & ((1ull << count) - 1));
+    consume(count);
+    return v;
+  }
+
+  [[nodiscard]] bool overrun() const noexcept { return pad_ > n_; }
+
+ private:
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  std::uint64_t buf_ = 0;
+  unsigned n_ = 0;    // valid bits in buf_, padding included
+  unsigned pad_ = 0;  // zero bits appended past the payload
+};
+
 }  // namespace
 
 Result<Bytes> MzipCodec::encode(std::span<const std::uint8_t> raw) const {
@@ -345,6 +527,96 @@ Result<Bytes> MzipCodec::encode(std::span<const std::uint8_t> raw) const {
 }
 
 Result<Bytes> MzipCodec::decode(std::span<const std::uint8_t> stream) const {
+  ByteReader r(stream);
+  MLOC_ASSIGN_OR_RETURN(std::uint64_t raw_size, r.get_varint());
+  if (raw_size == 0) {
+    if (!r.exhausted()) return corrupt_data("mzip: trailing bytes after empty stream");
+    return Bytes{};
+  }
+  if (raw_size > (1ull << 28)) {
+    return corrupt_data("mzip: implausible raw size");
+  }
+
+  MLOC_ASSIGN_OR_RETURN(auto packed, r.get_bytes(kLitLenBytes + kDistLenBytes));
+  std::array<std::uint8_t, kNumLitLen> lit_lens;
+  std::array<std::uint8_t, kNumDist> dist_lens;
+  unpack_lengths(packed.first(kLitLenBytes), lit_lens);
+  unpack_lengths(packed.subspan(kLitLenBytes), dist_lens);
+  InflateTable<kNumLitLen> lit;
+  MLOC_RETURN_IF_ERROR(lit.build(lit_lens));
+  InflateTable<kNumDist> dist;
+  MLOC_RETURN_IF_ERROR(dist.build(dist_lens));
+
+  const std::span<const std::uint8_t> payload = stream.subspan(r.position());
+  // Every symbol costs at least one payload bit and emits at most kMaxMatch
+  // bytes, so a larger header is rejected before the output is sized.
+  if (raw_size > static_cast<std::uint64_t>(payload.size()) * 8 * kMaxMatch) {
+    return corrupt_data("mzip: raw size exceeds what the payload can encode");
+  }
+
+  Bytes out(raw_size);
+  std::uint8_t* const begin = out.data();
+  std::uint8_t* const end = begin + raw_size;
+  std::uint8_t* op = begin;
+  BitIn in(payload);
+  while (true) {
+    // One refill covers a whole match: symbol, length extra, distance
+    // symbol and distance extra take at most 15 + 5 + 15 + 13 = 48 bits.
+    in.refill();
+    int code_len = 0;
+    const int sym = lit.decode(in.bits(), code_len);
+    if (sym < 0) return corrupt_data("mzip: bad symbol");
+    in.consume(code_len);
+    if (in.overrun()) return corrupt_data("mzip: bad symbol");
+    if (sym == kEndOfBlock) break;
+    if (sym < 256) {
+      if (op == end) return corrupt_data("mzip: output exceeds header size");
+      *op++ = static_cast<std::uint8_t>(sym);
+      continue;
+    }
+    const int li = sym - 257;
+    if (li >= 29) return corrupt_data("mzip: bad length symbol");
+    const std::size_t len =
+        static_cast<std::size_t>(kLenBase[li]) + in.take(kLenExtra[li]);
+    const int ds = dist.decode(in.bits(), code_len);
+    if (ds < 0 || ds >= kNumDist) {
+      return corrupt_data("mzip: bad distance symbol");
+    }
+    in.consume(code_len);
+    const std::size_t d =
+        static_cast<std::size_t>(kDistBase[ds]) + in.take(kDistExtra[ds]);
+    if (d > static_cast<std::size_t>(op - begin)) {
+      return corrupt_data("mzip: distance reaches before stream start");
+    }
+    if (len > static_cast<std::size_t>(end - op)) {
+      return corrupt_data("mzip: output exceeds header size");
+    }
+    const std::uint8_t* from = op - d;
+    if (d >= len) {
+      std::memcpy(op, from, len);
+    } else {
+      // Overlapping match (d < len): a forward byte copy replicates the
+      // last d bytes, as DEFLATE defines it.
+      for (std::size_t k = 0; k < len; ++k) op[k] = from[k];
+    }
+    op += len;
+  }
+  if (op != end) {
+    return corrupt_data("mzip: output size mismatches header");
+  }
+  return out;
+}
+
+namespace detail::scalar {
+
+Result<Bytes> mzip_encode(std::span<const std::uint8_t> raw, int max_chain) {
+  MLOC_CHECK(max_chain >= 1);
+  std::vector<Token> tokens;
+  tokenize<false>(raw, max_chain, tokens);
+  return encode_tokens(raw.size(), tokens);
+}
+
+Result<Bytes> mzip_decode(std::span<const std::uint8_t> stream) {
   ByteReader r(stream);
   MLOC_ASSIGN_OR_RETURN(std::uint64_t raw_size, r.get_varint());
   if (raw_size == 0) {
@@ -397,15 +669,6 @@ Result<Bytes> MzipCodec::decode(std::span<const std::uint8_t> stream) const {
     return corrupt_data("mzip: output size mismatches header");
   }
   return out;
-}
-
-namespace detail::scalar {
-
-Result<Bytes> mzip_encode(std::span<const std::uint8_t> raw, int max_chain) {
-  MLOC_CHECK(max_chain >= 1);
-  std::vector<Token> tokens;
-  tokenize<false>(raw, max_chain, tokens);
-  return encode_tokens(raw.size(), tokens);
 }
 
 }  // namespace detail::scalar

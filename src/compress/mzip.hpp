@@ -43,6 +43,13 @@ namespace detail::scalar {
 /// max_chain; kept for differential tests and bench_kernels A/B runs.
 Result<Bytes> mzip_encode(std::span<const std::uint8_t> raw, int max_chain);
 
+/// Retained decoder that MzipCodec::decode replaced: HuffmanCode tables
+/// rebuilt per stream, a bytewise BitReader and push_back output. Reads
+/// the same stream format; MzipCodec::decode returns identical bytes when
+/// this succeeds and the same ErrorCode when it fails. Kept for
+/// differential tests, the fuzz harness and bench_kernels A/B runs.
+Result<Bytes> mzip_decode(std::span<const std::uint8_t> stream);
+
 }  // namespace detail::scalar
 
 }  // namespace mloc

@@ -99,6 +99,11 @@ Bytes encode_positions(std::span<const std::uint32_t> local_offsets) {
 
 Result<std::vector<std::uint32_t>> decode_positions(
     std::span<const std::uint8_t> blob, std::uint64_t count) {
+  // Every varint takes at least one byte, so a count above the blob size
+  // is corrupt; `count` comes from the fragment table unchecked.
+  if (count > blob.size()) {
+    return corrupt_data("position count exceeds blob size");
+  }
   ByteReader r(blob);
   std::vector<std::uint32_t> out;
   out.reserve(count);
@@ -108,10 +113,11 @@ Result<std::vector<std::uint32_t>> decode_positions(
     if (i != 0 && delta == 0) {
       return corrupt_data("position index not strictly ascending");
     }
-    const std::uint64_t value = (i == 0) ? delta : prev + delta;
-    if (value > 0xFFFFFFFFull) {
+    // Checked before the add: prev + delta must not wrap back below prev.
+    if (delta > 0xFFFFFFFFull - prev) {
       return corrupt_data("position index exceeds 32 bits");
     }
+    const std::uint64_t value = prev + delta;
     MLOC_DCHECK(out.size() == i);
     MLOC_DCHECK(i == 0 || value > prev);
     out.push_back(static_cast<std::uint32_t>(value));

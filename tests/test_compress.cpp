@@ -20,6 +20,7 @@
 #include "compress/registry.hpp"
 #include "compress/rle.hpp"
 #include "compress/xor_delta.hpp"
+#include "plod/plod.hpp"
 #include "util/rng.hpp"
 
 namespace mloc {
@@ -244,6 +245,52 @@ TEST_P(MzipDifferential, FastEncoderMatchesScalarReference) {
   }
 }
 
+// Fragment-sized PLoD planes: `count` values of a smooth field shredded
+// into the 7 byte planes that the engine decodes one mzip stream at a time.
+std::vector<Bytes> plod_planes(std::size_t count, std::uint64_t seed) {
+  const plod::Shredded shredded = plod::shred(smooth_field(count, seed));
+  return {shredded.groups.begin(), shredded.groups.end()};
+}
+
+// Empty when MzipCodec::decode and the retained reference agree on
+// `stream`: the same verdict and ErrorCode, and the same bytes when both
+// succeed. Otherwise says how they differ. `accepted` receives the
+// reference's verdict.
+std::string verdict_diff(std::span<const std::uint8_t> stream,
+                         bool* accepted = nullptr) {
+  const auto fast = MzipCodec().decode(stream);
+  const auto ref = detail::scalar::mzip_decode(stream);
+  if (accepted != nullptr) *accepted = ref.is_ok();
+  if (fast.is_ok() && ref.is_ok()) {
+    return fast.value() == ref.value() ? "" : "decoded bytes differ";
+  }
+  if (fast.is_ok() == ref.is_ok() &&
+      fast.status().code() == ref.status().code()) {
+    return "";
+  }
+  return "fast " + fast.status().to_string() + " vs reference " +
+         ref.status().to_string();
+}
+
+// The table-driven decoder must return the reference's bytes on every
+// adversarial buffer at several chain depths, and on fragment-sized PLoD
+// planes (the streams a cold query decodes).
+TEST_P(MzipDifferential, FastDecoderMatchesScalarReference) {
+  std::vector<Bytes> raws = plod_planes(1024, 40 + GetParam());
+  raws.push_back(adversarial_buffer(GetParam()));
+  for (const int max_chain : {1, 8, 64}) {
+    for (const Bytes& raw : raws) {
+      const Bytes enc = MzipCodec(max_chain).encode(raw).value();
+      const auto fast = MzipCodec().decode(enc);
+      const auto ref = detail::scalar::mzip_decode(enc);
+      ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+      ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
+      EXPECT_EQ(fast.value(), ref.value()) << "max_chain=" << max_chain;
+      EXPECT_EQ(fast.value(), raw) << "max_chain=" << max_chain;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Buffers, MzipDifferential, ::testing::Range(0, 9));
 
 TEST(Mzip, CompressesRepetitiveData) {
@@ -301,6 +348,262 @@ TEST(Mzip, DecodeRejectsCorruptStreams) {
 
   Bytes empty_claims_trailing = {0x00, 0x01};
   EXPECT_FALSE(codec.decode(empty_claims_trailing).is_ok());
+}
+
+// Seeded mutations of PLoD-plane streams: bit flips, byte sets,
+// truncations and appends. Both decoders must reach the same verdict.
+TEST(Mzip, DecodeVerdictMatchesReference) {
+  const MzipCodec codec;
+  std::vector<Bytes> bases;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    for (const Bytes& plane : plod_planes(1024, 100 + seed)) {
+      bases.push_back(codec.encode(plane).value());
+    }
+  }
+  Rng rng(20121018);
+  constexpr int kCases = 100000;
+  int accepted = 0;
+  for (int i = 0; i < kCases; ++i) {
+    Bytes s = bases[rng.next_below(bases.size())];
+    const std::size_t pos = rng.next_below(s.size());
+    const int kind = static_cast<int>(rng.next_below(4));
+    switch (kind) {
+      case 0:
+        s[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        break;
+      case 1:
+        s[pos] = static_cast<std::uint8_t>(rng.next_below(256));
+        break;
+      case 2:
+        s.resize(pos);
+        break;
+      default:
+        for (std::uint64_t k = 1 + rng.next_below(16); k > 0; --k) {
+          s.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+        }
+        break;
+    }
+    bool ok = false;
+    const std::string diff = verdict_diff(s, &ok);
+    ASSERT_TRUE(diff.empty())
+        << "case " << i << " (mutation " << kind << " at " << pos
+        << "): " << diff;
+    accepted += ok ? 1 : 0;
+  }
+  // Both verdicts must be exercised.
+  EXPECT_GT(accepted, kCases / 10);
+  EXPECT_LT(accepted, kCases * 9 / 10);
+}
+
+// A hand-built mzip stream: explicit code lengths, then symbols written
+// with the canonical codes those lengths define.
+struct HandStream {
+  std::vector<std::uint8_t> lit_lens = std::vector<std::uint8_t>(286, 0);
+  std::vector<std::uint8_t> dist_lens = std::vector<std::uint8_t>(30, 0);
+  BitWriter bits;
+
+  void literal(int sym) { put(lit_lens, sym); }
+  // Lengths 3..10 and distances 1..4 carry no extra bits.
+  void match(int len, int dist) {
+    put(lit_lens, 254 + len);
+    put(dist_lens, dist - 1);
+  }
+  // An `n`-bit pattern given MSB-first, as canonical codes are written.
+  void pattern(std::uint32_t msb_first, int n) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < n; ++i) v |= ((msb_first >> (n - 1 - i)) & 1u) << i;
+    bits.put_bits(v, n);
+  }
+  Bytes finish(std::uint64_t raw_size) {
+    ByteWriter w;
+    w.put_varint(raw_size);
+    HuffmanCode::from_lengths(lit_lens).value().serialize_lengths(w);
+    HuffmanCode::from_lengths(dist_lens).value().serialize_lengths(w);
+    bits.finish();
+    w.put_bytes(bits.bytes());
+    return std::move(w).take();
+  }
+
+ private:
+  void put(const std::vector<std::uint8_t>& lens, int sym) {
+    const HuffmanCode code = HuffmanCode::from_lengths(lens).value();
+    bits.put_bits(code.code_bits(sym), code.code_length(sym));
+  }
+};
+
+Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+// The decode must fail, with the reference's message.
+void expect_rejected_as(const Bytes& stream, const std::string& message) {
+  const auto fast = MzipCodec().decode(stream);
+  const auto ref = detail::scalar::mzip_decode(stream);
+  ASSERT_FALSE(fast.is_ok());
+  ASSERT_FALSE(ref.is_ok());
+  EXPECT_EQ(fast.status().code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(fast.status().message(), message);
+  EXPECT_EQ(ref.status().message(), message);
+}
+
+// A skewed byte distribution gives the rare literals codes longer than the
+// decoder's 10-bit root table, so they decode through the canonical walk.
+TEST(Mzip, DecodesLiteralCodesLongerThanRootTable) {
+  Rng rng(31);
+  Bytes raw(1 << 16);
+  for (auto& b : raw) {
+    int k = 0;
+    while (k < 255 && rng.next_below(2) == 0) ++k;
+    b = static_cast<std::uint8_t>(k);
+  }
+  const Bytes enc = MzipCodec().encode(raw).value();
+  ByteReader r{std::span<const std::uint8_t>(enc)};
+  ASSERT_TRUE(r.get_varint().is_ok());
+  const auto lens = HuffmanCode::deserialize_lengths(r, 286).value();
+  EXPECT_GT(*std::max_element(lens.begin(), lens.begin() + 256), 10);
+
+  const auto fast = MzipCodec().decode(enc);
+  ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  EXPECT_EQ(fast.value(), raw);
+  EXPECT_EQ(verdict_diff(enc), "");
+}
+
+// A literal table with one code (one bit, 0). With only 'A', the unused
+// pattern 1 is no symbol, and a block with no end-of-block code runs past
+// its header size. With only end-of-block, the block ends empty.
+TEST(Mzip, SingleSymbolLiteralTable) {
+  HandStream overlong;
+  overlong.lit_lens['A'] = 1;
+  overlong.dist_lens[0] = 1;
+  for (int i = 0; i < 3; ++i) overlong.literal('A');
+  expect_rejected_as(overlong.finish(3), "mzip: output exceeds header size");
+
+  HandStream unassigned;
+  unassigned.lit_lens['A'] = 1;
+  unassigned.dist_lens[0] = 1;
+  unassigned.literal('A');
+  unassigned.pattern(1, 1);
+  expect_rejected_as(unassigned.finish(2), "mzip: bad symbol");
+
+  HandStream eob_only;
+  eob_only.lit_lens[256] = 1;
+  eob_only.dist_lens[0] = 1;
+  eob_only.literal(256);
+  expect_rejected_as(eob_only.finish(1),
+                     "mzip: output size mismatches header");
+}
+
+// Incomplete codes leave patterns unassigned, both inside the root table
+// and past it; either must decode as "bad symbol".
+TEST(Mzip, IncompleteCodeUnassignedPatternIsBadSymbol) {
+  // 'A' = 00, end-of-block = 01: 1x is unassigned.
+  HandStream short_code;
+  short_code.lit_lens['A'] = 2;
+  short_code.lit_lens[256] = 2;
+  short_code.dist_lens[0] = 1;
+  short_code.literal('A');
+  short_code.pattern(0b11, 2);
+  expect_rejected_as(short_code.finish(2), "mzip: bad symbol");
+
+  // 'A' = 0, end-of-block = 100000000000 (12 bits, past the root table):
+  // every other 12-bit pattern under 1 is unassigned.
+  HandStream long_code;
+  long_code.lit_lens['A'] = 1;
+  long_code.lit_lens[256] = 12;
+  long_code.dist_lens[0] = 1;
+  HandStream valid = long_code;
+  long_code.literal('A');
+  long_code.pattern(0b100000000001, 12);
+  expect_rejected_as(long_code.finish(2), "mzip: bad symbol");
+
+  valid.literal('A');
+  valid.literal('A');
+  valid.literal(256);
+  const Bytes stream = valid.finish(2);
+  const auto fast = MzipCodec().decode(stream);
+  ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  EXPECT_EQ(fast.value(), bytes_of("AA"));
+  EXPECT_EQ(verdict_diff(stream), "");
+}
+
+// dist = 1 and dist < len copy from bytes the match itself writes; a
+// match with dist >= len does not overlap.
+TEST(Mzip, OverlappingMatchesReplicate) {
+  HandStream s;
+  for (const int sym : {int{'a'}, int{'b'}, int{'c'}, 256, 254 + 10, 254 + 7,
+                        254 + 4}) {
+    s.lit_lens[sym] = 3;
+  }
+  for (int dist : {1, 3, 4}) s.dist_lens[dist - 1] = 2;
+  s.literal('a');
+  s.match(10, 1);
+  s.literal('b');
+  s.literal('c');
+  s.match(7, 3);
+  s.match(4, 4);
+  s.literal(256);
+  const Bytes stream = s.finish(24);
+  const auto fast = MzipCodec().decode(stream);
+  ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  EXPECT_EQ(fast.value(), bytes_of("aaaaaaaaaaabcabcabcaabca"));
+  EXPECT_EQ(verdict_diff(stream), "");
+}
+
+// One payload byte carries at most 8 symbols of at most 258 bytes each, so
+// a header claiming more is rejected before the output is sized.
+TEST(Mzip, RawSizeAbovePayloadBoundRejectedBeforeDecoding) {
+  HandStream s;
+  s.lit_lens['A'] = 1;
+  s.lit_lens[256] = 1;
+  s.dist_lens[0] = 1;
+  s.literal('A');
+  s.literal(256);
+  const std::string bound =
+      "mzip: raw size exceeds what the payload can encode";
+  for (const std::uint64_t raw_size : {2065ull, 1ull << 28}) {
+    HandStream copy = s;
+    const Bytes stream = copy.finish(raw_size);
+    const auto fast = MzipCodec().decode(stream);
+    ASSERT_FALSE(fast.is_ok());
+    EXPECT_EQ(fast.status().message(), bound);
+    EXPECT_EQ(verdict_diff(stream), "");
+  }
+  HandStream at_bound = s;
+  expect_rejected_as(at_bound.finish(2064),
+                     "mzip: output size mismatches header");
+  HandStream exact = s;
+  const auto fast = MzipCodec().decode(exact.finish(1));
+  ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  EXPECT_EQ(fast.value(), bytes_of("A"));
+}
+
+// Bytes after the end-of-block symbol are not read, and do not fail the
+// stream.
+TEST(Mzip, PayloadBytesAfterEndOfBlockAccepted) {
+  const Bytes raw = plod_planes(1024, 7)[3];
+  Bytes enc = MzipCodec().encode(raw).value();
+  for (int i = 0; i < 12; ++i) enc.push_back(static_cast<std::uint8_t>(i * 37));
+  const auto fast = MzipCodec().decode(enc);
+  ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  EXPECT_EQ(fast.value(), raw);
+  EXPECT_EQ(verdict_diff(enc), "");
+}
+
+// End-of-block = 0, 'A' = 10, 'B' = 11. Four literals fill the one payload
+// byte, so the end-of-block the decoder reads next comes from the zero
+// padding past the payload: that is an overrun, not the end of the block.
+TEST(Mzip, EndOfBlockReadFromPaddingIsRejected) {
+  HandStream s;
+  s.lit_lens[256] = 1;
+  s.lit_lens['A'] = 2;
+  s.lit_lens['B'] = 2;
+  s.dist_lens[0] = 1;
+  for (const char sym : {'A', 'B', 'A', 'B'}) s.literal(sym);
+  HandStream terminated = s;
+  expect_rejected_as(s.finish(4), "mzip: bad symbol");
+
+  terminated.literal(256);
+  const auto fast = MzipCodec().decode(terminated.finish(4));
+  ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  EXPECT_EQ(fast.value(), bytes_of("ABAB"));
 }
 
 // ------------------------------------------------------------------- RLE

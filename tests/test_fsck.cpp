@@ -192,22 +192,20 @@ TEST(Fsck, CorruptPositionBlobDetected) {
   EXPECT_TRUE(has_check(report, "positions")) << checks_of(report);
 }
 
-// positions: a blob whose last offset lies one past its chunk, with the
-// blob's fragment-table FNV recomputed and the footer re-sealed, so only a
-// range check can catch it. The engine must refuse it on first decode
-// (before any filter or bitmap lookup sees the offset), and fsck must
-// still attribute it to the positional index.
-TEST(Fsck, PositionPastChunkVolumeRejected) {
-  pfs::PfsStorage fs;
-  build_store(fs, "mzip");
-  const ChunkGrid chunks(NDShape{64, 64}, NDShape{16, 16});
+/// Replace the blob that ends the positional-index blob section of the
+/// first .idx subfile with make(fragment, decoded offsets). The blob's
+/// fragment-table FNV is recomputed and the footer re-sealed, so only the
+/// semantic checks can catch the change. The last blob is the one chosen
+/// because re-encoding it at a new length moves no other blob.
+void replace_last_position_blob(
+    pfs::PfsStorage& fs,
+    const std::function<Bytes(const FragmentInfo&,
+                              const std::vector<std::uint32_t>&)>& make) {
   tamper_resealed(fs, file_named(fs, ".idx"), [&](Bytes& payload) {
     ByteReader r{std::span<const std::uint8_t>(payload)};
     auto layout = BinLayout::deserialize(r);
     ASSERT_TRUE(layout.is_ok());
     const std::size_t header_len = r.position();
-    // The blob that ends the blob section: re-encoding it at a new length
-    // moves no other blob.
     auto& frags = layout.value().fragments;
     auto victim = std::max_element(
         frags.begin(), frags.end(), [](const auto& a, const auto& b) {
@@ -221,9 +219,7 @@ TEST(Fsck, PositionPastChunkVolumeRejected) {
             blob_at, victim->positions.length),
         victim->count);
     ASSERT_TRUE(offsets.is_ok());
-    offsets.value().back() = static_cast<std::uint32_t>(
-        chunks.chunk_region(victim->chunk).volume());
-    const Bytes blob = encode_positions(offsets.value());
+    const Bytes blob = make(*victim, offsets.value());
     victim->positions.length = blob.size();
     victim->positions.checksum = fnv1a64(blob);
     ByteWriter w;
@@ -234,10 +230,15 @@ TEST(Fsck, PositionPastChunkVolumeRejected) {
     std::copy(header.begin(), header.end(), payload.begin());
     payload.insert(payload.end(), blob.begin(), blob.end());
   });
+}
 
+/// A full fetch decodes every fragment's blob: the engine must refuse the
+/// tampered one with CorruptData, and fsck must attribute it to the
+/// positional index.
+void expect_positions_rejected(pfs::PfsStorage& fs) {
   auto reopened = MlocStore::open(&fs, "s");
   ASSERT_TRUE(reopened.is_ok());
-  Query q;  // full fetch: every fragment's blob is decoded
+  Query q;
   q.values_needed = true;
   auto res = reopened.value().execute("phi", q);
   ASSERT_FALSE(res.is_ok());
@@ -248,6 +249,75 @@ TEST(Fsck, PositionPastChunkVolumeRejected) {
   const fsck::Report report = verifier.verify_store("s");
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_check(report, "positions")) << checks_of(report);
+}
+
+// positions: a blob whose last offset lies one past its chunk, so only a
+// range check can catch it. The engine must refuse it on first decode
+// (before any filter or bitmap lookup sees the offset).
+TEST(Fsck, PositionPastChunkVolumeRejected) {
+  pfs::PfsStorage fs;
+  build_store(fs, "mzip");
+  const ChunkGrid chunks(NDShape{64, 64}, NDShape{16, 16});
+  replace_last_position_blob(
+      fs, [&](const FragmentInfo& frag, std::vector<std::uint32_t> offsets) {
+        offsets.back() = static_cast<std::uint32_t>(
+            chunks.chunk_region(frag.chunk).volume());
+        return encode_positions(offsets);
+      });
+  expect_positions_rejected(fs);
+}
+
+// positions: a blob whose last delta is 2^64 - 1, so a 64-bit prev + delta
+// wraps to one below the previous offset: in range, but not ascending.
+TEST(Fsck, WrappedPositionDeltaRejected) {
+  pfs::PfsStorage fs;
+  build_store(fs, "mzip");
+  replace_last_position_blob(
+      fs, [](const FragmentInfo&, const std::vector<std::uint32_t>& offsets) {
+        // Three offsets keep the one before the last above zero.
+        EXPECT_GE(offsets.size(), 3u);
+        ByteWriter w;
+        w.put_varint(offsets[0]);
+        for (std::size_t i = 1; i + 1 < offsets.size(); ++i) {
+          w.put_varint(offsets[i] - offsets[i - 1]);
+        }
+        w.put_varint(~0ull);
+        return std::move(w).take();
+      });
+  expect_positions_rejected(fs);
+}
+
+TEST(PositionBlob, RoundTripsAscendingOffsets) {
+  const std::vector<std::uint32_t> offsets = {0, 1, 7, 300, 0xFFFFFFFFu};
+  auto decoded = decode_positions(encode_positions(offsets), offsets.size());
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded.value(), offsets);
+}
+
+TEST(PositionBlob, WrappedDeltaRejected) {
+  ByteWriter w;
+  w.put_varint(5);
+  w.put_varint(~0ull - 2);  // 5 + 2^64 - 3 wraps to 2 in 64 bits
+  auto decoded = decode_positions(std::move(w).take(), 2);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruptData);
+
+  ByteWriter past;  // no wrap, but past 32 bits
+  past.put_varint(0xFFFFFFFFull);
+  past.put_varint(1);
+  EXPECT_FALSE(decode_positions(std::move(past).take(), 2).is_ok());
+}
+
+TEST(PositionBlob, CountAboveBlobSizeRejected) {
+  const Bytes blob = encode_positions(std::vector<std::uint32_t>{1, 2, 3});
+  ASSERT_EQ(blob.size(), 3u);
+  EXPECT_TRUE(decode_positions(blob, 3).is_ok());
+  // A count no blob of this size can hold fails before anything is
+  // reserved for it.
+  auto decoded = decode_positions(blob, ~0ull);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruptData);
+  EXPECT_FALSE(decode_positions(blob, 4).is_ok());
 }
 
 // planes: a flipped byte inside a compressed payload segment (footer
