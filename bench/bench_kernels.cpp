@@ -238,8 +238,10 @@ KernelResult bench_crc32(std::span<const std::uint8_t> bytes) {
 
 /// The engine's gather: `n` distinct (position, value) pairs over a 2048^2
 /// grid, scattered by an odd multiplier (a bijection mod 2^22), sorted into
-/// grid order. Both sides start each rep from the same unsorted copy.
-KernelResult bench_gather(std::size_t n) {
+/// grid order. Both sides start each rep from the same unsorted copy. The
+/// `gather` row (300,000 pairs) is dense (n * 64 >= 2^22) and runs the
+/// bitmap placement; `gather_sparse` (30,000 pairs) runs the radix sort.
+KernelResult bench_gather(std::size_t n, const char* name) {
   constexpr std::uint64_t kVolume = 1ull << 22;
   std::vector<std::uint64_t> positions(n);
   std::vector<double> values(n);
@@ -248,7 +250,7 @@ KernelResult bench_gather(std::size_t n) {
     values[i] = static_cast<double>(i) * 0.5;
   }
   KernelResult out;
-  out.name = "gather";
+  out.name = name;
   out.mb = static_cast<double>(n * (sizeof(std::uint64_t) + sizeof(double))) /
            1e6;
   std::vector<std::uint64_t> fast_pos;
@@ -376,7 +378,8 @@ int main() {
       std::vector<double>(field.begin(), field.begin() + (1u << 19))));
   results.push_back(bench_crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(field.data()), 300u << 10)));
-  results.push_back(bench_gather(300000));
+  results.push_back(bench_gather(300000, "gather"));
+  results.push_back(bench_gather(30000, "gather_sparse"));
   const Bitmap dense = random_bitmap(1u << 26, 0.5, 11);
   const Bitmap sparse = random_bitmap(1u << 26, 0.01, 13);
   results.push_back(bench_bitmap_count(dense));

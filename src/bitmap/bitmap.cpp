@@ -184,36 +184,51 @@ WahBitmap WahBitmap::compress(const Bitmap& plain) {
 
 Bitmap WahBitmap::decompress() const {
   Bitmap out(nbits_);
-  std::uint64_t bitpos = 0;
-  GroupCursor cur(words_);
-  while (!cur.done()) {
-    if (cur.run_is_fill()) {
-      const std::uint32_t n = cur.run_remaining();
-      if (cur.run_fill_value()) {
-        const std::uint64_t end =
-            std::min<std::uint64_t>(bitpos + 31ull * n, nbits_);
-        for (std::uint64_t i = bitpos; i < end; ++i) out.set(i);
-      }
-      bitpos += 31ull * n;
-      cur.consume(n);
-    } else {
-      std::uint32_t payload = cur.payload();
-      while (payload != 0) {
-        const int bit = __builtin_ctz(payload);
-        const std::uint64_t i = bitpos + static_cast<std::uint64_t>(bit);
-        if (i < nbits_) out.set(i);
-        payload &= payload - 1;
-      }
-      bitpos += 31;
-      cur.consume(1);
-    }
-  }
+  or_into(out);
   return out;
+}
+
+void WahBitmap::or_into(Bitmap& dst) const {
+  MLOC_CHECK(dst.nbits_ == nbits_);
+  std::uint64_t* const out = dst.words_.data();
+  const std::size_t nw = dst.words_.size();
+  std::uint64_t bitpos = 0;
+  for (const std::uint32_t w : words_) {
+    if (!is_fill(w)) {
+      const std::uint64_t payload = w & kPayloadMask;
+      const std::size_t i = bitpos >> 6;
+      const unsigned shift = bitpos & 63;
+      out[i] |= payload << shift;
+      // The group straddles two words once shift + 31 > 64. Where word
+      // i + 1 does not exist its share is padding, which deserialize()
+      // rejects.
+      if (shift > 33 && i + 1 < nw) out[i + 1] |= payload >> (64 - shift);
+      bitpos += 31;
+      continue;
+    }
+    const std::uint64_t end = bitpos + 31ull * fill_len(w);
+    if (fill_value(w)) {
+      MLOC_DCHECK(end <= nbits_);  // a 1-fill never covers padding bits
+      const std::size_t first = bitpos >> 6;
+      const std::size_t last = (end - 1) >> 6;
+      const std::uint64_t head = ~0ull << (bitpos & 63);
+      const std::uint64_t tail = ~0ull >> (63 - ((end - 1) & 63));
+      if (first == last) {
+        out[first] |= head & tail;
+      } else {
+        out[first] |= head;
+        for (std::size_t k = first + 1; k < last; ++k) out[k] = ~0ull;
+        out[last] |= tail;
+      }
+    }
+    bitpos = end;
+  }
 }
 
 std::uint64_t WahBitmap::count() const noexcept {
   // Popcount on compressed words; the final group's padding bits are never
-  // set because compress() only writes bits < nbits_.
+  // set: compress() only writes bits < nbits_ and deserialize() rejects
+  // streams that set one.
   std::uint64_t c = 0;
   for (auto w : words_) {
     if (is_fill(w)) {
@@ -338,6 +353,19 @@ Result<WahBitmap> WahBitmap::deserialize(ByteReader& r) {
   for (auto word : out.words_) groups += is_fill(word) ? fill_len(word) : 1;
   if (groups != (out.nbits_ + 30) / 31) {
     return corrupt_data("WAH group count mismatches bit count");
+  }
+  // Bits of the final group at or past nbits_ are padding. count() would
+  // include one and or_into would carry it past the grid volume.
+  if (!out.words_.empty()) {
+    const std::uint32_t last = out.words_.back();
+    const std::uint32_t payload =
+        is_fill(last) ? (fill_value(last) ? kPayloadMask : 0u)
+                      : last & kPayloadMask;
+    const std::uint64_t valid = out.nbits_ - 31 * (groups - 1);  // 1..31
+    if (valid < 31 && (payload >> valid) != 0) {
+      return corrupt_data(
+          "WAH final group sets padding bits past the bit count");
+    }
   }
   return out;
 }

@@ -120,7 +120,13 @@ class WahBitmap {
   WahBitmap() = default;
 
   static WahBitmap compress(const Bitmap& plain);
+  /// The one WAH → plain decoder: `Bitmap out(size_bits()); or_into(out);`.
   [[nodiscard]] Bitmap decompress() const;
+  /// OR this bitmap into `dst` word by word: a literal's 31 bits land with
+  /// one shift (two words when it straddles a 64-bit boundary), a 1-fill
+  /// sets whole words, a 0-fill is skipped. Precondition: dst.size() ==
+  /// size_bits().
+  void or_into(Bitmap& dst) const;
 
   [[nodiscard]] std::uint64_t size_bits() const noexcept { return nbits_; }
   /// Compressed storage footprint in bytes (words + length field).
@@ -140,6 +146,9 @@ class WahBitmap {
   static WahBitmap logical_or(const WahBitmap& a, const WahBitmap& b);
 
   void serialize(ByteWriter& w) const;
+  /// Rejects (CorruptData) zero-length fills, a group count that does not
+  /// match the bit count, and a final group with a bit set at or past
+  /// size_bits() — so count() and or_into never see padding bits.
   static Result<WahBitmap> deserialize(ByteReader& r);
 
   [[nodiscard]] bool operator==(const WahBitmap& o) const noexcept {

@@ -519,50 +519,47 @@ Result<QueryResult> MlocStore::multivar_select(
   };
 
   // Pass 1: one region-only query per remaining predicate; the engine
-  // returns each result directly as a WAH bitmap (hierarchical-index node
-  // bitmaps merge per tree level in the compressed domain, boundary bins
-  // are rasterized once), combined here without ever materializing flat
-  // per-variable position vectors (§III-D-4's "synchronized bitmaps").
+  // returns each answer as a grid bitmap (hierarchical-index node bitmaps
+  // OR straight into it), and the bitmaps are combined word by word without
+  // ever materializing per-variable position vectors (§III-D-4's
+  // "synchronized bitmaps").
   QueryResult accumulated;
-  std::optional<WahBitmap> combined;
+  std::optional<Bitmap> combined;
   for (const RegionPass& pass : pass1) {
     region_q.vc = pass.vc;
-    WahBitmap wah;
+    Bitmap bits;
     MLOC_ASSIGN_OR_RETURN(
         QueryResult selected,
         exec::execute_query(pass.view, region_q, num_ranks, nullptr,
-                            exec::ExecOptions{}, &wah));
+                            exec::ExecOptions{}, &bits));
     Stopwatch sw;
     if (!combined.has_value()) {
-      combined = std::move(wah);
+      combined = std::move(bits);
     } else if (combine == Combine::kAnd) {
-      combined = WahBitmap::logical_and(*combined, wah);
+      *combined &= bits;
     } else {
-      combined = WahBitmap::logical_or(*combined, wah);
+      *combined |= bits;
     }
     selected.times.reconstruct += sw.seconds();
     add_stats(accumulated, selected);
   }
 
   // The selection is materialized as positions only when it is the answer.
-  Stopwatch sw;
   if (!fetch) {
-    const Bitmap positions = combined->decompress();
-    accumulated.positions.reserve(positions.count());
-    positions.for_each_set(
+    Stopwatch sw;
+    accumulated.positions.reserve(combined->count());
+    combined->for_each_set(
         [&](std::uint64_t p) { accumulated.positions.push_back(p); });
     accumulated.times.reconstruct += sw.seconds();
     return accumulated;
   }
-  if (combined->count() == 0) return accumulated;
-  const Bitmap selection = combined->decompress();
-  accumulated.times.reconstruct += sw.seconds();
+  if (!combined->any(0, combined->size())) return accumulated;
 
   // Pass 2: value retrieval filtered by the selection; the plan keeps only
   // the chunks holding a selected position.
   MLOC_ASSIGN_OR_RETURN(
       QueryResult fetched,
-      exec::execute_query(fetch_view, fetch_q, num_ranks, &selection,
+      exec::execute_query(fetch_view, fetch_q, num_ranks, &*combined,
                           exec::ExecOptions{}));
   add_stats(fetched, accumulated);
   return fetched;

@@ -193,11 +193,11 @@ class MlocStore {
 
   /// General multi-variable selection (paper §II "multi-variable data
   /// access ... may involve two or more variables"): evaluate each
-  /// predicate as a region-only pass, combine the resulting position
-  /// bitmaps in the WAH compressed domain, then fetch `fetch_var` at the
-  /// surviving positions. With an empty `fetch_var` only positions are
-  /// returned. One kAnd predicate is the §III-D-4 bitmap hand-off: select
-  /// where one variable qualifies, fetch another there.
+  /// predicate as a region-only pass, combine the resulting grid bitmaps
+  /// word by word, then fetch `fetch_var` at the surviving positions. With
+  /// an empty `fetch_var` only positions are returned. One kAnd predicate
+  /// is the §III-D-4 bitmap hand-off: select where one variable qualifies,
+  /// fetch another there.
   ///
   /// Under kAnd, the first predicate on `fetch_var` runs no region-only
   /// pass: it is the fetch's VC, so the fetch reads only its bins (boundary

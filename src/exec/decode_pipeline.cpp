@@ -8,7 +8,9 @@
 
 namespace mloc::exec {
 
-DecodedFragment decode_fragment(const DecodeInput& in) {
+DecodedFragment decode_fragment(const DecodeInput& in,
+                                std::vector<std::uint64_t>& positions,
+                                std::vector<double>& values) {
   DecodedFragment out;
   const StoreView& view = *in.view;
   const Query& q = *in.q;
@@ -208,8 +210,8 @@ DecodedFragment decode_fragment(const DecodeInput& in) {
     if (task.needs_vc_filter && !q.vc->matches(vals[k])) {
       continue;
     }
-    out.positions.push_back(linear);
-    if (q.values_needed) out.values.push_back(out_vals[k]);
+    positions.push_back(linear);
+    if (q.values_needed) values.push_back(out_vals[k]);
   }
   out.reconstruct_s += sw.seconds();
   return out;

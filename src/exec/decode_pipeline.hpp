@@ -6,9 +6,10 @@
 // decode, PLoD reassembly/degrade, and the VC/SC/bitmap filter for one
 // fragment. The filter walks the fragment's ascending chunk-local offsets
 // one chunk row at a time, so a point costs a subtract, a window compare
-// and an add; coordinates are worked out once per row. It touches no
-// shared state — results, provider candidates, and CPU timings come back
-// in a DecodedFragment, which the rank folds in task order.
+// and an add; coordinates are worked out once per row. Qualifying points
+// are appended straight to the query's arrival buffer; provider
+// candidates and CPU timings come back in a DecodedFragment, which the
+// rank folds in task order.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +37,9 @@ struct DecodeInput {
   const std::vector<Bytes>* buffers = nullptr;
 };
 
-/// Output of one fragment's decode+filter, private to the task.
+/// Status, timings and cache candidates of one fragment's decode+filter.
 struct DecodedFragment {
   Status status = Status::ok();
-  std::vector<std::uint64_t> positions;  ///< qualifying linear positions
-  std::vector<double> values;            ///< parallel (values_needed only)
   double decompress_s = 0.0;
   double reconstruct_s = 0.0;
   /// Provider-insert candidates, published by the rank in task order.
@@ -48,6 +47,13 @@ struct DecodedFragment {
   std::shared_ptr<FragmentData> fresh_payload;
 };
 
-DecodedFragment decode_fragment(const DecodeInput& in);
+/// Decode and filter one fragment, appending its qualifying linear
+/// positions to `positions` and, when the query needs values, the values
+/// alongside to `values` (the query's arrival buffer). Every check runs
+/// before the first append, so nothing is appended when the status is an
+/// error.
+DecodedFragment decode_fragment(const DecodeInput& in,
+                                std::vector<std::uint64_t>& positions,
+                                std::vector<double>& values);
 
 }  // namespace mloc::exec

@@ -4,12 +4,14 @@
 // into the rank's IoLog, then walk the rank's tasks in consecutive
 // same-bin runs. Each run's segments are merged by the IoScheduler into a
 // handful of batch extents, fetched with one vectorized read_batch call,
-// and each fragment is decoded and filtered by decode_fragment and folded
-// into the rank's output in task order on the rank's own thread. The
-// engine starts no thread; concurrency comes from the caller (the
-// QueryService worker pool runs whole queries side by side).
+// and each fragment is decoded and filtered by decode_fragment, which
+// appends its points to the query's arrival buffer in task order on the
+// rank's own thread. The engine starts no thread; concurrency comes from
+// the caller (the QueryService worker pool runs whole queries side by
+// side).
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -49,18 +51,11 @@ Status validate_query(const StoreView& view, const Query& q, int num_ranks) {
 Result<QueryResult> execute_query(const StoreView& view, const Query& q,
                                   int num_ranks, const Bitmap* position_filter,
                                   const ExecOptions& opts,
-                                  WahBitmap* region_wah) {
+                                  Bitmap* region_bits) {
   MLOC_RETURN_IF_ERROR(validate_query(view, q, num_ranks));
-  if (region_wah != nullptr && q.values_needed) {
-    return invalid_argument("query: region_wah requires a region-only query");
+  if (region_bits != nullptr && q.values_needed) {
+    return invalid_argument("query: region_bits requires a region-only query");
   }
-  // Compressed-domain output: hierarchical-index node bitmaps merge per
-  // tree level without ever materializing flat position vectors; only
-  // boundary-bin positions are rasterized. Needs the full grid as the
-  // domain, so an SC or a position filter falls back to the plain path
-  // (the WAH is then built from the filtered positions at the end).
-  const bool wah_mode = region_wah != nullptr && !q.sc.has_value() &&
-                        position_filter == nullptr;
 
   MLOC_ASSIGN_OR_RETURN(
       ReadPlan plan,
@@ -75,18 +70,27 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
   result.cache = sum.cache;
   result.exec = sum.stats;
 
-  struct RankOutput {
-    std::vector<std::uint64_t> positions;
-    std::vector<double> values;
-    /// wah_mode only: per-tree-level OR of this rank's hbx node bitmaps
-    /// (index = HbxNode::level; empty WahBitmap = no nodes at that level).
-    std::vector<WahBitmap> level_wahs;
-  };
-  std::vector<RankOutput> outputs(static_cast<std::size_t>(num_ranks));
+  // A region-only answer that folds .hbx nodes, or one the caller takes as
+  // a bitmap, accumulates in a grid bitmap: node bitmaps OR in word by
+  // word and the answer is already in grid order. Only region-only plans
+  // carry .hbx tasks.
+  const bool has_hbx_tasks =
+      std::any_of(plan.ranks.begin(), plan.ranks.end(),
+                  [](const RankPlan& rp) { return !rp.hbx_tasks.empty(); });
+  std::optional<Bitmap> grid;
+  if (has_hbx_tasks || region_bits != nullptr) {
+    grid.emplace(view.shape->volume());
+  }
+
+  // The arrival buffer: every fragment's qualifying points, appended by
+  // decode_fragment. One buffer serves all ranks because
+  // parallel::run_query_ranks runs rank bodies one after another, so ranks
+  // append in task order.
+  std::vector<std::uint64_t>& arrivals = result.positions;
+  std::vector<double>& arrival_values = result.values;
 
   const auto rank_body = [&](parallel::RankContext& ctx) -> Status {
     RankPlan& rp = plan.ranks[static_cast<std::size_t>(ctx.rank)];
-    RankOutput& out = outputs[static_cast<std::size_t>(ctx.rank)];
 
     // Cold header bytes were consumed by the plan builder; execution is
     // charged for them here so the IoLog matches the planned I/O exactly.
@@ -97,8 +101,9 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
 
     // --- Hierarchical-index nodes: one batch read covers this rank's .hbx
     // segments (scheduled exactly as the plan predicted), then each node's
-    // aggregate bitmap is folded — cached nodes straight from the provider,
-    // fresh ones checksum-verified, decoded, and published back.
+    // aggregate bitmap is folded into the grid bitmap — cached nodes
+    // straight from the provider, fresh ones checksum-verified, decoded,
+    // and published back.
     if (!rp.hbx_tasks.empty()) {
       if (!rp.hbx_segments.empty() && view.verify_hbx) {
         MLOC_RETURN_IF_ERROR(view.verify_hbx());
@@ -113,10 +118,6 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
           const std::vector<Bytes> hbx_buffers,
           view.fs->read_batch(hbx_requests, &ctx.io_log,
                               static_cast<std::uint32_t>(ctx.rank)));
-      if (wah_mode) {
-        out.level_wahs.resize(
-            static_cast<std::size_t>(plan.hbx_header->num_levels()));
-      }
 
       for (const HbxNodeTask& task : rp.hbx_tasks) {
         const index::HbxNode& node = plan.hbx_header->nodes[task.node];
@@ -154,14 +155,10 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
         }
 
         Stopwatch sw_fold;
-        if (wah_mode) {
-          // Compressed-domain fold: OR into this node's tree level.
-          WahBitmap& lw =
-              out.level_wahs[static_cast<std::size_t>(node.level)];
-          lw = lw.size_bits() == 0 ? *wah : WahBitmap::logical_or(lw, *wah);
+        if (!q.sc.has_value() && position_filter == nullptr) {
+          wah->or_into(*grid);
         } else {
-          const Bitmap plain = wah->decompress();
-          plain.for_each_set([&](std::uint64_t pos) {
+          wah->decompress().for_each_set([&](std::uint64_t pos) {
             if (q.sc.has_value() &&
                 !q.sc->contains(view.shape->delinearize(pos))) {
               return;
@@ -169,7 +166,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
             if (position_filter != nullptr && !position_filter->get(pos)) {
               return;
             }
-            out.positions.push_back(pos);
+            grid->set(pos);
           });
         }
         ctx.times.reconstruct += sw_fold.seconds();
@@ -213,7 +210,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
           view.fs->read_batch(requests, &ctx.io_log,
                               static_cast<std::uint32_t>(ctx.rank)));
 
-      // Stage 3: decode + filter each fragment and fold it in task order.
+      // Stage 3: decode + filter each fragment into the arrival buffer, in
+      // task order.
       for (std::size_t ti = a; ti < b; ++ti) {
         const FragmentTask& task = rp.tasks[ti];
         if (task.skipped) continue;
@@ -227,7 +225,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
         in.slots = std::span<const SlotRef>(slots).subspan(
             task.seg_begin - seg_begin, task.seg_count);
         in.buffers = &buffers;
-        DecodedFragment d = decode_fragment(in);
+        DecodedFragment d = decode_fragment(in, arrivals, arrival_values);
         MLOC_RETURN_IF_ERROR(std::move(d.status));
         ctx.times.decompress += d.decompress_s;
         ctx.times.reconstruct += d.reconstruct_s;
@@ -241,10 +239,6 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
             view.provider->insert(key, std::move(d.fresh_payload));
           }
         }
-        out.positions.insert(out.positions.end(), d.positions.begin(),
-                             d.positions.end());
-        out.values.insert(out.values.end(), d.values.begin(),
-                          d.values.end());
       }
       a = b;
     }
@@ -253,56 +247,19 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
   MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(view.fs->config(), num_ranks,
                                                  rank_body, &result));
 
-  // --- Gather: merge rank outputs sorted by position (root process role).
+  // --- Gather: the arrivals into grid order (root process role).
   Stopwatch sw_gather;
-  if (wah_mode) {
-    // Compressed-domain gather: OR the per-rank level bitmaps tree level
-    // by tree level (coarse to fine), then fold in the rasterized
-    // boundary-bin positions. Same set as the flat gather, by OR
-    // associativity; positions stay unmaterialized.
-    WahBitmap acc;
-    std::size_t nlevels = 0;
-    for (const auto& o : outputs) nlevels = std::max(nlevels, o.level_wahs.size());
-    for (std::size_t lvl = nlevels; lvl-- > 0;) {
-      for (const auto& o : outputs) {
-        if (lvl >= o.level_wahs.size()) continue;
-        const WahBitmap& lw = o.level_wahs[lvl];
-        if (lw.size_bits() == 0) continue;
-        acc = acc.size_bits() == 0 ? lw : WahBitmap::logical_or(acc, lw);
-      }
+  if (grid.has_value()) {
+    for (const std::uint64_t pos : arrivals) grid->set(pos);
+    arrivals.clear();
+    if (region_bits != nullptr) {
+      *region_bits = std::move(*grid);
+    } else {
+      arrivals.reserve(grid->count());
+      grid->for_each_set([&](std::uint64_t pos) { arrivals.push_back(pos); });
     }
-    std::size_t nflat = 0;
-    for (const auto& o : outputs) nflat += o.positions.size();
-    if (nflat > 0 || acc.size_bits() == 0) {
-      Bitmap flat(view.shape->volume());
-      for (const auto& o : outputs) {
-        for (const std::uint64_t pos : o.positions) flat.set(pos);
-      }
-      const WahBitmap flat_wah = WahBitmap::compress(flat);
-      acc = acc.size_bits() == 0 ? flat_wah
-                                 : WahBitmap::logical_or(acc, flat_wah);
-    }
-    *region_wah = std::move(acc);
   } else {
-    std::size_t total = 0;
-    for (const auto& o : outputs) total += o.positions.size();
-    result.positions.reserve(total);
-    if (q.values_needed) result.values.reserve(total);
-    for (const auto& o : outputs) {
-      result.positions.insert(result.positions.end(), o.positions.begin(),
-                              o.positions.end());
-      result.values.insert(result.values.end(), o.values.begin(),
-                           o.values.end());
-    }
-    sort_by_position(result.positions, result.values, view.shape->volume());
-    if (region_wah != nullptr) {
-      // SC/filter fallback: the WAH is built from the already-filtered
-      // positions; callers see the same contract either way.
-      Bitmap flat(view.shape->volume());
-      for (const std::uint64_t pos : result.positions) flat.set(pos);
-      *region_wah = WahBitmap::compress(flat);
-      result.positions.clear();
-    }
+    sort_by_position(arrivals, arrival_values, view.shape->volume());
   }
   // Ranks synchronize before the gather, so it adds to their CPU maximum.
   result.times.reconstruct += sw_gather.seconds();

@@ -13,14 +13,19 @@
 //   IoScheduler    merges each rank's segments into batch extents
 //                  (exec/io_scheduler.hpp);
 //   decode_fragment decodes + filters each fragment on the rank's own
-//                  thread, folded in task order (exec/decode_pipeline.hpp);
-//   gather         radix-sorts the concatenated rank outputs into grid
-//                  order (exec/gather.hpp).
+//                  thread and appends its points to the query's one
+//                  arrival buffer, in task order (exec/decode_pipeline.hpp);
+//   gather         puts the arrivals into grid order: a dense answer is
+//                  placed through a grid bitmap by prefix popcount, a
+//                  sparse one radix-sorted (exec/gather.hpp). A
+//                  region-only answer that folds .hbx nodes, or that the
+//                  caller takes as a bitmap, accumulates in a grid bitmap
+//                  instead and is read off in order.
 //
 // Determinism: rank bodies run sequentially (parallel::run_query_ranks,
-// which also charges the merged I/O and per-phase CPU) and each folds its
-// fragments in task order — results and provider contents are identical
-// for any rank count.
+// which also charges the merged I/O and per-phase CPU) and each appends
+// its fragments in task order — results and provider contents are
+// identical for any rank count.
 #pragma once
 
 #include <cstdint>
@@ -170,17 +175,17 @@ Status validate_query(const StoreView& view, const Query& q, int num_ranks);
 /// multivariable pass 2: only positions with a set bit qualify, and
 /// build_plan prunes the chunks that hold none.
 ///
-/// `region_wah` (optional, region-only queries without SC/filter only):
-/// when non-null, qualifying positions are returned as a WAH bitmap over
-/// grid offsets instead of result.positions — hierarchical-index node
-/// bitmaps merge per tree level directly in the compressed domain, and
-/// only boundary-bin positions are rasterized. This is how multivariable
-/// selection ANDs partial results without materializing flat per-variable
-/// position vectors.
+/// `region_bits` (optional, region-only queries only): when non-null, the
+/// qualifying positions are returned as a plain bitmap over grid offsets
+/// instead of result.positions. Hierarchical-index node bitmaps OR into it
+/// word by word (with an SC or a position filter, bit by bit through the
+/// same tests) and fragment points are set in it. This is how
+/// multivariable selection combines pass-1 answers without materializing
+/// per-variable position vectors.
 Result<QueryResult> execute_query(const StoreView& view, const Query& q,
                                   int num_ranks, const Bitmap* position_filter,
                                   const ExecOptions& opts,
-                                  WahBitmap* region_wah = nullptr);
+                                  Bitmap* region_bits = nullptr);
 
 /// Cost a query without executing it: the PlanSummary of the same plan
 /// execute_query would run, with no side effects on any cache. Feeding

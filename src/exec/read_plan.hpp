@@ -10,8 +10,11 @@
 //                      per merged extent, matching the PFS cost model);
 //   3. decode_fragment— positional-index decode, codec decode, PLoD
 //                      reassembly and the row-walk filter, one fragment at
-//                      a time on the rank's own thread, folded in task
-//                      order.
+//                      a time on the rank's own thread, appending to the
+//                      query's one arrival buffer in task order; the gather
+//                      then puts the arrivals into grid order (a grid
+//                      bitmap for dense or region-only answers, a radix
+//                      sort for sparse ones).
 //
 // PlanSummary is the *costable* image of a query: the planner derives its
 // estimates from the same plan the engine executes, so extent and byte

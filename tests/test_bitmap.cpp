@@ -1,9 +1,11 @@
 // Tests for src/bitmap: plain bitset semantics, WAH round-trips (property
-// sweeps over densities), compressed-domain ops vs naive reference, and
+// sweeps over densities), the word-level WAH → plain decoder against a
+// bit-by-bit one, compressed-domain ops vs naive reference, and
 // corrupt-stream rejection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -146,6 +148,93 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{1000ull, 0.05}, std::tuple{1000ull, 0.5},
                       std::tuple{1000ull, 0.95}, std::tuple{100000ull, 0.01},
                       std::tuple{100000ull, 0.5}));
+
+/// Bit i of a WAH word stream, set group by group (the decoder or_into
+/// replaced): the reference for the hand-built streams below.
+Bitmap decode_bit_by_bit(std::uint64_t nbits,
+                         const std::vector<std::uint32_t>& words) {
+  Bitmap out(nbits);
+  std::uint64_t bitpos = 0;
+  for (const std::uint32_t w : words) {
+    const bool fill = (w >> 31) != 0;
+    const std::uint64_t groups = fill ? (w & 0x3FFFFFFFu) : 1;
+    for (std::uint64_t g = 0; g < groups; ++g, bitpos += 31) {
+      const std::uint32_t payload =
+          fill ? (((w >> 30) & 1u) != 0 ? 0x7FFFFFFFu : 0u) : w;
+      for (int b = 0; b < 31; ++b) {
+        if (((payload >> b) & 1u) != 0) out.set(bitpos + b);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Wah, OrIntoMatchesRoundTrip) {
+  // Compressed plain bitmaps: decompress is the identity, and or_into a
+  // non-empty destination equals the plain OR.
+  for (const std::uint64_t nbits :
+       {0ull, 1ull, 31ull, 63ull, 64ull, 65ull, 1000ull, 4097ull, 100003ull}) {
+    Bitmap clustered(nbits);
+    for (std::uint64_t i = 0; i < nbits; ++i) {
+      if ((i / 97) % 3 == 1) clustered.set(i);
+    }
+    for (const Bitmap& b : {random_bitmap(nbits, 0.3, nbits + 5),
+                            random_bitmap(nbits, 0.002, nbits + 6),
+                            clustered}) {
+      const WahBitmap wah = WahBitmap::compress(b);
+      EXPECT_EQ(wah.decompress(), b) << "nbits " << nbits;
+      Bitmap d = random_bitmap(nbits, 0.1, nbits + 7);
+      Bitmap expect = d;
+      expect |= b;
+      wah.or_into(d);
+      EXPECT_EQ(d, expect) << "nbits " << nbits;
+    }
+  }
+
+  // Hand-built streams (group g covers bits [31g, 31g + 31)).
+  struct Case {
+    const char* what;
+    std::uint64_t nbits;
+    std::vector<std::uint32_t> words;
+  };
+  const std::vector<Case> cases = {
+      // Bits 31..92: starts mid-word 0, ends mid-word 1.
+      {"1-fill across a 64-bit boundary", 310,
+       {0x1u, 0xC0000002u, 0x80000007u}},
+      // Bits 31..61: inside word 0.
+      {"1-fill inside one word", 310, {0x80000001u, 0xC0000001u, 0x80000008u}},
+      // Bits 31..154, nbits % 31 == 0: the fill ends the stream in the final
+      // (partial) 64-bit word.
+      {"1-fill into the final partial word", 155, {0x40000001u, 0xC0000004u}},
+      // Groups 1..3 zero, up to the end of a 100-bit grid.
+      {"0-fill into the final partial group", 100, {0x7FFFFFFFu, 0x80000003u}},
+      // Group 2 (bits 62..92) and group 4 (bits 124..154) straddle words;
+      // the final group (bits 186..199) is partial.
+      {"literal straddling two words", 200,
+       {0x80000002u, 0x7FFFFFFDu, 0x1u, 0x55555555u, 0x80000002u}},
+      // Group 6 (bits 186..216) straddles words 2 and 3, final group partial.
+      {"straddle next to a 1-fill", 217,
+       {0xC0000006u, 0x7FFFFFFFu >> 1}},
+  };
+  for (const Case& c : cases) {
+    ByteWriter w;
+    w.put_varint(c.nbits);
+    w.put_varint(c.words.size());
+    for (const std::uint32_t word : c.words) w.put_u32(word);
+    ByteReader r(w.bytes());
+    auto wah = WahBitmap::deserialize(r);
+    ASSERT_TRUE(wah.is_ok()) << c.what << ": " << wah.status().to_string();
+    const Bitmap expect = decode_bit_by_bit(c.nbits, c.words);
+    EXPECT_EQ(wah.value().decompress(), expect) << c.what;
+    EXPECT_EQ(wah.value().count(), expect.count()) << c.what;
+    Bitmap d(c.nbits);
+    d.set(c.nbits - 1);
+    Bitmap expect_or = expect;
+    expect_or.set(c.nbits - 1);
+    wah.value().or_into(d);
+    EXPECT_EQ(d, expect_or) << c.what;
+  }
+}
 
 TEST(Wah, SparseBitmapCompressesWell) {
   // 1M bits with 0.1% density: WAH should be far below the 125 KB raw size.
@@ -373,6 +462,37 @@ TEST(Wah, DeserializeRejectsAbsurdWordCount) {
   w.put_varint(1ull << 40);  // claims a trillion words
   ByteReader r(w.bytes());
   EXPECT_FALSE(WahBitmap::deserialize(r).is_ok());
+}
+
+TEST(Wah, DeserializeRejectsPaddingBitsPastSize) {
+  // 40 bits = 2 groups; the final group holds bits 31..61, so its payload
+  // bits 9 and up are padding.
+  const auto stream = [](std::vector<std::uint32_t> words) {
+    ByteWriter w;
+    w.put_varint(40);
+    w.put_varint(words.size());
+    for (const std::uint32_t word : words) w.put_u32(word);
+    return std::move(w).take();
+  };
+  for (const std::vector<std::uint32_t>& words :
+       {std::vector<std::uint32_t>{0x1u, 1u << 20},       // bit 51
+        std::vector<std::uint32_t>{0x1u, 1u << 9},        // bit 40
+        std::vector<std::uint32_t>{0x1u, 0xC0000001u}}) {  // 1-fill
+    const Bytes bytes = stream(words);
+    ByteReader r(bytes);
+    auto res = WahBitmap::deserialize(r);
+    ASSERT_FALSE(res.is_ok()) << "final word " << words.back();
+    EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
+    EXPECT_NE(res.status().to_string().find("padding"), std::string::npos)
+        << res.status().to_string();
+  }
+  // Bit 39, the last real bit, is accepted.
+  const Bytes last_bit = stream({0x1u, 1u << 8});
+  ByteReader r(last_bit);
+  auto ok = WahBitmap::deserialize(r);
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value().count(), 2u);
+  EXPECT_EQ(ok.value().decompress().count(), 2u);
 }
 
 // ---------------------------------------------------------------------------

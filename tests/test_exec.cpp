@@ -3,10 +3,12 @@
 // extent/seek reduction on a Table-VI-style query mix, planner exact-match
 // against execution on cold caches, header-cache reuse on reopened stores,
 // fsck cleanliness after engine queries, a threads x shared-cache
-// stress for TSan, and the radix gather against the pair-sort reference.
+// stress for TSan, the gather (bitmap placement and radix sort) against the
+// pair-sort reference, and region-only answers taken as a grid bitmap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -16,8 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "compress/registry.hpp"
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
+#include "exec/engine.hpp"
 #include "exec/gather.hpp"
 #include "exec/io_scheduler.hpp"
 #include "tune/tuner.hpp"
@@ -446,15 +450,25 @@ std::vector<std::uint64_t> distinct_positions(std::uint64_t volume,
   return out;
 }
 
-// Volumes straddle the 11-bit digit (one and two passes), leave a top
-// digit that is constant for nearly every input (2^22 + 1), and need more
-// than 32 key bits (2^33 + 5).
+// The whole gather against the pair-sort reference. Volumes straddle the
+// 11-bit digit (one and two radix passes), leave a top digit that is
+// constant for nearly every input (2^22 + 1), and need more than 32 key
+// bits (2^33 + 5). For 2^11 + 1 and 2^22 + 1 the sizes ceil(volume/64) - 1
+// and ceil(volume/64) sit on either side of the dense rule (n * 64 >=
+// volume), so the radix sort and the bitmap placement both run at the
+// boundary; 100000 points over 2^11 + 1 and 2^22 + 1 are dense, and over
+// 2^33 + 5 sparse.
 TEST(Gather, RadixMatchesPairSortReference) {
   Rng rng(2024);
   const std::uint64_t volumes[] = {
       1, 2, 1u << 11, (1u << 11) + 1, (1u << 22) + 1, (1ull << 33) + 5};
-  const std::size_t sizes[] = {0, 1, 2, 100000};
   for (const std::uint64_t volume : volumes) {
+    std::vector<std::size_t> sizes = {0, 1, 2, 100000};
+    if (volume == (1u << 11) + 1 || volume == (1u << 22) + 1) {
+      const auto words = static_cast<std::size_t>((volume + 63) / 64);
+      sizes.push_back(words - 1);
+      sizes.push_back(words);
+    }
     for (const std::size_t size : sizes) {
       const auto n = static_cast<std::size_t>(
           std::min<std::uint64_t>(size, volume));
@@ -485,6 +499,138 @@ TEST(Gather, RadixMatchesPairSortReference) {
       }
     }
   }
+}
+
+// ------------------------------------------------ region-only grid bitmap
+
+/// The engine-facing view MlocStore builds for `var`, assembled from its
+/// public accessors, so a test can call exec::execute_query with a
+/// position filter and region_bits. No header caches, no lazy footer
+/// checks.
+struct TestView {
+  std::string var;
+  std::shared_ptr<const ByteCodec> byte_codec;
+  std::shared_ptr<const DoubleCodec> double_codec;
+  exec::StoreView view;
+};
+
+std::unique_ptr<TestView> view_of(pfs::PfsStorage& fs, const MlocStore& store,
+                                  const std::string& var) {
+  auto tv = std::make_unique<TestView>();
+  tv->var = var;
+  exec::StoreView& v = tv->view;
+  v.fs = &fs;
+  v.shape = &store.config().shape;
+  v.layout = store.variable_layout(var).value();
+  v.chunk_grid = store.chunk_grid(var).value();
+  v.var = &tv->var;
+  v.scheme = store.binning(var).value();
+  v.epoch = store.describe(var).value().epoch;
+  const std::vector<MlocStore::BinSubfiles> bins =
+      store.bin_subfiles(var).value();
+  for (const auto& b : bins) {
+    v.bins.push_back({b.idx, b.dat, b.header_len, nullptr});
+  }
+  if (is_byte_codec(v.layout->codec)) {
+    tv->byte_codec = make_byte_codec(v.layout->codec).value();
+    v.byte_codec = tv->byte_codec.get();
+  } else {
+    tv->double_codec = make_double_codec(v.layout->codec).value();
+    v.double_codec = tv->double_codec.get();
+  }
+  const MlocStore::HbxSubfile hbx = store.hbx_subfile(var).value();
+  v.hbx.present = hbx.present;
+  v.hbx.file = hbx.file;
+  v.hbx.header_len = hbx.header_len;
+  return tv;
+}
+
+// execute_query with region_bits sets exactly the positions the same query
+// returns without it: .hbx on (node bitmaps OR into the grid bitmap, or go
+// bit by bit under an SC or a filter) and off, at 1 and 3 ranks, with no
+// provider, on a FragmentCache fill, and on a cache hit. Both also equal
+// the flat path's answer (.hbx off, one rank, no provider), which decodes
+// no node bitmap.
+TEST(Engine, RegionBitsMatchPositions) {
+  const Grid grid = datagen::gts_like(64, 42);
+  MlocConfig cfg = small_config(grid.shape(), NDShape{16, 16}, "mzip");
+  cfg.layout.index_fanout = 4;
+  pfs::PfsStorage fs;
+  auto store = MlocStore::create(&fs, "s", cfg);
+  ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+  ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+  const std::unique_ptr<TestView> tv = view_of(fs, store.value(), "phi");
+  ASSERT_TRUE(tv->view.hbx.present);
+  const std::uint64_t volume = grid.shape().volume();
+
+  Bitmap filter(volume);
+  Rng rng(99);
+  for (std::uint64_t p = 0; p < volume; ++p) {
+    if (rng.next_double() < 0.4) filter.set(p);
+  }
+  Query q;
+  q.vc = datagen::random_vc(grid, 0.5, rng);
+  q.values_needed = false;
+  Query with_sc = q;
+  with_sc.sc = Region(2, {8, 4}, {40, 60});
+
+  struct Shape {
+    const char* what;
+    const Query* query;
+    const Bitmap* filter;
+  };
+  const Shape shapes[] = {{"no SC", &q, nullptr},
+                          {"SC", &with_sc, nullptr},
+                          {"position filter", &q, &filter}};
+  exec::ExecOptions flat;
+  flat.use_hbx = false;
+  std::vector<std::vector<std::uint64_t>> flat_answers;
+  for (const Shape& shape : shapes) {
+    auto r = exec::execute_query(tv->view, *shape.query, 1, shape.filter, flat);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    flat_answers.push_back(std::move(r.value().positions));
+  }
+  bool hbx_engaged = false;
+  for (const bool use_hbx : {true, false}) {
+    exec::ExecOptions opts;
+    opts.use_hbx = use_hbx;
+    for (std::size_t si = 0; si < std::size(shapes); ++si) {
+      const Shape& shape = shapes[si];
+      for (const int ranks : {1, 3}) {
+        service::FragmentCache cache;
+        for (const char* provider : {"none", "fill", "hit"}) {
+          SCOPED_TRACE(std::string(shape.what) + ", hbx " +
+                       (use_hbx ? "on" : "off") + ", ranks " +
+                       std::to_string(ranks) + ", provider " + provider);
+          tv->view.provider =
+              std::string_view(provider) == "none" ? nullptr : &cache;
+          Bitmap bits;
+          auto as_bits = exec::execute_query(tv->view, *shape.query, ranks,
+                                             shape.filter, opts, &bits);
+          ASSERT_TRUE(as_bits.is_ok()) << as_bits.status().to_string();
+          auto as_positions = exec::execute_query(
+              tv->view, *shape.query, ranks, shape.filter, opts);
+          ASSERT_TRUE(as_positions.is_ok())
+              << as_positions.status().to_string();
+          ASSERT_EQ(bits.size(), volume);
+          std::vector<std::uint64_t> set;
+          bits.for_each_set([&](std::uint64_t p) { set.push_back(p); });
+          EXPECT_FALSE(set.empty());
+          EXPECT_EQ(set, as_positions.value().positions);
+          EXPECT_EQ(set, flat_answers[si]);
+          EXPECT_TRUE(as_bits.value().positions.empty());
+          if (std::string_view(provider) == "fill") {
+            EXPECT_GT(as_bits.value().cache.misses, 0u);
+          }
+          if (std::string_view(provider) == "hit") {
+            EXPECT_GT(as_bits.value().cache.hits, 0u);
+          }
+          hbx_engaged = hbx_engaged || as_bits.value().aligned_bins > 0;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(hbx_engaged);
 }
 
 }  // namespace

@@ -479,6 +479,70 @@ std::string checks_of(const fsck::Report& r) {
   return out;
 }
 
+/// The sealed s/phi.hbx of a fsck store, parsed for in-place tampering.
+struct HbxImage {
+  pfs::FileId fid = 0;
+  Bytes content;
+  std::size_t payload_end = 0;  ///< bytes before the footer
+  HbxHeader header;
+};
+
+HbxImage read_hbx(pfs::PfsStorage& fs) {
+  HbxImage img;
+  auto fid = fs.open("s/phi.hbx");
+  EXPECT_TRUE(fid.is_ok());
+  img.fid = fid.value();
+  const std::uint64_t size = fs.file_size(img.fid).value();
+  img.content = fs.read(img.fid, 0, size).value();
+  auto payload = verify_subfile_footer(img.content);
+  EXPECT_TRUE(payload.is_ok());
+  img.payload_end = payload.value();
+  auto header = HbxHeader::deserialize(
+      std::span<const std::uint8_t>(img.content).first(img.payload_end));
+  EXPECT_TRUE(header.is_ok()) << header.status().to_string();
+  img.header = std::move(header).value();
+  return img;
+}
+
+/// Byte offset of node `id`'s serialized bitmap and of its first WAH word,
+/// and its word count.
+struct NodeWords {
+  std::size_t node_off = 0;
+  std::size_t words_off = 0;
+  std::uint64_t nwords = 0;
+};
+
+NodeWords node_words(const HbxImage& img, std::size_t id) {
+  const HbxNode& n = img.header.nodes[id];
+  NodeWords out;
+  out.node_off = static_cast<std::size_t>(img.header.header_len + n.offset);
+  ByteReader r(std::span<const std::uint8_t>(img.content)
+                   .subspan(out.node_off, n.length));
+  EXPECT_TRUE(r.get_varint().is_ok());  // nbits
+  auto nwords = r.get_varint();
+  EXPECT_TRUE(nwords.is_ok());
+  out.nwords = nwords.value();
+  out.words_off = out.node_off + r.position();
+  return out;
+}
+
+/// Recompute node `id`'s FNV checksum, write the header back, re-seal the
+/// footer and store the file. False (nothing stored) when the header's
+/// size changed, since the store's meta records it.
+bool reseal_node(pfs::PfsStorage& fs, HbxImage& img, std::size_t id) {
+  HbxNode& n = img.header.nodes[id];
+  n.checksum = fnv1a64(std::span<const std::uint8_t>(img.content)
+                           .subspan(img.header.header_len + n.offset,
+                                    n.length));
+  const Bytes head = img.header.serialize();
+  if (head.size() != img.header.header_len) return false;
+  std::memcpy(img.content.data(), head.data(), head.size());
+  img.content.resize(img.payload_end);
+  append_subfile_footer(img.content);
+  EXPECT_TRUE(fs.set_contents(img.fid, std::move(img.content)).is_ok());
+  return true;
+}
+
 /// Swap one set and one clear payload bit inside a literal WAH word of
 /// node `id`'s serialized bitmap, recompute the node's FNV checksum in the
 /// header, and re-seal the footer. Length, stream validity, bit width and
@@ -486,56 +550,53 @@ std::string checks_of(const fsck::Report& r) {
 /// leaf vs positional index) can trip. Returns false when the node has no
 /// mutable literal word.
 bool corrupt_node_bitmap(pfs::PfsStorage& fs, std::size_t id) {
-  auto fid = fs.open("s/phi.hbx");
-  EXPECT_TRUE(fid.is_ok());
-  const std::uint64_t size = fs.file_size(fid.value()).value();
-  Bytes content = fs.read(fid.value(), 0, size).value();
-  auto payload = verify_subfile_footer(content);
-  EXPECT_TRUE(payload.is_ok());
-  auto header = HbxHeader::deserialize(
-      std::span<const std::uint8_t>(content).first(payload.value()));
-  EXPECT_TRUE(header.is_ok()) << header.status().to_string();
-  HbxHeader h = std::move(header).value();
-  const HbxNode& n = h.nodes[id];
-
-  const std::size_t node_off =
-      static_cast<std::size_t>(h.header_len + n.offset);
-  const auto node_span =
-      std::span<const std::uint8_t>(content).subspan(node_off, n.length);
-  ByteReader r(node_span);
-  EXPECT_TRUE(r.get_varint().is_ok());  // nbits
-  auto nwords = r.get_varint();
-  EXPECT_TRUE(nwords.is_ok());
-  const std::size_t words_off = node_off + r.position();
-
-  bool mutated = false;
+  HbxImage img = read_hbx(fs);
+  const NodeWords nw = node_words(img, id);
   // Skip the final word: flipping padding bits in the last group would
   // change count() and trip the popcount check instead.
-  for (std::uint64_t w = 0; nwords.value() > 0 && w + 1 < nwords.value();
-       ++w) {
+  for (std::uint64_t w = 0; nw.nwords > 0 && w + 1 < nw.nwords; ++w) {
     std::uint32_t word;
-    std::memcpy(&word, content.data() + words_off + 4 * w, 4);
+    std::memcpy(&word, img.content.data() + nw.words_off + 4 * w, 4);
     const std::uint32_t lit = word & 0x7FFF'FFFFu;
     if ((word >> 31) != 0 || lit == 0 || lit == 0x7FFF'FFFFu) continue;
     const std::uint32_t lowest_set = lit & (~lit + 1);
     const std::uint32_t inv = ~lit & 0x7FFF'FFFFu;
     const std::uint32_t lowest_clear = inv & (~inv + 1);
     word = (word ^ lowest_set) | lowest_clear;
-    std::memcpy(content.data() + words_off + 4 * w, &word, 4);
-    mutated = true;
-    break;
+    std::memcpy(img.content.data() + nw.words_off + 4 * w, &word, 4);
+    // Only a fixed-width u64 changes in the header.
+    EXPECT_TRUE(reseal_node(fs, img, id));
+    return true;
   }
-  if (!mutated) return false;
+  return false;
+}
 
-  h.nodes[id].checksum = fnv1a64(
-      std::span<const std::uint8_t>(content).subspan(node_off, n.length));
-  const Bytes img = h.serialize();
-  EXPECT_EQ(img.size(), h.header_len);  // only a fixed-width u64 changed
-  std::memcpy(content.data(), img.data(), img.size());
-  content.resize(payload.value());
-  append_subfile_footer(content);
-  EXPECT_TRUE(fs.set_contents(fid.value(), std::move(content)).is_ok());
-  return true;
+/// Set the first padding bit (the grid's volume, one past its last point)
+/// in node `id`'s final WAH group, then re-seal the node's popcount, FNV
+/// checksum and the footer, so the node passes the popcount check that a
+/// plain padding flip would trip. A final 0-fill of one group is rewritten
+/// as a literal in place. Returns false when `id` is past the node table,
+/// the final word is a longer fill (rewriting it would split the word), or
+/// the re-sealed popcount would change the header's size.
+bool set_node_padding_bit(pfs::PfsStorage& fs, std::size_t id) {
+  HbxImage img = read_hbx(fs);
+  if (id >= img.header.nodes.size()) return false;
+  const std::uint64_t nbits = img.header.nbits;
+  const std::uint64_t valid = nbits - 31 * ((nbits + 30) / 31 - 1);
+  EXPECT_LT(valid, 31u) << "grid volume leaves no padding bits";
+  const NodeWords nw = node_words(img, id);
+  if (nw.nwords == 0) return false;
+  const std::size_t last_off = nw.words_off + 4 * (nw.nwords - 1);
+  std::uint32_t word;
+  std::memcpy(&word, img.content.data() + last_off, 4);
+  if ((word >> 31) != 0) {
+    if (word != 0x8000'0001u) return false;  // not a one-group 0-fill
+    word = 0;
+  }
+  word |= 1u << valid;
+  std::memcpy(img.content.data() + last_off, &word, 4);
+  img.header.nodes[id].popcount += 1;
+  return reseal_node(fs, img, id);
 }
 
 TEST(HbxFsck, CleanStorePassesIndexChecks) {
@@ -593,6 +654,51 @@ TEST(HbxFsck, DetectsLeafPositionalMismatch) {
     }
   }
   EXPECT_TRUE(leaf_issue) << checks_of(report);
+}
+
+// A node whose final group sets a bit past the grid volume, re-sealed so
+// its popcount, checksum and footer all agree: fsck must flag it, and a
+// region-only query answered from that node must fail as corrupt instead
+// of dropping (or returning) the out-of-grid position.
+TEST(HbxFsck, DetectsPaddingBitPastGrid) {
+  pfs::PfsStorage fs;
+  build_fsck_store(fs);
+  std::size_t id = 0;
+  while (id < 64 && !set_node_padding_bit(fs, id)) ++id;
+  ASSERT_LT(id, 64u) << "no node with a rewritable final group";
+
+  fsck::LayoutVerifier verifier(&fs);
+  const fsck::Report report = verifier.verify_store("s");
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_check(report, "index")) << checks_of(report);
+  bool padding_issue = false;
+  for (const auto& i : report.issues) {
+    if (i.check == "index" && i.detail.find("padding") != std::string::npos) {
+      padding_issue = true;
+    }
+  }
+  EXPECT_TRUE(padding_issue) << checks_of(report);
+
+  auto store = MlocStore::open(&fs, "s");
+  ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+  auto fid = fs.open("s/phi.hbx");
+  ASSERT_TRUE(fid.is_ok());
+  const std::uint64_t header_len =
+      store.value().hbx_subfile("phi").value().header_len;
+  auto header =
+      HbxHeader::deserialize(fs.read(fid.value(), 0, header_len).value());
+  ASSERT_TRUE(header.is_ok());
+  const HbxNode& node = header.value().nodes[id];
+  const BinningScheme* scheme = store.value().binning("phi").value();
+  Query q;
+  q.vc = ValueConstraint{scheme->lower(node.first_bin),
+                         scheme->upper(node.last_bin())};
+  q.values_needed = false;
+  auto res = store.value().execute("phi", q);
+  ASSERT_FALSE(res.is_ok()) << "node " << id << " answered "
+                            << res.value().positions.size() << " positions";
+  EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData)
+      << res.status().to_string();
 }
 
 TEST(HbxFsck, DetectsTruncatedHbx) {
