@@ -53,7 +53,7 @@ int main() {
     table.add_row(
         "PLoD " + std::to_string(level) + " (" + std::to_string(level + 1) +
             "B)",
-        {static_cast<double>(res.value().bytes_read) / 1e6, 100.0,
+        {static_cast<double>(res.value().exec.bytes_read) / 1e6, 100.0,
          plod::level_max_relative_error(level),
          std::abs(stats.mean - truth.mean) / std::abs(truth.mean)},
         "%.3g");
@@ -65,7 +65,7 @@ int main() {
     const auto stats = analytics::compute_stats(res.value().values);
     table.add_row(
         "Subset lvl " + std::to_string(level),
-        {static_cast<double>(res.value().bytes_read) / 1e6,
+        {static_cast<double>(res.value().exec.bytes_read) / 1e6,
          100.0 * subset_store.value().coverage(level),
          0.0,  // returned points are exact...
          std::abs(stats.mean - truth.mean) / std::abs(truth.mean)},

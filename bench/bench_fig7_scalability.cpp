@@ -40,7 +40,7 @@ int main() {
         auto res = store.value().execute("v", q, ranks);
         MLOC_CHECK(res.is_ok());
         sum += res.value().times;
-        bytes += res.value().bytes_read;
+        bytes += res.value().exec.bytes_read;
       }
       sum /= queries;
       const double throughput =

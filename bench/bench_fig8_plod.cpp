@@ -39,7 +39,7 @@ int main() {
         auto res = store.value().execute("v", q, kRanks);
         MLOC_CHECK(res.is_ok());
         sum += res.value().times;
-        bytes += res.value().bytes_read;
+        bytes += res.value().exec.bytes_read;
       }
       sum /= queries;
       table.add_row("PLoD " + std::to_string(level) + " (" +

@@ -78,8 +78,8 @@ CellResult run_cell(service::QueryService& svc, int clients, int rounds,
           MLOC_CHECK_MSG(resp.status.is_ok(),
                          resp.status.to_string().c_str());
           cache[t] += resp.stats.cache;
-          modeled[t] += resp.stats.modeled_s;
-          my_modeled.push_back(resp.stats.modeled_s);
+          modeled[t] += resp.result.times.total();
+          my_modeled.push_back(resp.result.times.total());
           my_wall.push_back(resp.stats.queue_wait_s + resp.stats.exec_wall_s);
           ++done[t];
         }

@@ -55,10 +55,10 @@ int main() {
         " %llu bins) | scan %.4fs (%5.2f MB)\n",
         threshold, 100 * (1 - quantile), mloc_res.value().positions.size(),
         mloc_res.value().times.total(),
-        static_cast<double>(mloc_res.value().bytes_read) / 1e6,
+        static_cast<double>(mloc_res.value().exec.bytes_read) / 1e6,
         static_cast<unsigned long long>(mloc_res.value().bins_touched),
         scan_res.value().times.total(),
-        static_cast<double>(scan_res.value().bytes_read) / 1e6);
+        static_cast<double>(scan_res.value().exec.bytes_read) / 1e6);
   }
   std::printf("answers verified identical against the sequential scan\n");
   return 0;

@@ -10,6 +10,8 @@
 //   mloc_cli plan  --store DIR (same query options) [--max-ranks N]
 //
 // `build` defaults --chunk to 128 (gts) or 32 (3-D), capped at --edge.
+// A malformed option is a usage error (exit 2, tools/cli.hpp); a query the
+// store refuses exits 1.
 // `plan` costs a query without running it: the recommended rank count and
 // the plan's bins, fragments, seeks, bytes and modeled I/O seconds.
 //
@@ -20,56 +22,24 @@
 //   mloc_cli plan  --store /tmp/gts --vc 0.4:0.6 --max-ranks 16
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
+#include <limits>
 #include <string>
-#include <vector>
 
 #include "compress/registry.hpp"
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
+#include "tools/cli.hpp"
 #include "tune/tuner.hpp"
 
 using namespace mloc;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> flags;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+/// Prints `why` (when set) and the usage text; exit code 2.
+int usage(const Status& why = Status::ok()) {
+  if (!why.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", why.to_string().c_str());
   }
-  [[nodiscard]] bool has_flag(const std::string& name) const {
-    for (const auto& f : flags) {
-      if (f == name) return true;
-    }
-    return false;
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
-    token = token.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[token] = argv[++i];
-    } else {
-      args.flags.push_back(token);
-    }
-  }
-  return args;
-}
-
-int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
@@ -90,48 +60,58 @@ int fail(const Status& status) {
   return 1;
 }
 
-int cmd_build(const Args& args) {
+int cmd_build(const cli::Args& args) {
   const std::string out = args.get("out");
   if (out.empty()) return usage();
   const std::string dataset = args.get("dataset", "gts");
-  const auto seed =
-      static_cast<std::uint64_t>(std::atoll(args.get("seed", "1").c_str()));
-  const auto edge = static_cast<std::uint32_t>(
-      std::atoi(args.get("edge", dataset == "gts" ? "1024" : "96").c_str()));
-  const std::uint32_t default_chunk =
-      std::min<std::uint32_t>(dataset == "gts" ? 128 : 32, edge);
-  const auto chunk = static_cast<std::uint32_t>(std::atoi(
-      args.get("chunk", std::to_string(default_chunk)).c_str()));
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+  auto seed = args.get_int("seed", 1, 0,
+                           std::numeric_limits<std::int64_t>::max());
+  auto edge = args.get_int("edge", dataset == "gts" ? 1024 : 96, 1, kMaxU32);
+  auto bins = args.get_int("bins", 100, 1, kMaxInt);
+  auto fanout = args.get_int("index-fanout", 0, 0, kMaxInt);
+  auto threads = args.get_int("threads", 1, 1, 256);
+  for (const Status& st : {seed.status(), edge.status(), bins.status(),
+                           fanout.status(), threads.status()}) {
+    if (!st.is_ok()) return usage(st);
+  }
+  auto chunk = args.get_int(
+      "chunk", std::min<std::int64_t>(dataset == "gts" ? 128 : 32, edge.value()),
+      1, kMaxU32);
+  if (!chunk.is_ok()) return usage(chunk.status());
+  const auto edge_u = static_cast<std::uint32_t>(edge.value());
+  const auto chunk_u = static_cast<std::uint32_t>(chunk.value());
 
   Grid grid;
   if (dataset == "gts") {
-    grid = datagen::gts_like(edge, seed);
+    grid = datagen::gts_like(edge_u, static_cast<std::uint64_t>(seed.value()));
   } else if (dataset == "s3d") {
-    grid = datagen::s3d_like(edge, seed);
+    grid = datagen::s3d_like(edge_u, static_cast<std::uint64_t>(seed.value()));
   } else if (dataset == "velocity") {
-    grid = datagen::s3d_velocity_like(edge, seed);
+    grid = datagen::s3d_velocity_like(edge_u,
+                                      static_cast<std::uint64_t>(seed.value()));
   } else {
-    std::fprintf(stderr, "unknown dataset: %s\n", dataset.c_str());
-    return 2;
+    return usage(invalid_argument("unknown dataset: " + dataset));
   }
 
   MlocConfig cfg;
   cfg.shape = grid.shape();
   cfg.layout.chunk_shape = (grid.shape().ndims() == 2)
-                        ? NDShape{chunk, chunk}
-                        : NDShape{chunk, chunk, chunk};
-  cfg.layout.num_bins = std::atoi(args.get("bins", "100").c_str());
+                        ? NDShape{chunk_u, chunk_u}
+                        : NDShape{chunk_u, chunk_u, chunk_u};
+  cfg.layout.num_bins = static_cast<int>(bins.value());
   cfg.layout.codec = args.get("codec", "mzip");
   cfg.layout.order =
       args.get("order", "vms") == "vsm" ? LevelOrder::kVSM : LevelOrder::kVMS;
-  cfg.layout.index_fanout = std::atoi(args.get("index-fanout", "0").c_str());
+  cfg.layout.index_fanout = static_cast<int>(fanout.value());
 
   pfs::PfsStorage fs;
   auto store = MlocStore::create(&fs, "store", cfg);
   if (!store.is_ok()) return fail(store.status());
   const std::string var = args.get("var", "v");
   ingest::WriteOptions wopts;
-  wopts.threads = std::max(1, std::atoi(args.get("threads", "1").c_str()));
+  wopts.threads = static_cast<int>(threads.value());
   wopts.write_behind = args.has_flag("write-behind");
   if (Status s = store.value().write_variable(var, grid, wopts); !s.is_ok()) {
     return fail(s);
@@ -152,7 +132,7 @@ int cmd_build(const Args& args) {
   return 0;
 }
 
-int cmd_info(const Args& args) {
+int cmd_info(const cli::Args& args) {
   const std::string dir = args.get("store");
   if (dir.empty()) return usage();
   // The store borrows the storage; keep both in this scope.
@@ -183,78 +163,31 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-bool parse_range(const std::string& text, double* lo, double* hi) {
-  const auto colon = text.find(':');
-  if (colon == std::string::npos) return false;
-  *lo = std::atof(text.substr(0, colon).c_str());
-  *hi = std::atof(text.substr(colon + 1).c_str());
-  return true;
-}
-
-Result<Query> parse_query(const Args& args, const MlocStore& store) {
-  Query q;
-  if (const std::string vc = args.get("vc"); !vc.empty()) {
-    double lo = 0, hi = 0;
-    if (!parse_range(vc, &lo, &hi)) {
-      return invalid_argument("--vc expects LO:HI");
-    }
-    q.vc = ValueConstraint{lo, hi};
-  }
-  if (const std::string sc = args.get("sc"); !sc.empty()) {
-    Coord lo{}, hi{};
-    int dim = 0;
-    std::size_t begin = 0;
-    while (begin <= sc.size() && dim < NDShape::kMaxDims) {
-      const std::size_t comma = sc.find(',', begin);
-      const std::string part = sc.substr(
-          begin, comma == std::string::npos ? std::string::npos
-                                            : comma - begin);
-      double dlo = 0, dhi = 0;
-      if (!parse_range(part, &dlo, &dhi)) {
-        return invalid_argument("--sc expects LO:HI[,LO:HI...]");
-      }
-      lo[dim] = static_cast<std::uint32_t>(dlo);
-      hi[dim] = static_cast<std::uint32_t>(dhi);
-      ++dim;
-      if (comma == std::string::npos) break;
-      begin = comma + 1;
-    }
-    if (dim != store.config().shape.ndims()) {
-      return invalid_argument("--sc needs " +
-                              std::to_string(store.config().shape.ndims()) +
-                              " dimensions");
-    }
-    q.sc = Region(dim, lo, hi);
-  }
-  q.plod_level = std::atoi(args.get("plod", "7").c_str());
-  q.values_needed = !args.has_flag("region-only");
-  return q;
-}
-
-int cmd_query(const Args& args) {
+int cmd_query(const cli::Args& args) {
   const std::string dir = args.get("store");
   if (dir.empty()) return usage();
+  auto parsed = cli::parse_query(args);
+  if (!parsed.is_ok()) return usage(parsed.status());
+  const Query& q = parsed.value();
+  auto ranks = args.get_int("ranks", 8, 1, cli::kMaxRanks);
+  if (!ranks.is_ok()) return usage(ranks.status());
+
   auto fs = pfs::PfsStorage::load_from_dir(dir);
   if (!fs.is_ok()) return fail(fs.status());
   auto opened = MlocStore::open(&fs.value(), "store");
   if (!opened.is_ok()) return fail(opened.status());
   const MlocStore& store = opened.value();
-
-  auto parsed = parse_query(args, store);
-  if (!parsed.is_ok()) return fail(parsed.status());
-  const Query& q = parsed.value();
-  const int ranks = std::atoi(args.get("ranks", "8").c_str());
   const std::string var =
       args.get("var", store.variables().empty() ? "v" : store.variables()[0]);
 
-  auto res = store.execute(var, q, ranks);
+  auto res = store.execute(var, q, static_cast<int>(ranks.value()));
   if (!res.is_ok()) return fail(res.status());
   std::printf("%zu qualifying points; %llu bins touched (%llu aligned),"
               " %.2f MB read\n",
               res.value().positions.size(),
               static_cast<unsigned long long>(res.value().bins_touched),
               static_cast<unsigned long long>(res.value().aligned_bins),
-              static_cast<double>(res.value().bytes_read) / 1e6);
+              static_cast<double>(res.value().exec.bytes_read) / 1e6);
   std::printf("modeled %s\n", res.value().times.to_string().c_str());
   if (q.values_needed && !res.value().values.empty()) {
     double sum = 0, mn = res.value().values[0], mx = mn;
@@ -269,21 +202,23 @@ int cmd_query(const Args& args) {
   return 0;
 }
 
-int cmd_plan(const Args& args) {
+int cmd_plan(const cli::Args& args) {
   const std::string dir = args.get("store");
   if (dir.empty()) return usage();
+  auto parsed = cli::parse_query(args);
+  if (!parsed.is_ok()) return usage(parsed.status());
+  const Query& q = parsed.value();
+  auto max_ranks_arg = args.get_int("max-ranks", 128, 1, cli::kMaxRanks);
+  if (!max_ranks_arg.is_ok()) return usage(max_ranks_arg.status());
+  const int max_ranks = static_cast<int>(max_ranks_arg.value());
+
   auto fs = pfs::PfsStorage::load_from_dir(dir);
   if (!fs.is_ok()) return fail(fs.status());
   auto opened = MlocStore::open(&fs.value(), "store");
   if (!opened.is_ok()) return fail(opened.status());
   const MlocStore& store = opened.value();
-
-  auto parsed = parse_query(args, store);
-  if (!parsed.is_ok()) return fail(parsed.status());
-  const Query& q = parsed.value();
   const std::string var =
       args.get("var", store.variables().empty() ? "v" : store.variables()[0]);
-  const int max_ranks = std::atoi(args.get("max-ranks", "128").c_str());
 
   auto ranks = tune::recommend_ranks(store, var, q, max_ranks);
   if (!ranks.is_ok()) return fail(ranks.status());
@@ -310,7 +245,9 @@ int cmd_plan(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
+  auto parsed = cli::parse_args(argc, argv, /*with_command=*/true);
+  if (!parsed.is_ok()) return usage(parsed.status());
+  const cli::Args& args = parsed.value();
   if (args.command == "build") return cmd_build(args);
   if (args.command == "info") return cmd_info(args);
   if (args.command == "query") return cmd_query(args);

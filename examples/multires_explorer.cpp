@@ -52,7 +52,7 @@ int main() {
         std::abs(stats.mean - ref_stats.mean) / std::abs(ref_stats.mean);
     std::printf("  %d (%d bytes) %10.2f MB %12.4fs %15.3g %15.3g\n", level,
                 plod::level_bytes(level),
-                static_cast<double>(res.value().bytes_read) / 1e6,
+                static_cast<double>(res.value().exec.bytes_read) / 1e6,
                 res.value().times.total(), max_err, mean_err);
   }
   std::printf(

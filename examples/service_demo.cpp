@@ -5,6 +5,7 @@
 //
 //   $ ./examples/service_demo
 #include <cstdio>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -38,9 +39,11 @@ int main() {
   // pattern the fragment cache is built for.
   constexpr int kClients = 3;
   constexpr int kQueriesPerClient = 12;
+  // Modeled seconds (PFS I/O model + measured CPU) per client.
+  std::vector<double> modeled(kClients, 0.0);
   std::vector<std::thread> clients;
   for (int t = 0; t < kClients; ++t) {
-    clients.emplace_back([&svc, t] {
+    clients.emplace_back([&svc, &modeled, t] {
       auto sid = svc.open_session("client-" + std::to_string(t));
       if (!sid.is_ok()) return;
       for (int i = 0; i < kQueriesPerClient; ++i) {
@@ -55,6 +58,7 @@ int main() {
                        resp.status.to_string().c_str());
           return;
         }
+        modeled[t] += resp.result.times.total();
         if (t == 0) {  // one client narrates
           std::printf(
               "  q%-3llu level %d: %6zu values | wait %6.2f us | exec"
@@ -63,7 +67,7 @@ int main() {
               static_cast<unsigned long long>(resp.stats.query_id),
               req.query.plod_level, resp.result.values.size(),
               resp.stats.queue_wait_s * 1e6, resp.stats.exec_wall_s * 1e6,
-              resp.stats.modeled_s * 1e3,
+              resp.result.times.total() * 1e3,
               static_cast<unsigned long long>(resp.stats.cache.hits),
               static_cast<unsigned long long>(resp.stats.cache.partial_hits),
               static_cast<unsigned long long>(resp.stats.cache.misses),
@@ -76,7 +80,7 @@ int main() {
         std::printf("session %-9s: %llu queries, modeled %.3f s total\n",
                     s.value().label.c_str(),
                     static_cast<unsigned long long>(s.value().completed),
-                    s.value().total_modeled_s);
+                    modeled[t]);
       }
     });
   }
@@ -94,7 +98,7 @@ int main() {
       static_cast<unsigned long long>(agg.submitted),
       static_cast<unsigned long long>(agg.completed),
       agg.total_queue_wait_s / static_cast<double>(agg.completed) * 1e6,
-      agg.total_modeled_s);
+      std::accumulate(modeled.begin(), modeled.end(), 0.0));
   std::printf(
       "cache: %.0f%% warm fragment ratio, %llu entries, %llu KiB resident,"
       " %llu evictions, %llu MiB of payload reads avoided\n",

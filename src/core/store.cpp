@@ -513,7 +513,7 @@ Result<QueryResult> MlocStore::multivar_select(
     into.bins_touched += from.bins_touched;
     into.aligned_bins += from.aligned_bins;
     into.fragments_read += from.fragments_read;
-    into.bytes_read += from.bytes_read;
+    into.fragments_skipped += from.fragments_skipped;
     into.cache += from.cache;
     into.exec += from.exec;
   };

@@ -112,7 +112,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       const std::vector<pfs::ReadRequest> hbx_requests =
           opts.naive_io
               ? naive_schedule(rp.hbx_segments, &hbx_slots)
-              : coalesce_segments(rp.hbx_segments, opts.coalesce_gap_bytes,
+              : coalesce_segments(rp.hbx_segments, kCoalesceGapBytes,
                                   &hbx_slots);
       MLOC_ASSIGN_OR_RETURN(
           const std::vector<Bytes> hbx_buffers,
@@ -204,7 +204,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       const std::vector<pfs::ReadRequest> requests =
           opts.naive_io
               ? naive_schedule(run_segs, &slots)
-              : coalesce_segments(run_segs, opts.coalesce_gap_bytes, &slots);
+              : coalesce_segments(run_segs, kCoalesceGapBytes, &slots);
       MLOC_ASSIGN_OR_RETURN(
           const std::vector<Bytes> buffers,
           view.fs->read_batch(requests, &ctx.io_log,

@@ -22,6 +22,12 @@
 
 namespace mloc::exec {
 
+/// The same-class gap the engine bridges. Reading a gap costs
+/// len/bandwidth; skipping it costs a seek — at the default PFS model
+/// (5 ms seek, 300 MB/s) the break-even gap is ~1.5 MB, so 64 KiB bridging
+/// is always profitable.
+inline constexpr std::uint64_t kCoalesceGapBytes = 64 * 1024;
+
 /// Where an input segment's bytes live after coalescing.
 struct SlotRef {
   int extent = -1;           ///< index into the merged-extent vector

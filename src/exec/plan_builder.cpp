@@ -449,7 +449,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
     const std::vector<pfs::ReadRequest> merged =
         opts.naive_io
             ? naive_schedule(rp.segments, nullptr)
-            : coalesce_segments(rp.segments, opts.coalesce_gap_bytes, nullptr,
+            : coalesce_segments(rp.segments, kCoalesceGapBytes, nullptr,
                                 &sum.stats.bytes_bridged);
     for (const auto& m : merged) {
       sum.planned_io.add(m.file, m.offset, m.len,
@@ -458,7 +458,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
     const std::vector<pfs::ReadRequest> hbx_merged =
         opts.naive_io
             ? naive_schedule(rp.hbx_segments, nullptr)
-            : coalesce_segments(rp.hbx_segments, opts.coalesce_gap_bytes,
+            : coalesce_segments(rp.hbx_segments, kCoalesceGapBytes,
                                 nullptr, &sum.stats.bytes_bridged);
     for (const auto& m : hbx_merged) {
       sum.planned_io.add(m.file, m.offset, m.len,

@@ -45,12 +45,6 @@ struct PlannedSegment {
 
 /// Engine tuning knobs (defaults match the benched configuration).
 struct ExecOptions {
-  /// Maximum same-class gap (bytes) the IoScheduler bridges. Reading a gap
-  /// costs len/bandwidth; skipping it costs a seek — at the default PFS
-  /// model (5 ms seek, 300 MB/s) the break-even gap is ~1.5 MB, so 64 KiB
-  /// bridging is always profitable. 0 disables gap bridging (adjacent
-  /// extents still merge).
-  std::uint64_t coalesce_gap_bytes = 64 * 1024;
   /// Issue one read per planned segment in plan order instead of merged
   /// batches — reproduces the pre-engine access pattern, kept for A/B
   /// comparison in tests and bench_service_throughput.

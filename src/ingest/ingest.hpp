@@ -70,6 +70,7 @@ struct IngestStats {
   int threads = 1;           ///< WriteOptions::threads actually used
   bool write_behind = false;
 
+  bool operator==(const IngestStats&) const = default;
   IngestStats& operator+=(const IngestStats& o) noexcept {
     cells_routed += o.cells_routed;
     fragments_encoded += o.fragments_encoded;

@@ -139,31 +139,35 @@ Result<Client::Stash> Client::wait_frame(std::uint64_t request_id) {
   }
 }
 
-Status Client::ping() {
+Result<Bytes> Client::call(FrameType type,
+                           std::span<const std::uint8_t> payload,
+                           FrameType reply, std::string_view what) {
   const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(send_all(encode_frame(FrameType::kPing, id, {})));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type != FrameType::kPong) {
-    return fail(corrupt_data("unexpected reply to ping"));
-  }
-  return Status::ok();
-}
-
-Result<service::SessionId> Client::open_session(std::string_view label) {
-  const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(send_all(encode_frame(FrameType::kOpenSession, id,
-                                             encode_open_session(label))));
+  MLOC_RETURN_IF_ERROR(send_all(encode_frame(type, id, payload)));
   MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
   if (s.type == FrameType::kAck) {
     MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
     return ack.carried.is_ok()
-               ? internal_error("session refused without a reason")
+               ? internal_error(std::string(what) +
+                                " refused without a reason")
                : ack.carried;
   }
-  if (s.type != FrameType::kSessionOpened) {
-    return fail(corrupt_data("unexpected reply to open_session"));
+  if (s.type != reply) {
+    return fail(corrupt_data("unexpected reply to " + std::string(what)));
   }
-  return decode_session_opened(s.payload);
+  return std::move(s.payload);
+}
+
+Status Client::ping() {
+  return call(FrameType::kPing, {}, FrameType::kPong, "ping").status();
+}
+
+Result<service::SessionId> Client::open_session(std::string_view label) {
+  MLOC_ASSIGN_OR_RETURN(const Bytes p,
+                        call(FrameType::kOpenSession,
+                             encode_open_session(label),
+                             FrameType::kSessionOpened, "open_session"));
+  return decode_session_opened(p);
 }
 
 Status Client::close_session() {
@@ -272,52 +276,24 @@ Status Client::cancel(std::uint64_t request_id) {
 }
 
 Result<StatsSnapshot> Client::stats() {
-  const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(send_all(encode_frame(FrameType::kStats, id, {})));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type == FrameType::kAck) {
-    MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-    return ack.carried.is_ok() ? internal_error("stats refused without a reason")
-                               : ack.carried;
-  }
-  if (s.type != FrameType::kStatsResult) {
-    return fail(corrupt_data("unexpected reply to stats"));
-  }
-  return decode_stats(s.payload);
+  MLOC_ASSIGN_OR_RETURN(
+      const Bytes p,
+      call(FrameType::kStats, {}, FrameType::kStatsResult, "stats"));
+  return decode_stats(p);
 }
 
 Result<std::vector<MlocStore::VariableDesc>> Client::list_variables() {
-  const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(
-      send_all(encode_frame(FrameType::kListVariables, id, {})));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type == FrameType::kAck) {
-    MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-    return ack.carried.is_ok()
-               ? internal_error("list_variables refused without a reason")
-               : ack.carried;
-  }
-  if (s.type != FrameType::kVariableList) {
-    return fail(corrupt_data("unexpected reply to list_variables"));
-  }
-  return decode_variable_list(s.payload);
+  MLOC_ASSIGN_OR_RETURN(const Bytes p,
+                        call(FrameType::kListVariables, {},
+                             FrameType::kVariableList, "list_variables"));
+  return decode_variable_list(p);
 }
 
 Result<service::SessionStats> Client::session_stats() {
-  const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(
-      send_all(encode_frame(FrameType::kSessionStats, id, {})));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type == FrameType::kAck) {
-    MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-    return ack.carried.is_ok()
-               ? internal_error("session_stats refused without a reason")
-               : ack.carried;
-  }
-  if (s.type != FrameType::kSessionStatsResult) {
-    return fail(corrupt_data("unexpected reply to session_stats"));
-  }
-  return decode_session_stats(s.payload);
+  MLOC_ASSIGN_OR_RETURN(const Bytes p,
+                        call(FrameType::kSessionStats, {},
+                             FrameType::kSessionStatsResult, "session_stats"));
+  return decode_session_stats(p);
 }
 
 }  // namespace mloc::net

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -94,6 +95,10 @@ class Client {
   Status send_all(const Bytes& frame);
   /// Read frames until `request_id`'s arrives; stash the rest.
   Result<Stash> wait_frame(std::uint64_t request_id);
+  /// Send a `type` request and return the payload of its `reply` frame; an
+  /// Ack in its place carries the server's refusal.
+  Result<Bytes> call(FrameType type, std::span<const std::uint8_t> payload,
+                     FrameType reply, std::string_view what);
   Status fail(Status st);  ///< poison the connection, pass `st` through
 
   int fd_ = -1;

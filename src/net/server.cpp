@@ -24,6 +24,11 @@ namespace mloc::net {
 
 namespace {
 
+/// Per-frame payload cap enforced on receive, well below the protocol's
+/// kMaxPayloadBytes so a hostile header cannot make the server buffer
+/// gigabytes.
+constexpr std::uint32_t kMaxReceivePayloadBytes = 64u << 20;
+
 std::uint32_t raw_u32(const std::uint8_t* p) noexcept {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -342,7 +347,7 @@ bool Server::parse_frames(const std::shared_ptr<Connection>& conn) {
     auto h = decode_header(head);
     std::size_t need = 0;
     if (h.is_ok()) {
-      if (h.value().payload_len > cfg_.max_payload_bytes) {
+      if (h.value().payload_len > kMaxReceivePayloadBytes) {
         stream_ok = false;
         break;
       }
@@ -366,7 +371,7 @@ bool Server::parse_frames(const std::shared_ptr<Connection>& conn) {
       // Unsupported — the connection stays in sync, per the versioning
       // rules in wire.hpp.
       const std::uint32_t plen = raw_u32(head.data() + 16);
-      if (plen > cfg_.max_payload_bytes) {
+      if (plen > kMaxReceivePayloadBytes) {
         stream_ok = false;
         break;
       }
@@ -616,7 +621,6 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
         bool enqueued = false;
         bool via_shm = false;
         bool fell_back = false;
-        std::uint64_t payload_bytes = 0;
         if (c) {
           // Shm fast path first. The ring allocate-write-publish must be
           // one critical section per connection (see Connection::shm), and
@@ -657,7 +661,6 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
                                     {},
                                     {}});
                 enqueued = via_shm = true;
-                payload_bytes = total;
               } else {
                 fell_back = true;  // ring full or oversize: frame it below
               }
@@ -666,7 +669,6 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
           if (!enqueued) {
             resp.stats.via_shm = false;
             auto er = encode_response_frame(request_id, std::move(resp));
-            payload_bytes = er.total_bytes() - kHeaderBytes;
             sync::MutexLock lock(c->mutex);
             if (!c->closed) {
               c->outbox.push_back(std::move(er));
@@ -676,7 +678,6 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
           if (enqueued) notify_writable(c);
         }
         if (enqueued) {
-          svc_.record_transport(via_shm, payload_bytes);
           sync::MutexLock lock(stats_mutex_);
           via_shm ? ++stats_.responses_shm : ++stats_.responses_tcp;
           if (fell_back) ++stats_.shm_fallbacks;

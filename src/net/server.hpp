@@ -61,10 +61,6 @@ struct ServerConfig {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read the choice via port()
   int num_loops = 2;       ///< worker event loops (loop 0 also accepts)
   double drain_grace_s = 5.0;  ///< shutdown(): wait for in-flight queries
-  /// Per-frame payload cap enforced on receive; defaults well below the
-  /// protocol-level kMaxPayloadBytes so a hostile header cannot make the
-  /// server buffer gigabytes.
-  std::uint32_t max_payload_bytes = 64u << 20;
   /// Honor kShmOffer handshakes: co-located clients get a per-connection
   /// shared-memory ring and query-result payloads skip the socket. Off =
   /// offers are refused (Unsupported) and clients fall back to TCP.

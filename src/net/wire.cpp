@@ -1,7 +1,10 @@
 #include "net/wire.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstring>
+#include <string>
+#include <type_traits>
 
 #include "util/assert.hpp"
 #include "util/crc32.hpp"
@@ -54,51 +57,48 @@ std::span<const std::uint8_t> byte_view(const void* data,
   return {static_cast<const std::uint8_t*>(data), bytes};
 }
 
-void put_cache_stats(ByteWriter& w, const CacheStats& c) {
-  w.put_u64(c.hits);
-  w.put_u64(c.partial_hits);
-  w.put_u64(c.misses);
-  w.put_u64(c.bytes_saved);
-}
+// ------------------------------------------------------------ field lists
+//
+// A payload is its fields in one fixed order. Scalars have a put/get pair
+// below; each struct's layout is the argument list of its `fields`
+// overload, written once: the encoder applies put() to every member in
+// that order and the decoder applies get() to the same list, so no member
+// can travel one way only. A member that has a list of its own nests.
 
-Result<CacheStats> get_cache_stats(ByteReader& r) {
-  CacheStats c;
-  MLOC_ASSIGN_OR_RETURN(c.hits, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.partial_hits, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.misses, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.bytes_saved, r.get_u64());
-  return c;
-}
-
-void put_exec_stats(ByteWriter& w, const ExecStats& e) {
-  w.put_u64(e.bytes_planned);
-  w.put_u64(e.bytes_read);
-  w.put_u64(e.bytes_from_cache);
-  w.put_u64(e.extents_naive);
-  w.put_u64(e.extents_coalesced);
-  w.put_u64(e.modeled_seeks);
-}
-
-Result<ExecStats> get_exec_stats(ByteReader& r) {
-  ExecStats e;
-  MLOC_ASSIGN_OR_RETURN(e.bytes_planned, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(e.bytes_read, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(e.bytes_from_cache, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(e.extents_naive, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(e.extents_coalesced, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(e.modeled_seeks, r.get_u64());
-  return e;
-}
-
-void put_status(ByteWriter& w, const Status& st) {
+void put(ByteWriter& w, std::uint64_t v) { w.put_u64(v); }
+void put(ByteWriter& w, std::uint32_t v) { w.put_u32(v); }
+void put(ByteWriter& w, int v) { w.put_i64(v); }
+void put(ByteWriter& w, double v) { w.put_f64(v); }
+void put(ByteWriter& w, bool v) { w.put_u8(v ? 1 : 0); }
+void put(ByteWriter& w, std::string_view v) { w.put_string(v); }
+void put(ByteWriter& w, const Status& st) {
   w.put_u16(static_cast<std::uint16_t>(st.code()));
   w.put_string(st.message());
 }
 
-/// Decode a carried Status into *out; the return value is the decode
-/// outcome (Result<Status> would be ill-formed — value and error alternate
-/// would collide).
-Status get_status(ByteReader& r, Status* out) {
+/// Stores a read value into *out, or passes its error on.
+template <class T, class U>
+Status assign(Result<T> got, U* out) {
+  if (!got.is_ok()) return got.status();
+  *out = static_cast<U>(std::move(got).value());
+  return Status::ok();
+}
+
+Status get(ByteReader& r, std::uint64_t* v) { return assign(r.get_u64(), v); }
+Status get(ByteReader& r, std::uint32_t* v) { return assign(r.get_u32(), v); }
+Status get(ByteReader& r, int* v) { return assign(r.get_i64(), v); }
+Status get(ByteReader& r, double* v) { return assign(r.get_f64(), v); }
+Status get(ByteReader& r, bool* v) {
+  std::uint8_t byte = 0;
+  MLOC_ASSIGN_OR_RETURN(byte, r.get_u8());
+  if (byte > 1) return corrupt_data("boolean field is neither 0 nor 1");
+  *v = byte == 1;
+  return Status::ok();
+}
+Status get(ByteReader& r, std::string* v) { return assign(r.get_string(), v); }
+/// Decodes a carried Status into *out; the return value is the decode
+/// outcome.
+Status get(ByteReader& r, Status* out) {
   std::uint16_t raw = 0;
   MLOC_ASSIGN_OR_RETURN(raw, r.get_u16());
   if (raw > static_cast<std::uint16_t>(ErrorCode::kCancelled)) {
@@ -108,6 +108,150 @@ Status get_status(ByteReader& r, Status* out) {
   MLOC_ASSIGN_OR_RETURN(msg, r.get_string());
   *out = Status(static_cast<ErrorCode>(raw), std::move(msg));
   return Status::ok();
+}
+
+/// `T` is `U` or `const U`: one list serves the encoder and the decoder.
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+template <Is<ValueConstraint> T, class F>
+void fields(T& vc, F&& f) {
+  f(vc.lo, vc.hi);
+}
+
+template <Is<MlocStore::VarConstraint> T, class F>
+void fields(T& p, F&& f) {
+  f(p.var, p.vc);
+}
+
+template <Is<CacheStats> T, class F>
+void fields(T& c, F&& f) {
+  f(c.hits, c.partial_hits, c.misses, c.bytes_saved);
+}
+
+template <Is<ExecStats> T, class F>
+void fields(T& e, F&& f) {
+  f(e.bytes_planned, e.bytes_read, e.bytes_from_cache, e.extents_naive,
+    e.extents_coalesced, e.modeled_seeks, e.bytes_bridged);
+}
+
+template <Is<ComponentTimes> T, class F>
+void fields(T& t, F&& f) {
+  f(t.io, t.decompress, t.reconstruct);
+}
+
+template <Is<service::ServiceStats> T, class F>
+void fields(T& s, F&& f) {
+  f(s.query_id, s.session, s.queue_wait_s, s.exec_wall_s, s.cache, s.exec,
+    s.via_shm);
+}
+
+/// The response prefix up to the array lengths. The query's CacheStats
+/// and ExecStats travel once, in ServiceStats; decode_response copies them
+/// into the result.
+template <Is<service::Response> T, class F>
+void fields(T& r, F&& f) {
+  f(r.status, r.stats, r.result.times, r.result.bins_touched,
+    r.result.aligned_bins, r.result.fragments_read,
+    r.result.fragments_skipped);
+}
+
+template <Is<ingest::IngestStats> T, class F>
+void fields(T& i, F&& f) {
+  f(i.cells_routed, i.fragments_encoded, i.bins_written, i.bytes_written,
+    i.partition_s, i.encode_s, i.fold_s, i.flush_s, i.wall_s, i.threads,
+    i.write_behind);
+}
+
+template <Is<service::AggregateStats> T, class F>
+void fields(T& a, F&& f) {
+  f(a.submitted, a.completed, a.failed, a.rejected, a.expired, a.cancelled,
+    a.queued, a.executing, a.cache, a.exec, a.total_queue_wait_s,
+    a.total_exec_wall_s, a.peak_queue_depth, a.sessions_opened,
+    a.sessions_open, a.ingests, a.ingest_failures, a.ingest);
+}
+
+template <Is<service::FragmentCache::Stats> T, class F>
+void fields(T& c, F&& f) {
+  f(c.lookups, c.hits, c.misses, c.insertions, c.upgrades, c.evictions,
+    c.bytes_cached, c.entries);
+}
+
+template <Is<StatsSnapshot> T, class F>
+void fields(T& s, F&& f) {
+  f(s.agg, s.cache);
+}
+
+template <Is<service::SessionStats> T, class F>
+void fields(T& s, F&& f) {
+  f(s.label, s.open, s.submitted, s.completed, s.failed, s.rejected);
+}
+
+template <Is<Ack> T, class F>
+void fields(T& a, F&& f) {
+  f(a.carried);
+}
+
+template <Is<ShmInfo> T, class F>
+void fields(T& i, F&& f) {
+  f(i.name, i.ring_bytes, i.token, i.data_offset);
+}
+
+template <Is<ShmDescriptor> T, class F>
+void fields(T& d, F&& f) {
+  f(d.offset, d.len, d.release);
+}
+
+template <class T>
+concept Listed = requires(T& t) { fields(t, [](auto&...) {}); };
+
+template <Listed T>
+void put(ByteWriter& w, const T& s);
+template <Listed T>
+Status get(ByteReader& r, T* s);
+
+template <class... T>
+void put_each(ByteWriter& w, const T&... v) {
+  (put(w, v), ...);
+}
+
+/// Stops at the first value that fails to decode.
+template <class... T>
+Status get_each(ByteReader& r, T*... v) {
+  Status st;
+  (void)((st = get(r, v)).is_ok() && ...);
+  return st;
+}
+
+template <Listed T>
+void put(ByteWriter& w, const T& s) {
+  fields(s, [&w](const auto&... v) { put_each(w, v...); });
+}
+
+template <Listed T>
+Status get(ByteReader& r, T* s) {
+  Status st;
+  fields(*s, [&](auto&... v) { st = get_each(r, &v...); });
+  return st;
+}
+
+/// A payload that is one value with a put/get pair, nothing after it.
+template <class T>
+Bytes encode_payload(const T& v) {
+  ByteWriter w;
+  put(w, v);
+  return std::move(w).take();
+}
+
+template <class T>
+Result<T> decode_payload(std::span<const std::uint8_t> p, const char* what) {
+  ByteReader r(p);
+  T v{};
+  MLOC_RETURN_IF_ERROR(get(r, &v));
+  if (!r.exhausted()) {
+    return corrupt_data(std::string(what) + " payload has trailing bytes");
+  }
+  return v;
 }
 
 constexpr std::uint8_t kReqHasVc = 1u << 0;
@@ -214,32 +358,20 @@ Bytes encode_frame(FrameType type, std::uint64_t request_id,
 // --------------------------------------------------------------- payloads
 
 Bytes encode_open_session(std::string_view label) {
-  ByteWriter w;
-  w.put_string(label);
-  return std::move(w).take();
+  return encode_payload(label);
 }
 
 Result<std::string> decode_open_session(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  std::string label;
-  MLOC_ASSIGN_OR_RETURN(label, r.get_string());
-  if (!r.exhausted()) return corrupt_data("open-session payload has trailing bytes");
-  return label;
+  return decode_payload<std::string>(p, "open-session");
 }
 
 Bytes encode_session_opened(service::SessionId id) {
-  ByteWriter w;
-  w.put_u64(id);
-  return std::move(w).take();
+  return encode_payload(id);
 }
 
 Result<service::SessionId> decode_session_opened(
     std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  service::SessionId id = 0;
-  MLOC_ASSIGN_OR_RETURN(id, r.get_u64());
-  if (!r.exhausted()) return corrupt_data("session-opened payload has trailing bytes");
-  return id;
+  return decode_payload<service::SessionId>(p, "session-opened");
 }
 
 Bytes encode_request(const service::Request& req) {
@@ -250,33 +382,20 @@ Bytes encode_request(const service::Request& req) {
   if (req.query.values_needed) flags |= kReqValuesNeeded;
   if (req.multivar.has_value()) flags |= kReqMultivar;
   w.put_u8(flags);
-  w.put_string(req.var);
-  w.put_i64(req.query.plod_level);
-  w.put_i64(req.priority);
-  w.put_f64(req.deadline_s);
-  w.put_i64(req.num_ranks);
-  if (req.query.vc.has_value()) {
-    w.put_f64(req.query.vc->lo);
-    w.put_f64(req.query.vc->hi);
-  }
+  put_each(w, req.var, req.query.plod_level, req.priority, req.deadline_s,
+           req.num_ranks);
+  if (req.query.vc.has_value()) put(w, *req.query.vc);
   if (req.query.sc.has_value()) {
     const Region& sc = *req.query.sc;
     w.put_u8(static_cast<std::uint8_t>(sc.ndims()));
-    for (int d = 0; d < sc.ndims(); ++d) {
-      w.put_u32(sc.lo(d));
-      w.put_u32(sc.hi(d));
-    }
+    for (int d = 0; d < sc.ndims(); ++d) put_each(w, sc.lo(d), sc.hi(d));
   }
   if (req.multivar.has_value()) {
     const service::MultivarSpec& mv = *req.multivar;
     w.put_varint(mv.preds.size());
-    for (const auto& pred : mv.preds) {
-      w.put_string(pred.var);
-      w.put_f64(pred.vc.lo);
-      w.put_f64(pred.vc.hi);
-    }
+    for (const auto& pred : mv.preds) put(w, pred);
     w.put_u8(static_cast<std::uint8_t>(mv.combine));
-    w.put_string(mv.fetch_var);
+    put(w, mv.fetch_var);
   }
   return std::move(w).take();
 }
@@ -290,22 +409,13 @@ Result<service::Request> decode_request(std::span<const std::uint8_t> p) {
       0) {
     return corrupt_data("request frame carries unknown flags");
   }
-  MLOC_ASSIGN_OR_RETURN(req.var, r.get_string());
-  std::int64_t plod = 0;
-  MLOC_ASSIGN_OR_RETURN(plod, r.get_i64());
-  req.query.plod_level = static_cast<int>(plod);
-  std::int64_t priority = 0;
-  MLOC_ASSIGN_OR_RETURN(priority, r.get_i64());
-  req.priority = static_cast<int>(priority);
-  MLOC_ASSIGN_OR_RETURN(req.deadline_s, r.get_f64());
-  std::int64_t ranks = 0;
-  MLOC_ASSIGN_OR_RETURN(ranks, r.get_i64());
-  req.num_ranks = static_cast<int>(ranks);
+  MLOC_RETURN_IF_ERROR(get_each(r, &req.var, &req.query.plod_level,
+                                &req.priority, &req.deadline_s,
+                                &req.num_ranks));
   req.query.values_needed = (flags & kReqValuesNeeded) != 0;
   if ((flags & kReqHasVc) != 0) {
     ValueConstraint vc;
-    MLOC_ASSIGN_OR_RETURN(vc.lo, r.get_f64());
-    MLOC_ASSIGN_OR_RETURN(vc.hi, r.get_f64());
+    MLOC_RETURN_IF_ERROR(get(r, &vc));
     req.query.vc = vc;
   }
   if ((flags & kReqHasSc) != 0) {
@@ -315,12 +425,9 @@ Result<service::Request> decode_request(std::span<const std::uint8_t> p) {
       return corrupt_data("spatial constraint has an invalid dimension count");
     }
     Coord lo{}, hi{};
-    for (int d = 0; d < ndims; ++d) {
-      MLOC_ASSIGN_OR_RETURN(lo[static_cast<std::size_t>(d)], r.get_u32());
-      MLOC_ASSIGN_OR_RETURN(hi[static_cast<std::size_t>(d)], r.get_u32());
-      if (lo[static_cast<std::size_t>(d)] > hi[static_cast<std::size_t>(d)]) {
-        return corrupt_data("spatial constraint has lo > hi");
-      }
+    for (std::size_t d = 0; d < ndims; ++d) {
+      MLOC_RETURN_IF_ERROR(get_each(r, &lo[d], &hi[d]));
+      if (lo[d] > hi[d]) return corrupt_data("spatial constraint has lo > hi");
     }
     req.query.sc = Region(ndims, lo, hi);
   }
@@ -336,9 +443,7 @@ Result<service::Request> decode_request(std::span<const std::uint8_t> p) {
     mv.preds.reserve(npreds);
     for (std::uint64_t i = 0; i < npreds; ++i) {
       MlocStore::VarConstraint pred;
-      MLOC_ASSIGN_OR_RETURN(pred.var, r.get_string());
-      MLOC_ASSIGN_OR_RETURN(pred.vc.lo, r.get_f64());
-      MLOC_ASSIGN_OR_RETURN(pred.vc.hi, r.get_f64());
+      MLOC_RETURN_IF_ERROR(get(r, &pred));
       mv.preds.push_back(std::move(pred));
     }
     std::uint8_t combine = 0;
@@ -355,74 +460,30 @@ Result<service::Request> decode_request(std::span<const std::uint8_t> p) {
 }
 
 Bytes encode_cancel(std::uint64_t target_request_id) {
-  ByteWriter w;
-  w.put_u64(target_request_id);
-  return std::move(w).take();
+  return encode_payload(target_request_id);
 }
 
 Result<std::uint64_t> decode_cancel(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  std::uint64_t target = 0;
-  MLOC_ASSIGN_OR_RETURN(target, r.get_u64());
-  if (!r.exhausted()) return corrupt_data("cancel payload has trailing bytes");
-  return target;
+  return decode_payload<std::uint64_t>(p, "cancel");
 }
 
-Bytes encode_status(const Status& st) {
-  ByteWriter w;
-  put_status(w, st);
-  return std::move(w).take();
-}
+Bytes encode_status(const Status& st) { return encode_payload(Ack{st}); }
 
 Result<Ack> decode_status(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  Ack ack;
-  MLOC_RETURN_IF_ERROR(get_status(r, &ack.carried));
-  if (!r.exhausted()) return corrupt_data("status payload has trailing bytes");
-  return ack;
+  return decode_payload<Ack>(p, "status");
 }
-
-namespace {
-
-/// Everything of a Response except the trailing arrays.
-void put_response_prefix(ByteWriter& w, const service::Response& resp) {
-  put_status(w, resp.status);
-  const service::ServiceStats& st = resp.stats;
-  w.put_u64(st.query_id);
-  w.put_u64(st.session);
-  w.put_f64(st.queue_wait_s);
-  w.put_f64(st.exec_wall_s);
-  w.put_f64(st.modeled_s);
-  put_cache_stats(w, st.cache);
-  put_exec_stats(w, st.exec);
-  w.put_u8(st.via_shm ? 1 : 0);
-  const QueryResult& res = resp.result;
-  w.put_f64(res.times.io);
-  w.put_f64(res.times.decompress);
-  w.put_f64(res.times.reconstruct);
-  w.put_u64(res.bins_touched);
-  w.put_u64(res.aligned_bins);
-  w.put_u64(res.fragments_read);
-  w.put_u64(res.fragments_skipped);
-  w.put_u64(res.bytes_read);
-  put_cache_stats(w, res.cache);
-  put_exec_stats(w, res.exec);
-  w.put_u64(res.positions.size());
-  w.put_u64(res.values.size());
-}
-
-}  // namespace
 
 Bytes encode_response_prefix(const service::Response& resp) {
   ByteWriter w;
-  put_response_prefix(w, resp);
+  put(w, resp);
+  w.put_u64(resp.result.positions.size());
+  w.put_u64(resp.result.values.size());
   return std::move(w).take();
 }
 
 EncodedResponse encode_response_frame(std::uint64_t request_id,
                                       service::Response resp) {
-  ByteWriter prefix;
-  put_response_prefix(prefix, resp);
+  const Bytes prefix = encode_response_prefix(resp);
 
   EncodedResponse out;
   out.positions = std::move(resp.result.positions);
@@ -441,41 +502,21 @@ EncodedResponse encode_response_frame(std::uint64_t request_id,
       prefix.size() + pos_bytes.size() + val_bytes.size();
   MLOC_CHECK(payload_len <= kMaxPayloadBytes);
   h.payload_len = static_cast<std::uint32_t>(payload_len);
-  h.payload_crc = crc32(val_bytes, crc32(pos_bytes, crc32(prefix.bytes())));
+  h.payload_crc = crc32(val_bytes, crc32(pos_bytes, crc32(prefix)));
 
   out.head.resize(kHeaderBytes + prefix.size());
   encode_header(h, out.head.data());
-  std::memcpy(out.head.data() + kHeaderBytes, prefix.bytes().data(),
-              prefix.size());
+  std::memcpy(out.head.data() + kHeaderBytes, prefix.data(), prefix.size());
   return out;
 }
 
 Result<service::Response> decode_response(std::span<const std::uint8_t> p) {
   ByteReader r(p);
   service::Response resp;
-  MLOC_RETURN_IF_ERROR(get_status(r, &resp.status));
-  service::ServiceStats& st = resp.stats;
-  MLOC_ASSIGN_OR_RETURN(st.query_id, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(st.session, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(st.queue_wait_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(st.exec_wall_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(st.modeled_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(st.cache, get_cache_stats(r));
-  MLOC_ASSIGN_OR_RETURN(st.exec, get_exec_stats(r));
-  std::uint8_t via_shm = 0;
-  MLOC_ASSIGN_OR_RETURN(via_shm, r.get_u8());
-  st.via_shm = via_shm != 0;
+  MLOC_RETURN_IF_ERROR(get(r, &resp));
   QueryResult& res = resp.result;
-  MLOC_ASSIGN_OR_RETURN(res.times.io, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(res.times.decompress, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(res.times.reconstruct, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(res.bins_touched, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(res.aligned_bins, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(res.fragments_read, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(res.fragments_skipped, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(res.bytes_read, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(res.cache, get_cache_stats(r));
-  MLOC_ASSIGN_OR_RETURN(res.exec, get_exec_stats(r));
+  res.cache = resp.stats.cache;
+  res.exec = resp.stats.exec;
   std::uint64_t npos = 0, nval = 0;
   MLOC_ASSIGN_OR_RETURN(npos, r.get_u64());
   MLOC_ASSIGN_OR_RETURN(nval, r.get_u64());
@@ -499,223 +540,49 @@ Result<service::Response> decode_response(std::span<const std::uint8_t> p) {
   return resp;
 }
 
-Bytes encode_stats(const StatsSnapshot& s) {
-  ByteWriter w;
-  const service::AggregateStats& a = s.agg;
-  w.put_u64(a.submitted);
-  w.put_u64(a.completed);
-  w.put_u64(a.failed);
-  w.put_u64(a.rejected);
-  w.put_u64(a.expired);
-  w.put_u64(a.cancelled);
-  w.put_u64(a.queued);
-  w.put_u64(a.executing);
-  put_cache_stats(w, a.cache);
-  put_exec_stats(w, a.exec);
-  w.put_f64(a.total_queue_wait_s);
-  w.put_f64(a.total_exec_wall_s);
-  w.put_f64(a.total_modeled_s);
-  w.put_u64(a.peak_queue_depth);
-  w.put_u64(a.sessions_opened);
-  w.put_u64(a.sessions_open);
-  w.put_u64(a.ingests);
-  w.put_u64(a.ingest_failures);
-  w.put_u64(a.responses_shm);
-  w.put_u64(a.responses_tcp);
-  w.put_u64(a.bytes_shm);
-  w.put_u64(a.bytes_tcp);
-  w.put_u64(a.ingest.cells_routed);
-  w.put_u64(a.ingest.fragments_encoded);
-  w.put_u64(a.ingest.bins_written);
-  w.put_u64(a.ingest.bytes_written);
-  w.put_f64(a.ingest.partition_s);
-  w.put_f64(a.ingest.encode_s);
-  w.put_f64(a.ingest.fold_s);
-  w.put_f64(a.ingest.flush_s);
-  w.put_f64(a.ingest.wall_s);
-  w.put_i64(a.ingest.threads);
-  w.put_u8(a.ingest.write_behind ? 1 : 0);
-  const service::FragmentCache::Stats& c = s.cache;
-  w.put_u64(c.lookups);
-  w.put_u64(c.hits);
-  w.put_u64(c.misses);
-  w.put_u64(c.insertions);
-  w.put_u64(c.upgrades);
-  w.put_u64(c.evictions);
-  w.put_u64(c.bytes_cached);
-  w.put_u64(c.entries);
-  return std::move(w).take();
-}
+Bytes encode_stats(const StatsSnapshot& s) { return encode_payload(s); }
 
 Result<StatsSnapshot> decode_stats(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  StatsSnapshot s;
-  service::AggregateStats& a = s.agg;
-  MLOC_ASSIGN_OR_RETURN(a.submitted, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.completed, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.failed, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.rejected, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.expired, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.cancelled, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.queued, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.executing, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.cache, get_cache_stats(r));
-  MLOC_ASSIGN_OR_RETURN(a.exec, get_exec_stats(r));
-  MLOC_ASSIGN_OR_RETURN(a.total_queue_wait_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(a.total_exec_wall_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(a.total_modeled_s, r.get_f64());
-  std::uint64_t peak = 0;
-  MLOC_ASSIGN_OR_RETURN(peak, r.get_u64());
-  a.peak_queue_depth = static_cast<std::size_t>(peak);
-  MLOC_ASSIGN_OR_RETURN(a.sessions_opened, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.sessions_open, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingests, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest_failures, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.responses_shm, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.responses_tcp, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.bytes_shm, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.bytes_tcp, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.cells_routed, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.fragments_encoded, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.bins_written, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.bytes_written, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.partition_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.encode_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.fold_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.flush_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(a.ingest.wall_s, r.get_f64());
-  std::int64_t threads = 0;
-  MLOC_ASSIGN_OR_RETURN(threads, r.get_i64());
-  a.ingest.threads = static_cast<int>(threads);
-  std::uint8_t write_behind = 0;
-  MLOC_ASSIGN_OR_RETURN(write_behind, r.get_u8());
-  a.ingest.write_behind = write_behind != 0;
-  service::FragmentCache::Stats& c = s.cache;
-  MLOC_ASSIGN_OR_RETURN(c.lookups, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.hits, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.misses, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.insertions, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.upgrades, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.evictions, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.bytes_cached, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(c.entries, r.get_u64());
-  if (!r.exhausted()) return corrupt_data("stats payload has trailing bytes");
-  return s;
+  return decode_payload<StatsSnapshot>(p, "stats");
 }
 
 Bytes encode_session_stats(const service::SessionStats& s) {
-  ByteWriter w;
-  w.put_string(s.label);
-  w.put_u8(s.open ? 1 : 0);
-  w.put_u64(s.submitted);
-  w.put_u64(s.completed);
-  w.put_u64(s.failed);
-  w.put_u64(s.rejected);
-  put_cache_stats(w, s.cache);
-  put_exec_stats(w, s.exec);
-  w.put_f64(s.total_queue_wait_s);
-  w.put_f64(s.total_modeled_s);
-  return std::move(w).take();
+  return encode_payload(s);
 }
 
 Result<service::SessionStats> decode_session_stats(
     std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  service::SessionStats s;
-  MLOC_ASSIGN_OR_RETURN(s.label, r.get_string());
-  std::uint8_t open = 0;
-  MLOC_ASSIGN_OR_RETURN(open, r.get_u8());
-  s.open = open != 0;
-  MLOC_ASSIGN_OR_RETURN(s.submitted, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(s.completed, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(s.failed, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(s.rejected, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(s.cache, get_cache_stats(r));
-  MLOC_ASSIGN_OR_RETURN(s.exec, get_exec_stats(r));
-  MLOC_ASSIGN_OR_RETURN(s.total_queue_wait_s, r.get_f64());
-  MLOC_ASSIGN_OR_RETURN(s.total_modeled_s, r.get_f64());
-  if (!r.exhausted()) {
-    return corrupt_data("session-stats payload has trailing bytes");
-  }
-  return s;
+  return decode_payload<service::SessionStats>(p, "session-stats");
 }
 
 Bytes encode_shm_offer(std::uint64_t ring_bytes) {
-  ByteWriter w;
-  w.put_u64(ring_bytes);
-  return std::move(w).take();
+  return encode_payload(ring_bytes);
 }
 
 Result<std::uint64_t> decode_shm_offer(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  std::uint64_t ring_bytes = 0;
-  MLOC_ASSIGN_OR_RETURN(ring_bytes, r.get_u64());
-  if (!r.exhausted()) {
-    return corrupt_data("shm-offer payload has trailing bytes");
-  }
-  return ring_bytes;
+  return decode_payload<std::uint64_t>(p, "shm-offer");
 }
 
-Bytes encode_shm_accept(const ShmInfo& info) {
-  ByteWriter w;
-  w.put_string(info.name);
-  w.put_u64(info.ring_bytes);
-  w.put_u64(info.token);
-  w.put_u32(info.data_offset);
-  return std::move(w).take();
-}
+Bytes encode_shm_accept(const ShmInfo& info) { return encode_payload(info); }
 
 Result<ShmInfo> decode_shm_accept(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  ShmInfo info;
-  MLOC_ASSIGN_OR_RETURN(info.name, r.get_string());
-  MLOC_ASSIGN_OR_RETURN(info.ring_bytes, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(info.token, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(info.data_offset, r.get_u32());
+  MLOC_ASSIGN_OR_RETURN(ShmInfo info, decode_payload<ShmInfo>(p, "shm-accept"));
   if (info.name.empty() || info.name.front() != '/') {
     return corrupt_data("shm-accept segment name is not absolute");
-  }
-  if (!r.exhausted()) {
-    return corrupt_data("shm-accept payload has trailing bytes");
   }
   return info;
 }
 
-Bytes encode_shm_attach(bool mapped) {
-  ByteWriter w;
-  w.put_u8(mapped ? 1 : 0);
-  return std::move(w).take();
-}
+Bytes encode_shm_attach(bool mapped) { return encode_payload(mapped); }
 
 Result<bool> decode_shm_attach(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  std::uint8_t mapped = 0;
-  MLOC_ASSIGN_OR_RETURN(mapped, r.get_u8());
-  if (mapped > 1) return corrupt_data("shm-attach flag is not a boolean");
-  if (!r.exhausted()) {
-    return corrupt_data("shm-attach payload has trailing bytes");
-  }
-  return mapped != 0;
+  return decode_payload<bool>(p, "shm-attach");
 }
 
-Bytes encode_shm_result(const ShmDescriptor& d) {
-  ByteWriter w;
-  w.put_u64(d.offset);
-  w.put_u32(d.len);
-  w.put_u64(d.release);
-  return std::move(w).take();
-}
+Bytes encode_shm_result(const ShmDescriptor& d) { return encode_payload(d); }
 
 Result<ShmDescriptor> decode_shm_result(std::span<const std::uint8_t> p) {
-  ByteReader r(p);
-  ShmDescriptor d;
-  MLOC_ASSIGN_OR_RETURN(d.offset, r.get_u64());
-  MLOC_ASSIGN_OR_RETURN(d.len, r.get_u32());
-  MLOC_ASSIGN_OR_RETURN(d.release, r.get_u64());
-  if (!r.exhausted()) {
-    return corrupt_data("shm-result payload has trailing bytes");
-  }
-  return d;
+  return decode_payload<ShmDescriptor>(p, "shm-result");
 }
 
 Bytes encode_variable_list(const std::vector<MlocStore::VariableDesc>& vars) {

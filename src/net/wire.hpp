@@ -62,7 +62,12 @@ inline constexpr std::uint32_t kMagic = 0x434F4C4Du;  // "MLOC" as LE bytes
 /// v2: response prefix gained the via_shm transport flag and the STATS
 /// payload gained per-transport counters (existing-payload layout changes,
 /// hence the bump). The shm frames themselves are new types, not a bump.
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// v3: the response prefix carries CacheStats and ExecStats once (with
+/// ExecStats::bytes_bridged) and drops the summed modeled time and the
+/// result's duplicate byte count; STATS drops its summed modeled time and
+/// the transport counters (net::ServerStats keeps those); SESSION_STATS
+/// carries counts only.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 28;
 /// Upper bound on payload_len: rejects absurd lengths (corrupt or hostile
 /// headers) before any allocation. 1 GiB comfortably covers the largest

@@ -18,8 +18,7 @@ Status run_query_ranks(const pfs::PfsConfig& cfg, int num_ranks,
     io.merge_from(ctx.io_log);
     cpu.max_with(ctx.times);
   }
-  result->bytes_read = io.total_bytes();
-  result->exec.bytes_read = result->bytes_read;
+  result->exec.bytes_read = io.total_bytes();
   result->exec.modeled_seeks = pfs::coalesced_extent_count(io);
   result->times.io = pfs::model_makespan(cfg, io, num_ranks);
   result->times.decompress = cpu.decompress;

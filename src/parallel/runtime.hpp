@@ -45,8 +45,8 @@ struct RankContext {
 /// Run body(ctx) for ranks 0..num_ranks-1 (sequentially, deterministic
 /// order), stopping at and returning the first error. Then charge the
 /// query in `result` from the merged rank logs (records keep their rank
-/// tags): bytes_read and exec.bytes_read, exec.modeled_seeks, and the
-/// modeled I/O makespan in times.io. times.decompress/reconstruct become
+/// tags): exec.bytes_read, exec.modeled_seeks, and the modeled I/O
+/// makespan in times.io. times.decompress/reconstruct become
 /// the per-phase maxima over ranks (ranks synchronize at phase barriers).
 /// Callers add their own gather or overhead term afterwards.
 [[nodiscard]] Status run_query_ranks(

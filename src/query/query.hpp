@@ -58,6 +58,7 @@ struct CacheStats {
   std::uint64_t misses = 0;        ///< provider consulted, nothing usable
   std::uint64_t bytes_saved = 0;   ///< compressed payload bytes not re-read
 
+  bool operator==(const CacheStats&) const = default;
   CacheStats& operator+=(const CacheStats& o) noexcept {
     hits += o.hits;
     partial_hits += o.partial_hits;
@@ -84,6 +85,7 @@ struct ExecStats {
   /// gap trades its bytes for one saved seek).
   std::uint64_t bytes_bridged = 0;
 
+  bool operator==(const ExecStats&) const = default;
   ExecStats& operator+=(const ExecStats& o) noexcept {
     bytes_planned += o.bytes_planned;
     bytes_read += o.bytes_read;
@@ -110,9 +112,10 @@ struct QueryResult {
   std::uint64_t aligned_bins = 0;   ///< bins answered from the index alone
   std::uint64_t fragments_read = 0; ///< (bin, chunk) cells fetched from data
   std::uint64_t fragments_skipped = 0;  ///< pruned by zone maps (VC disjoint)
-  std::uint64_t bytes_read = 0;     ///< payload bytes fetched from the PFS
   CacheStats cache;                 ///< fragment-provider hit/miss accounting
-  ExecStats exec;                   ///< read-plan / coalescing accounting
+  ExecStats exec;                   ///< read plan, bytes read, coalescing
+
+  bool operator==(const QueryResult&) const = default;
 };
 
 }  // namespace mloc

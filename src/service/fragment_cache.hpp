@@ -46,6 +46,8 @@ class FragmentCache final : public FragmentProvider {
     std::uint64_t evictions = 0;   ///< entries dropped to fit the budget
     std::uint64_t bytes_cached = 0;
     std::uint64_t entries = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   FragmentCache() : FragmentCache(Config{}) {}

@@ -48,9 +48,9 @@ Result<SessionId> QueryService::open_session(std::string label) {
   sync::MutexLock lock(mutex_);
   if (shutdown_) return failed_precondition("service shutting down");
   const SessionId id = next_session_++;
-  SessionState& s = sessions_[id];
-  s.stats.label = std::move(label);
-  s.stats.open = true;
+  SessionStats& s = sessions_[id];
+  s.label = std::move(label);
+  s.open = true;
   ++agg_.sessions_opened;
   ++agg_.sessions_open;
   return id;
@@ -60,10 +60,10 @@ Status QueryService::close_session(SessionId id) {
   sync::MutexLock lock(mutex_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return not_found("no such session");
-  if (!it->second.stats.open) {
+  if (!it->second.open) {
     return failed_precondition("session already closed");
   }
-  it->second.stats.open = false;
+  it->second.open = false;
   --agg_.sessions_open;
   return Status::ok();
 }
@@ -76,7 +76,7 @@ QueryService::AdmitDecision QueryService::admit_locked(
     out.reject = failed_precondition("service shutting down");
   } else if (it == sessions_.end()) {
     out.reject = not_found("no such session");
-  } else if (!it->second.stats.open) {
+  } else if (!it->second.open) {
     out.reject = failed_precondition("session closed");
   } else if (pending_.size() >= cfg_.max_queue_depth) {
     out.reject = resource_exhausted("admission queue full");
@@ -84,10 +84,8 @@ QueryService::AdmitDecision QueryService::admit_locked(
   if (out.reject.is_ok()) {
     ++agg_.submitted;
     ++agg_.queued;
-    ++it->second.stats.submitted;
+    ++it->second.submitted;
     p->id = out.id = next_query_++;
-    p->deadline_s =
-        req.deadline_s < 0 ? cfg_.default_deadline_s : req.deadline_s;
     p->req = std::move(req);
     pending_.push_back(std::move(p));
     agg_.peak_queue_depth = std::max(agg_.peak_queue_depth, pending_.size());
@@ -98,7 +96,7 @@ QueryService::AdmitDecision QueryService::admit_locked(
     }
   } else {
     ++agg_.rejected;
-    if (it != sessions_.end()) ++it->second.stats.rejected;
+    if (it != sessions_.end()) ++it->second.rejected;
   }
   return out;
 }
@@ -228,14 +226,14 @@ void QueryService::dispatch_one() {
     finish(std::move(p), std::move(resp));
     return;
   }
-  if (p->deadline_s > 0 && resp.stats.queue_wait_s > p->deadline_s) {
+  const double deadline_s = p->req.deadline_s;  // <= 0: none
+  if (deadline_s > 0 && resp.stats.queue_wait_s > deadline_s) {
     resp.status = deadline_exceeded("deadline passed while queued");
     finish(std::move(p), std::move(resp));
     return;
   }
 
-  const int ranks =
-      p->req.num_ranks > 0 ? p->req.num_ranks : cfg_.default_num_ranks;
+  const int ranks = std::max(1, p->req.num_ranks);
   Stopwatch sw;
   auto result =
       p->req.multivar.has_value()
@@ -269,11 +267,9 @@ void QueryService::dispatch_one() {
       }
     }
     resp.result = std::move(result).value();
-    resp.stats.modeled_s = resp.result.times.total();
     resp.stats.cache = resp.result.cache;
     resp.stats.exec = resp.result.exec;
-    if (p->deadline_s > 0 &&
-        p->queued.seconds() > p->deadline_s) {
+    if (deadline_s > 0 && p->queued.seconds() > deadline_s) {
       resp.status = deadline_exceeded("execution overran the deadline");
       resp.result = QueryResult{};
     }
@@ -286,7 +282,6 @@ void QueryService::fold_stats_locked(const PendingQuery& p,
   --agg_.executing;
   agg_.total_queue_wait_s += resp.stats.queue_wait_s;
   agg_.total_exec_wall_s += resp.stats.exec_wall_s;
-  agg_.total_modeled_s += resp.stats.modeled_s;
   agg_.cache += resp.stats.cache;
   agg_.exec += resp.stats.exec;
   switch (resp.status.code()) {
@@ -297,12 +292,7 @@ void QueryService::fold_stats_locked(const PendingQuery& p,
   }
   auto it = sessions_.find(p.session);
   if (it != sessions_.end()) {
-    SessionStats& s = it->second.stats;
-    resp.status.is_ok() ? ++s.completed : ++s.failed;
-    s.cache += resp.stats.cache;
-    s.exec += resp.stats.exec;
-    s.total_queue_wait_s += resp.stats.queue_wait_s;
-    s.total_modeled_s += resp.stats.modeled_s;
+    resp.status.is_ok() ? ++it->second.completed : ++it->second.failed;
   }
 }
 
@@ -318,18 +308,6 @@ void QueryService::finish(std::unique_ptr<PendingQuery> p, Response resp) {
   }
 }
 
-void QueryService::record_transport(bool via_shm,
-                                    std::uint64_t payload_bytes) {
-  sync::MutexLock lock(mutex_);
-  if (via_shm) {
-    ++agg_.responses_shm;
-    agg_.bytes_shm += payload_bytes;
-  } else {
-    ++agg_.responses_tcp;
-    agg_.bytes_tcp += payload_bytes;
-  }
-}
-
 AggregateStats QueryService::aggregate() const {
   sync::MutexLock lock(mutex_);
   return agg_;
@@ -339,7 +317,7 @@ Result<SessionStats> QueryService::session_stats(SessionId id) const {
   sync::MutexLock lock(mutex_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return not_found("no such session");
-  return it->second.stats;
+  return it->second;
 }
 
 }  // namespace mloc::service

@@ -20,8 +20,8 @@
 //     queued query can be cancelled by id;
 //   * a shared FragmentCache attached to the store as FragmentProvider, so
 //     decompressed fragments are amortized across queries and clients;
-//   * per-query ServiceStats (queue wait, cache hits/misses, bytes saved,
-//     modeled vs measured time) plus service- and session-level aggregates.
+//   * per-query ServiceStats (queue wait, measured exec time, cache and
+//     engine counters) plus service-wide aggregates and per-session counts.
 //
 // Thread-safety: every public method may be called from any thread.
 // MlocStore::execute is const and reads only immutable state, so worker
@@ -61,8 +61,6 @@ struct ServiceConfig {
   std::size_t max_queue_depth = 256; ///< admission limit on waiting queries
   SchedulingPolicy policy = SchedulingPolicy::kFifo;
   FragmentCache::Config cache;       ///< budget 0 disables the cache
-  double default_deadline_s = 0.0;   ///< 0 = no deadline
-  int default_num_ranks = 1;         ///< emulated ranks per query
   /// Write-path options applied by QueryService::ingest (pipeline threads,
   /// write-behind flushing).
   ingest::WriteOptions ingest;
@@ -80,7 +78,7 @@ struct MultivarSpec {
   std::string fetch_var;  ///< empty = positions only
 };
 
-/// One query submission. Unset fields fall back to the service defaults.
+/// One query submission.
 struct Request {
   std::string var;
   Query query;
@@ -89,24 +87,26 @@ struct Request {
   /// selects the precision of fetched values.
   std::optional<MultivarSpec> multivar;
   int priority = 0;        ///< larger runs earlier under kPriority
-  double deadline_s = -1;  ///< seconds from submission; <0 = default, 0 = none
-  int num_ranks = 0;       ///< 0 = service default
+  double deadline_s = -1;  ///< seconds from submission; <= 0 = none
+  int num_ranks = 0;       ///< emulated ranks; < 1 = one rank
 };
 
-/// Per-query serving metrics, returned alongside the result.
+/// Per-query serving metrics, returned alongside the result. The modeled
+/// I/O clock and the measured CPU phases stay apart in
+/// QueryResult::times.
 struct ServiceStats {
   QueryId query_id = 0;
   SessionId session = 0;
   double queue_wait_s = 0.0;  ///< submission -> dispatch (wall clock)
   double exec_wall_s = 0.0;   ///< measured wall time inside the store
-  double modeled_s = 0.0;     ///< QueryResult::times.total(): modeled io+cpu
-  CacheStats cache;           ///< fragment-cache accounting for this query
-  ExecStats exec;             ///< engine accounting: bytes planned/read/
-                              ///< cached, extents before/after coalescing
+  CacheStats cache;           ///< copy of QueryResult::cache
+  ExecStats exec;             ///< copy of QueryResult::exec
   /// Set by the wire server when the response payload travelled through a
   /// shared-memory ring slot instead of a TCP frame. Always false for
   /// in-process callers.
   bool via_shm = false;
+
+  bool operator==(const ServiceStats&) const = default;
 };
 
 /// Everything a client gets back for one submission.
@@ -133,7 +133,8 @@ struct Submission {
 /// reader can tell a quiet service from one mid-dispatch. (Before the wire
 /// server landed, `submitted` also counted queue-full refusals and there
 /// were no gauges, so concurrent readers could never reconcile the
-/// counters against each other.)
+/// counters against each other.) Responses per transport are counted by
+/// the front end that delivers them (net::ServerStats).
 struct AggregateStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;   ///< resolved ok
@@ -147,28 +148,20 @@ struct AggregateStats {
   ExecStats exec;                ///< summed per-query engine stats
   double total_queue_wait_s = 0.0;
   double total_exec_wall_s = 0.0;
-  double total_modeled_s = 0.0;
   std::size_t peak_queue_depth = 0;
   std::uint64_t sessions_opened = 0;
   std::uint64_t sessions_open = 0;
   std::uint64_t ingests = 0;          ///< successful QueryService::ingest calls
   std::uint64_t ingest_failures = 0;
-  /// Per-transport response delivery, folded in by the wire server via
-  /// record_transport() — outside the submitted invariant above (a
-  /// response is counted here only once a front end delivers it, and
-  /// in-process callers never do). Bytes count the response payload, not
-  /// framing.
-  std::uint64_t responses_shm = 0;
-  std::uint64_t responses_tcp = 0;
-  std::uint64_t bytes_shm = 0;
-  std::uint64_t bytes_tcp = 0;
   /// Cumulative write-path accounting (MlocStore::ingest_stats snapshot).
   ingest::IngestStats ingest;
+
+  bool operator==(const AggregateStats&) const = default;
 };
 
-/// Per-session slice of the aggregates. Mirrors the service-wide
-/// invariant: submitted counts admitted queries only (and equals
-/// completed + failed + in-flight), refusals land in `rejected`.
+/// Per-session query counts. Mirrors the service-wide invariant:
+/// submitted counts admitted queries only (and equals completed + failed +
+/// in-flight), refusals land in `rejected`.
 struct SessionStats {
   std::string label;
   bool open = false;
@@ -176,10 +169,8 @@ struct SessionStats {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;    ///< any non-ok resolution after admission
   std::uint64_t rejected = 0;  ///< refused at admission (queue full/closed)
-  CacheStats cache;
-  ExecStats exec;
-  double total_queue_wait_s = 0.0;
-  double total_modeled_s = 0.0;
+
+  bool operator==(const SessionStats&) const = default;
 };
 
 class QueryService {
@@ -239,13 +230,6 @@ class QueryService {
   void pause() MLOC_EXCLUDES(mutex_);
   void resume() MLOC_EXCLUDES(mutex_);
 
-  /// Fold one delivered response into the per-transport aggregates
-  /// (AggregateStats::responses_shm/...). Called by a front end (the wire
-  /// server) after it has chosen how to ship the response; `payload_bytes`
-  /// is the response payload size on the wire or in the ring.
-  void record_transport(bool via_shm, std::uint64_t payload_bytes)
-      MLOC_EXCLUDES(mutex_);
-
   [[nodiscard]] AggregateStats aggregate() const MLOC_EXCLUDES(mutex_);
   [[nodiscard]] Result<SessionStats> session_stats(SessionId id) const
       MLOC_EXCLUDES(mutex_);
@@ -272,13 +256,8 @@ class QueryService {
     std::promise<Response> promise;   ///< used when `callback` is empty
     ResponseCallback callback;        ///< set by submit_async
     Stopwatch queued;  ///< started at submission; read at dispatch
-    double deadline_s = 0.0;  ///< 0 = none, relative to submission
     bool cancelled = false;
   };
-  struct SessionState {
-    SessionStats stats;
-  };
-
   /// Outcome of the locked admission phase.
   struct AdmitDecision {
     Status reject;         ///< ok = admitted
@@ -325,7 +304,7 @@ class QueryService {
   bool shutdown_ MLOC_GUARDED_BY(mutex_) = false;
   QueryId next_query_ MLOC_GUARDED_BY(mutex_) = 1;
   SessionId next_session_ MLOC_GUARDED_BY(mutex_) = 1;
-  std::map<SessionId, SessionState> sessions_ MLOC_GUARDED_BY(mutex_);
+  std::map<SessionId, SessionStats> sessions_ MLOC_GUARDED_BY(mutex_);
   AggregateStats agg_ MLOC_GUARDED_BY(mutex_);
 
   /// Declared last: its destructor drains worker tasks that touch the

@@ -21,59 +21,27 @@
 // --no-shm skips the offer, --shm makes a refusal fatal (for scripts
 // that must assert the fast path), --shm-ring-kb sizes the ring
 // (default 4096).
+//
+// Exit codes: 0 ok, 1 a failed connection or query, 2 bad usage (every
+// option is checked before connecting, see tools/cli.hpp).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "net/client.hpp"
 #include "service/query_service.hpp"
+#include "tools/cli.hpp"
 
 using namespace mloc;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::pair<std::string, std::string>> repeated;  ///< --select
-  std::vector<std::string> flags;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+/// Prints `why` (when set) and the usage text; exit code 2.
+int usage(const Status& why = Status::ok()) {
+  if (!why.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", why.to_string().c_str());
   }
-  [[nodiscard]] bool has_flag(const std::string& name) const {
-    return std::find(flags.begin(), flags.end(), name) != flags.end();
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
-    token = token.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      std::string value = argv[++i];
-      if (token == "select") {
-        args.repeated.emplace_back(token, std::move(value));
-      } else {
-        args.options[token] = std::move(value);
-      }
-    } else {
-      args.flags.push_back(token);
-    }
-  }
-  return args;
-}
-
-int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
@@ -98,78 +66,14 @@ int fail(const Status& status) {
   return 1;
 }
 
-bool parse_range(const std::string& text, double* lo, double* hi) {
-  const auto colon = text.find(':');
-  if (colon == std::string::npos) return false;
-  *lo = std::atof(text.substr(0, colon).c_str());
-  *hi = std::atof(text.substr(colon + 1).c_str());
-  return true;
-}
-
-Result<service::Request> parse_request(const Args& args) {
-  service::Request req;
-  req.var = args.get("var", "v");
-  if (const std::string vc = args.get("vc"); !vc.empty()) {
-    double lo = 0, hi = 0;
-    if (!parse_range(vc, &lo, &hi)) {
-      return invalid_argument("--vc expects LO:HI");
-    }
-    req.query.vc = ValueConstraint{lo, hi};
-  }
-  if (const std::string sc = args.get("sc"); !sc.empty()) {
-    Coord lo{}, hi{};
-    int dim = 0;
-    std::size_t begin = 0;
-    while (begin <= sc.size() && dim < NDShape::kMaxDims) {
-      const std::size_t comma = sc.find(',', begin);
-      const std::string part = sc.substr(
-          begin,
-          comma == std::string::npos ? std::string::npos : comma - begin);
-      double dlo = 0, dhi = 0;
-      if (!parse_range(part, &dlo, &dhi)) {
-        return invalid_argument("--sc expects LO:HI[,LO:HI...]");
-      }
-      lo[dim] = static_cast<std::uint32_t>(dlo);
-      hi[dim] = static_cast<std::uint32_t>(dhi);
-      ++dim;
-      if (comma == std::string::npos) break;
-      begin = comma + 1;
-    }
-    req.query.sc = Region(dim, lo, hi);
-  }
-  req.query.plod_level = std::atoi(args.get("plod", "7").c_str());
-  req.query.values_needed = !args.has_flag("region-only");
-  req.num_ranks = std::atoi(args.get("ranks", "0").c_str());
-  req.deadline_s = std::atof(args.get("deadline", "-1").c_str());
-
-  if (!args.repeated.empty()) {
-    service::MultivarSpec mv;
-    for (const auto& [key, value] : args.repeated) {
-      const auto c1 = value.find(':');
-      const auto c2 = c1 == std::string::npos ? std::string::npos
-                                              : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        return invalid_argument("--select expects VAR:LO:HI");
-      }
-      MlocStore::VarConstraint pred;
-      pred.var = value.substr(0, c1);
-      pred.vc.lo = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      pred.vc.hi = std::atof(value.substr(c2 + 1).c_str());
-      mv.preds.push_back(std::move(pred));
-    }
-    mv.combine = args.get("combine", "and") == "or" ? MlocStore::Combine::kOr
-                                                    : MlocStore::Combine::kAnd;
-    mv.fetch_var = args.get("fetch");
-    req.multivar = std::move(mv);
-  }
-  return req;
-}
-
-Status connect(const Args& args, net::Client* client) {
-  const std::string port = args.get("port");
-  if (port.empty()) return invalid_argument("--port is required");
-  return client->connect(args.get("host", "127.0.0.1"),
-                         static_cast<std::uint16_t>(std::atoi(port.c_str())));
+/// Connects to --host/--port; returns the exit code of a failure, else 0.
+int connect(const cli::Args& args, net::Client* client) {
+  auto port = args.get_int("port", 0, 1, 65535);
+  if (!port.is_ok()) return usage(port.status());
+  if (port.value() == 0) return usage(invalid_argument("--port is required"));
+  const Status st = client->connect(args.get("host", "127.0.0.1"),
+                                    static_cast<std::uint16_t>(port.value()));
+  return st.is_ok() ? 0 : fail(st);
 }
 
 void print_response(const service::Response& resp) {
@@ -183,7 +87,7 @@ void print_response(const service::Response& resp) {
       "read\n",
       r.positions.size(), static_cast<unsigned long long>(r.bins_touched),
       static_cast<unsigned long long>(r.aligned_bins),
-      static_cast<double>(r.bytes_read) / 1e6);
+      static_cast<double>(r.exec.bytes_read) / 1e6);
   if (!r.values.empty()) {
     double sum = 0, mn = r.values[0], mx = mn;
     for (double v : r.values) {
@@ -203,35 +107,37 @@ void print_response(const service::Response& resp) {
       resp.stats.via_shm ? "shm" : "tcp");
 }
 
-int cmd_ping(const Args& args) {
+int cmd_ping(const cli::Args& args) {
   net::Client c;
-  if (Status st = connect(args, &c); !st.is_ok()) return fail(st);
+  if (const int rc = connect(args, &c); rc != 0) return rc;
   if (Status st = c.ping(); !st.is_ok()) return fail(st);
   std::printf("pong\n");
   return 0;
 }
 
-int cmd_query(const Args& args) {
-  auto parsed = parse_request(args);
-  if (!parsed.is_ok()) return fail(parsed.status());
+int cmd_query(const cli::Args& args) {
+  auto parsed = cli::parse_request(args);
+  if (!parsed.is_ok()) return usage(parsed.status());
+  auto repeat = args.get_int("repeat", 1, 1, 1 << 20);
+  if (!repeat.is_ok()) return usage(repeat.status());
+  auto ring_kb = args.get_int("shm-ring-kb", 4096, 1, 1 << 22);
+  if (!ring_kb.is_ok()) return usage(ring_kb.status());
   net::Client c;
-  if (Status st = connect(args, &c); !st.is_ok()) return fail(st);
+  if (const int rc = connect(args, &c); rc != 0) return rc;
   if (auto sid = c.open_session("mloc_client"); !sid.is_ok()) {
     return fail(sid.status());
   }
   if (!args.has_flag("no-shm")) {
-    const std::uint64_t ring_kb = static_cast<std::uint64_t>(
-        std::atoll(args.get("shm-ring-kb", "4096").c_str()));
-    const Status st = c.enable_shm(ring_kb << 10);
+    const Status st =
+        c.enable_shm(static_cast<std::uint64_t>(ring_kb.value()) << 10);
     // Best-effort by default: a refused offer just keeps TCP. --shm is
     // for scripts that need to *assert* the fast path.
     if (!st.is_ok() && args.has_flag("shm")) return fail(st);
   }
 
-  const int repeat = std::max(1, std::atoi(args.get("repeat", "1").c_str()));
   std::vector<std::uint64_t> ids;
-  ids.reserve(static_cast<std::size_t>(repeat));
-  for (int i = 0; i < repeat; ++i) {
+  ids.reserve(static_cast<std::size_t>(repeat.value()));
+  for (std::int64_t i = 0; i < repeat.value(); ++i) {
     auto id = c.send_query(parsed.value());
     if (!id.is_ok()) return fail(id.status());
     ids.push_back(id.value());
@@ -248,9 +154,9 @@ int cmd_query(const Args& args) {
   return rc;
 }
 
-int cmd_stats(const Args& args) {
+int cmd_stats(const cli::Args& args) {
   net::Client c;
-  if (Status st = connect(args, &c); !st.is_ok()) return fail(st);
+  if (const int rc = connect(args, &c); rc != 0) return rc;
   auto snap = c.stats();
   if (!snap.is_ok()) return fail(snap.status());
   const service::AggregateStats& a = snap.value().agg;
@@ -284,9 +190,9 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
-int cmd_vars(const Args& args) {
+int cmd_vars(const cli::Args& args) {
   net::Client c;
-  if (Status st = connect(args, &c); !st.is_ok()) return fail(st);
+  if (const int rc = connect(args, &c); rc != 0) return rc;
   auto vars = c.list_variables();
   if (!vars.is_ok()) return fail(vars.status());
   std::printf("%zu variable(s):\n", vars.value().size());
@@ -299,9 +205,9 @@ int cmd_vars(const Args& args) {
   return 0;
 }
 
-int cmd_session_stats(const Args& args) {
+int cmd_session_stats(const cli::Args& args) {
   net::Client c;
-  if (Status st = connect(args, &c); !st.is_ok()) return fail(st);
+  if (const int rc = connect(args, &c); rc != 0) return rc;
   if (auto sid = c.open_session("mloc_client"); !sid.is_ok()) {
     return fail(sid.status());
   }
@@ -322,7 +228,9 @@ int cmd_session_stats(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
+  auto parsed = cli::parse_args(argc, argv, /*with_command=*/true);
+  if (!parsed.is_ok()) return usage(parsed.status());
+  const cli::Args& args = parsed.value();
   if (args.command == "ping") return cmd_ping(args);
   if (args.command == "query") return cmd_query(args);
   if (args.command == "stats") return cmd_stats(args);

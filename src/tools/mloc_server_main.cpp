@@ -14,21 +14,21 @@
 // accepting, drains in-flight queries up to --grace seconds, closes
 // sessions, and exits 0 — so an orchestrator's TERM always produces a
 // clean stop. --port-file writes the bound port to a file, which is how
-// scripts using an ephemeral port discover it.
+// scripts using an ephemeral port discover it. A malformed or out-of-range
+// option (say --workers 0) is a usage error, exit 2, before the store is
+// opened (tools/cli.hpp); a store that fails to open or a failed bind
+// exits 1.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <set>
 #include <string>
-#include <vector>
 
 #include <unistd.h>
 
 #include "net/server.hpp"
 #include "pfs/pfs.hpp"
 #include "service/query_service.hpp"
+#include "tools/cli.hpp"
 
 using namespace mloc;
 
@@ -43,36 +43,9 @@ void on_signal(int) {
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-struct Args {
-  std::map<std::string, std::string> options;
-  std::set<std::string> flags;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool has_flag(const std::string& key) const {
-    return flags.count(key) != 0;
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
-    token = token.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[token] = argv[++i];
-    } else {
-      args.flags.insert(token);
-    }
-  }
-  return args;
-}
-
-int usage() {
+/// Prints `why` and the usage text; exit code 2.
+int usage(const Status& why) {
+  std::fprintf(stderr, "error: %s\n", why.to_string().c_str());
   std::fprintf(
       stderr,
       "usage: mloc_server --store DIR [--host H] [--port P]\n"
@@ -94,48 +67,30 @@ int fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  const std::string dir = args.get("store");
-  if (dir.empty()) return usage();
+  auto args = cli::parse_args(argc, argv, /*with_command=*/false);
+  if (!args.is_ok()) return usage(args.status());
+  auto parsed = cli::parse_serve(args.value());
+  if (!parsed.is_ok()) return usage(parsed.status());
+  const cli::ServeOptions& opts = parsed.value();
 
   // The store borrows the storage; keep both alive for the process.
-  auto fs = pfs::PfsStorage::load_from_dir(dir);
+  auto fs = pfs::PfsStorage::load_from_dir(opts.store_dir);
   if (!fs.is_ok()) return fail(fs.status());
   auto opened = MlocStore::open(&fs.value(), "store");
   if (!opened.is_ok()) return fail(opened.status());
-
-  service::ServiceConfig svc_cfg;
-  svc_cfg.num_workers = std::atoi(args.get("workers", "4").c_str());
-  svc_cfg.max_queue_depth = static_cast<std::size_t>(
-      std::atoll(args.get("queue-depth", "1024").c_str()));
-  svc_cfg.cache.budget_bytes =
-      static_cast<std::uint64_t>(std::atoll(args.get("cache-mb", "64").c_str()))
-      << 20;
-  service::QueryService svc(std::move(opened).value(), svc_cfg);
-
-  net::ServerConfig srv_cfg;
-  srv_cfg.host = args.get("host", "127.0.0.1");
-  srv_cfg.port = static_cast<std::uint16_t>(std::atoi(args.get("port", "0").c_str()));
-  srv_cfg.num_loops = std::atoi(args.get("loops", "2").c_str());
-  srv_cfg.drain_grace_s = std::atof(args.get("grace", "5").c_str());
-  srv_cfg.enable_shm = !args.has_flag("no-shm");
-  srv_cfg.max_shm_ring_bytes =
-      static_cast<std::uint64_t>(
-          std::atoll(args.get("max-shm-ring-mb", "64").c_str()))
-      << 20;
-  net::Server server(svc, srv_cfg);
+  service::QueryService svc(std::move(opened).value(), opts.service);
+  net::Server server(svc, opts.server);
   if (Status st = server.start(); !st.is_ok()) return fail(st);
 
-  std::printf("mloc_server listening on %s:%u\n", srv_cfg.host.c_str(),
+  std::printf("mloc_server listening on %s:%u\n", opts.server.host.c_str(),
               static_cast<unsigned>(server.port()));
   std::fflush(stdout);
-  if (const std::string port_file = args.get("port-file");
-      !port_file.empty()) {
-    if (FILE* f = std::fopen(port_file.c_str(), "w"); f != nullptr) {
+  if (!opts.port_file.empty()) {
+    if (FILE* f = std::fopen(opts.port_file.c_str(), "w"); f != nullptr) {
       std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
       std::fclose(f);
     } else {
-      std::fprintf(stderr, "error: cannot write %s\n", port_file.c_str());
+      std::fprintf(stderr, "error: cannot write %s\n", opts.port_file.c_str());
       return 1;
     }
   }
@@ -151,7 +106,8 @@ int main(int argc, char** argv) {
   while (::read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
   }
 
-  std::printf("mloc_server draining (grace %.1fs)\n", srv_cfg.drain_grace_s);
+  std::printf("mloc_server draining (grace %.1fs)\n",
+              opts.server.drain_grace_s);
   std::fflush(stdout);
   server.shutdown();
 

@@ -42,6 +42,8 @@ struct ComponentTimes {
     return io + decompress + reconstruct;
   }
 
+  bool operator==(const ComponentTimes&) const = default;
+
   ComponentTimes& operator+=(const ComponentTimes& other) noexcept {
     io += other.io;
     decompress += other.decompress;

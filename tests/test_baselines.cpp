@@ -58,7 +58,7 @@ TEST(SeqScan, RegionQueryMatchesBruteForce) {
   EXPECT_EQ(res.value().positions, t.positions);
   EXPECT_EQ(res.value().values, t.values);
   // Full scan: reads the whole file.
-  EXPECT_EQ(res.value().bytes_read, g.size() * sizeof(double));
+  EXPECT_EQ(res.value().exec.bytes_read, g.size() * sizeof(double));
 }
 
 TEST(SeqScan, ValueQueryMatchesBruteForce) {
@@ -73,7 +73,7 @@ TEST(SeqScan, ValueQueryMatchesBruteForce) {
   EXPECT_EQ(res.value().positions, t.positions);
   EXPECT_EQ(res.value().values, t.values);
   // Partial read: far less than the whole file.
-  EXPECT_LT(res.value().bytes_read, g.size() * sizeof(double) / 2);
+  EXPECT_LT(res.value().exec.bytes_read, g.size() * sizeof(double) / 2);
 }
 
 TEST(SeqScan, RankCountDoesNotChangeAnswers) {
@@ -136,7 +136,7 @@ TEST(FastBit, EveryQueryPaysTheFullIndexLoad) {
   // Even a tiny value query reads >= the index size.
   auto res = store.value().value_query(Region(2, {0, 0}, {2, 2}));
   ASSERT_TRUE(res.is_ok());
-  EXPECT_GE(res.value().bytes_read, index_size);
+  EXPECT_GE(res.value().exec.bytes_read, index_size);
 }
 
 TEST(FastBit, FineBinningInflatesIndex) {
@@ -214,7 +214,7 @@ TEST(SciDb, RegionQueryScansEverything) {
   ASSERT_TRUE(res.is_ok());
   EXPECT_TRUE(res.value().positions.empty());
   // Still read the entire (replicated) dataset.
-  EXPECT_EQ(res.value().bytes_read, store.value().data_bytes());
+  EXPECT_EQ(res.value().exec.bytes_read, store.value().data_bytes());
 }
 
 TEST(SciDb, ValueQueryReadsOnlyCoveringChunks) {
@@ -224,7 +224,7 @@ TEST(SciDb, ValueQueryReadsOnlyCoveringChunks) {
   ASSERT_TRUE(store.is_ok());
   auto small = store.value().value_query(Region(2, {0, 0}, {8, 8}));
   ASSERT_TRUE(small.is_ok());
-  EXPECT_LT(small.value().bytes_read, store.value().data_bytes() / 4);
+  EXPECT_LT(small.value().exec.bytes_read, store.value().data_bytes() / 4);
 }
 
 TEST(SciDb, RankInvariance) {

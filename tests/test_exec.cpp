@@ -241,7 +241,7 @@ TEST(Engine, PlannerEstimateMatchesColdExecutionExactly) {
     EXPECT_EQ(est.value().bins_touched, run.value().bins_touched);
     EXPECT_EQ(est.value().aligned_bins, run.value().aligned_bins);
     EXPECT_EQ(est.value().fragments_to_fetch, run.value().fragments_read);
-    EXPECT_EQ(est.value().stats.bytes_read, run.value().bytes_read);
+    EXPECT_EQ(est.value().stats.bytes_read, run.value().exec.bytes_read);
     EXPECT_EQ(est.value().stats.modeled_seeks,
               run.value().exec.modeled_seeks);
     EXPECT_DOUBLE_EQ(io_s.value(), run.value().times.io);
@@ -262,7 +262,7 @@ TEST(Engine, HeaderCacheEliminatesRereadsAfterFirstQuery) {
   auto warm = store.value().execute("phi", q);
   ASSERT_TRUE(cold.is_ok() && warm.is_ok());
   // No FragmentProvider attached: only the header reads can disappear.
-  EXPECT_LT(warm.value().bytes_read, cold.value().bytes_read);
+  EXPECT_LT(warm.value().exec.bytes_read, cold.value().exec.bytes_read);
   EXPECT_EQ(warm.value().positions, cold.value().positions);
 
   // A freshly created store is header-warm from the start: both runs read
@@ -273,7 +273,7 @@ TEST(Engine, HeaderCacheEliminatesRereadsAfterFirstQuery) {
   auto first = created.value().execute("phi", q);
   auto second = created.value().execute("phi", q);
   ASSERT_TRUE(first.is_ok() && second.is_ok());
-  EXPECT_EQ(first.value().bytes_read, second.value().bytes_read);
+  EXPECT_EQ(first.value().exec.bytes_read, second.value().exec.bytes_read);
 }
 
 TEST(Engine, CacheStatsSplitPlannedReadAndSavedBytes) {
@@ -292,7 +292,7 @@ TEST(Engine, CacheStatsSplitPlannedReadAndSavedBytes) {
   EXPECT_EQ(cold.value().exec.bytes_from_cache, 0u);
   EXPECT_GT(cold.value().exec.bytes_planned, 0u);
   EXPECT_GT(warm.value().exec.bytes_from_cache, 0u);
-  EXPECT_LT(warm.value().bytes_read, cold.value().bytes_read);
+  EXPECT_LT(warm.value().exec.bytes_read, cold.value().exec.bytes_read);
   EXPECT_EQ(warm.value().positions, cold.value().positions);
   EXPECT_EQ(warm.value().values, cold.value().values);
   store.value().set_fragment_provider(nullptr);

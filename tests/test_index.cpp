@@ -280,7 +280,7 @@ TEST(HbxStore, ValueRetrievalUnaffectedByIndex) {
   EXPECT_EQ(rh.value().values, rf.value().values);
   // Value retrieval must touch fragments regardless, so the index stays
   // out of the plan entirely.
-  EXPECT_EQ(rh.value().bytes_read, rf.value().bytes_read);
+  EXPECT_EQ(rh.value().exec.bytes_read, rf.value().exec.bytes_read);
 }
 
 TEST(HbxStore, MultivarSelectMatchesFlatDecomposition) {
@@ -341,7 +341,7 @@ TEST(HbxStore, PlannerEstimateMatchesColdExecution) {
       ASSERT_TRUE(io_s.is_ok()) << io_s.status().to_string();
       auto res = store.value().execute("phi", q, ranks);
       ASSERT_TRUE(res.is_ok()) << res.status().to_string();
-      EXPECT_EQ(est.value().stats.bytes_read, res.value().bytes_read)
+      EXPECT_EQ(est.value().stats.bytes_read, res.value().exec.bytes_read)
           << "sel " << sel << " ranks " << ranks;
       EXPECT_EQ(est.value().stats.modeled_seeks,
                 res.value().exec.modeled_seeks);
@@ -414,7 +414,7 @@ TEST(HbxStore, NodeBitmapsServedFromFragmentCache) {
   ASSERT_TRUE(warm.is_ok());
   EXPECT_EQ(cold.value().positions, warm.value().positions);
   EXPECT_GT(warm.value().cache.hits, 0u);
-  EXPECT_LT(warm.value().bytes_read, cold.value().bytes_read);
+  EXPECT_LT(warm.value().exec.bytes_read, cold.value().exec.bytes_read);
 }
 
 // ------------------------------------------------------------ tuner axis

@@ -115,7 +115,7 @@ TEST(SubsetStore, SpatialConstraintFiltersAndPrunes) {
   }
   auto full = store.value().read_level("phi", 2);
   ASSERT_TRUE(full.is_ok());
-  EXPECT_LT(res.value().bytes_read, full.value().bytes_read / 4);
+  EXPECT_LT(res.value().exec.bytes_read, full.value().exec.bytes_read / 4);
 }
 
 TEST(SubsetStore, RankInvariance) {
@@ -141,8 +141,8 @@ TEST(SubsetStore, LowerLevelsReadFewerBytes) {
   for (int lvl = 0; lvl < 3; ++lvl) {
     auto res = store.value().read_level("phi", lvl);
     ASSERT_TRUE(res.is_ok());
-    EXPECT_GT(res.value().bytes_read, prev);
-    prev = res.value().bytes_read;
+    EXPECT_GT(res.value().exec.bytes_read, prev);
+    prev = res.value().exec.bytes_read;
   }
 }
 

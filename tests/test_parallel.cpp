@@ -68,7 +68,7 @@ TEST(RunQueryRanks, ChargesTheMergedLogThroughThePfsModel) {
 
   pfs::IoLog expect;
   for (int r = 0; r < 3; ++r) reads(r, &expect);
-  EXPECT_EQ(result.bytes_read, expect.total_bytes());
+  EXPECT_EQ(result.exec.bytes_read, expect.total_bytes());
   EXPECT_EQ(result.exec.bytes_read, expect.total_bytes());
   EXPECT_EQ(result.exec.modeled_seeks, pfs::coalesced_extent_count(expect));
   EXPECT_EQ(result.exec.modeled_seeks, 8u);

@@ -63,7 +63,7 @@ TEST(Planner, ByteEstimateWithinSmallFactorOfMeasured) {
     auto actual = fx.store.value().execute("phi", q);
     ASSERT_TRUE(est.is_ok() && actual.is_ok());
     const double ratio = static_cast<double>(est.value().stats.bytes_read) /
-                         static_cast<double>(actual.value().bytes_read);
+                         static_cast<double>(actual.value().exec.bytes_read);
     EXPECT_GT(ratio, 0.2) << sel;
     EXPECT_LT(ratio, 5.0) << sel;
   }

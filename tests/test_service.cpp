@@ -127,7 +127,7 @@ TEST(ServiceCache, HitMissAccountingAndIdenticalResults) {
   EXPECT_EQ(warm.value().cache.hits, warm.value().fragments_read);
   EXPECT_GT(warm.value().cache.bytes_saved, 0u);
   // Payload reads disappeared: only index/header bytes remain.
-  EXPECT_LT(warm.value().bytes_read, cold.value().bytes_read);
+  EXPECT_LT(warm.value().exec.bytes_read, cold.value().exec.bytes_read);
 
   // Cached fragments must not change the answer in any way.
   EXPECT_EQ(warm.value().positions, cold.value().positions);
@@ -164,8 +164,8 @@ TEST(ServiceCache, PlodPrefixReuse) {
   EXPECT_EQ(l7.value().cache.partial_hits, l7.value().fragments_read);
   EXPECT_EQ(l7.value().cache.misses, 0u);
   EXPECT_GT(l7.value().cache.bytes_saved, 0u);
-  EXPECT_LT(l7.value().cache.bytes_saved + l7.value().bytes_read,
-            2 * l7.value().bytes_read);  // prefix < the re-read planes
+  EXPECT_LT(l7.value().cache.bytes_saved + l7.value().exec.bytes_read,
+            2 * l7.value().exec.bytes_read);  // prefix < the re-read planes
 
   // Results at every level match a provider-less store bit for bit.
   pfs::PfsStorage cold_fs;
@@ -224,7 +224,7 @@ TEST(QueryService, SessionLifecycleAndStats) {
   Response resp = svc.run(sid.value(), req);
   ASSERT_TRUE(resp.status.is_ok()) << resp.status.to_string();
   EXPECT_FALSE(resp.result.positions.empty());
-  EXPECT_GT(resp.stats.modeled_s, 0.0);
+  EXPECT_GT(resp.result.times.total(), 0.0);
   EXPECT_EQ(resp.stats.session, sid.value());
 
   auto sstats = svc.session_stats(sid.value());

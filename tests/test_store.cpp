@@ -247,7 +247,7 @@ TEST_P(StorePlodSweep, LevelQueriesMatchShreddedTruth) {
     full.plod_level = 7;
     auto full_res = store.value().execute("phi", full);
     ASSERT_TRUE(full_res.is_ok());
-    EXPECT_LT(res.value().bytes_read, full_res.value().bytes_read);
+    EXPECT_LT(res.value().exec.bytes_read, full_res.value().exec.bytes_read);
   }
 }
 
@@ -393,6 +393,36 @@ TEST(StoreMultivar, EmptySelectionYieldsEmptyResult) {
   ASSERT_TRUE(res.is_ok());
   EXPECT_TRUE(res.value().positions.empty());
   EXPECT_TRUE(res.value().values.empty());
+}
+
+TEST(StoreMultivar, PositionsOnlySelectionSumsItsPassesAccounting) {
+  const Grid a = datagen::gts_like(128, 3);
+  const Grid b = datagen::gts_like(128, 9);
+  MlocConfig cfg = small_config(a.shape(), NDShape{16, 16}, "mzip");
+  cfg.layout.num_bins = 8;
+  pfs::PfsStorage fs;
+  auto store = MlocStore::create(&fs, "t", cfg);
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("a", a).is_ok());
+  ASSERT_TRUE(store.value().write_variable("b", b).is_ok());
+  const std::vector<MlocStore::VarConstraint> preds = {
+      {"a", ValueConstraint{0.21, 0.28}}, {"b", ValueConstraint{0.22, 0.30}}};
+
+  std::uint64_t read = 0, skipped = 0;
+  for (const MlocStore::VarConstraint& pred : preds) {
+    Query q;
+    q.vc = pred.vc;
+    q.values_needed = false;
+    auto pass = store.value().execute(pred.var, q, 1);
+    ASSERT_TRUE(pass.is_ok()) << pass.status().to_string();
+    read += pass.value().fragments_read;
+    skipped += pass.value().fragments_skipped;
+  }
+  ASSERT_GT(skipped, 0u);  // zone maps prune here, so a dropped sum shows
+  auto mv = store.value().multivar_select(preds, MlocStore::Combine::kAnd, "");
+  ASSERT_TRUE(mv.is_ok()) << mv.status().to_string();
+  EXPECT_EQ(mv.value().fragments_read, read);
+  EXPECT_EQ(mv.value().fragments_skipped, skipped);
 }
 
 TEST(StoreMultivar, SelectValidatesEveryPassBeforeRunningAny) {
@@ -616,19 +646,19 @@ TEST(StoreMultivar, PassTwoFetchesOnlySelectedChunks) {
         auto r = store.value().execute("phi", in_chunk, ranks);
         ASSERT_TRUE(r.is_ok());
         chunk_frags += r.value().fragments_read;
-        chunk_bytes += r.value().bytes_read;
+        chunk_bytes += r.value().exec.bytes_read;
       }
       auto whole = store.value().execute("phi", Query{}, ranks);
       ASSERT_TRUE(whole.is_ok());
       const std::uint64_t pass2_frags =
           mv.value().fragments_read - pass1.value().fragments_read;
       const std::uint64_t pass2_bytes =
-          mv.value().bytes_read - pass1.value().bytes_read;
+          mv.value().exec.bytes_read - pass1.value().exec.bytes_read;
       EXPECT_EQ(pass2_frags, chunk_frags) << c.mask << ", " << ranks;
       if (c.chunks.size() == 1) {
         EXPECT_EQ(pass2_bytes, chunk_bytes) << c.mask << ", " << ranks;
       }
-      EXPECT_LT(pass2_bytes, whole.value().bytes_read) << c.mask;
+      EXPECT_LT(pass2_bytes, whole.value().exec.bytes_read) << c.mask;
     }
   }
 }
@@ -1057,7 +1087,7 @@ TEST(Store, QueryTimesArePopulated) {
   auto res = store.value().execute("phi", q);
   ASSERT_TRUE(res.is_ok());
   EXPECT_GT(res.value().times.io, 0.0);
-  EXPECT_GT(res.value().bytes_read, 0u);
+  EXPECT_GT(res.value().exec.bytes_read, 0u);
   EXPECT_GT(res.value().times.total(), 0.0);
 }
 
