@@ -40,7 +40,7 @@ int main() {
     MLOC_CHECK(store.value().write_variable("v", gts.grid).is_ok());
 
     // Bin population imbalance from the actual scheme.
-    auto scheme = store.value().binning("v").value();
+    const BinningScheme* scheme = &store.value().variable("v").value()->scheme;
     std::vector<std::uint64_t> pop(scheme->num_bins(), 0);
     for (std::uint64_t i = 0; i < gts.grid.size(); ++i) {
       ++pop[scheme->bin_of(gts.grid.at_linear(i))];

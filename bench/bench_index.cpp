@@ -120,12 +120,13 @@ int main() {
     MLOC_CHECK_MSG(st.write_variable("v", ds.grid).is_ok(),
                    "ingest failed");
 
-    auto bins = st.bin_subfiles("v");
-    auto hbx = st.hbx_subfile("v");
-    MLOC_CHECK(bins.is_ok() && hbx.is_ok());
-    MLOC_CHECK_MSG(hbx.value().present, "store built without an index");
+    auto var = st.variable("v");
+    MLOC_CHECK(var.is_ok());
+    MLOC_CHECK_MSG(var.value()->hbx.has_value(),
+                   "store built without an index");
+    const pfs::FileId hbx_file = var.value()->hbx->file;
     std::set<pfs::FileId> idx_files;
-    for (const auto& b : bins.value()) idx_files.insert(b.idx);
+    for (const auto& b : var.value()->bins) idx_files.insert(b.idx.file);
 
     ConfigResult res;
     res.label = c.label;
@@ -155,8 +156,8 @@ int main() {
       auto pf = st.plan("v", q, kRanks, flat_opts);
       MLOC_CHECK_MSG(ph.is_ok(), ph.status().to_string().c_str());
       MLOC_CHECK_MSG(pf.is_ok(), pf.status().to_string().c_str());
-      classify(ph.value(), idx_files, hbx.value().file, &res.hier);
-      classify(pf.value(), idx_files, hbx.value().file, &res.flat);
+      classify(ph.value(), idx_files, hbx_file, &res.hier);
+      classify(pf.value(), idx_files, hbx_file, &res.flat);
     }
 
     // Then execute both sides: results must be bit-identical, and the

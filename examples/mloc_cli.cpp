@@ -169,7 +169,7 @@ int cmd_query(const cli::Args& args) {
   auto parsed = cli::parse_query(args);
   if (!parsed.is_ok()) return usage(parsed.status());
   const Query& q = parsed.value();
-  auto ranks = args.get_int("ranks", 8, 1, cli::kMaxRanks);
+  auto ranks = args.get_int("ranks", 8, 1, exec::kMaxRanks);
   if (!ranks.is_ok()) return usage(ranks.status());
 
   auto fs = pfs::PfsStorage::load_from_dir(dir);
@@ -208,7 +208,7 @@ int cmd_plan(const cli::Args& args) {
   auto parsed = cli::parse_query(args);
   if (!parsed.is_ok()) return usage(parsed.status());
   const Query& q = parsed.value();
-  auto max_ranks_arg = args.get_int("max-ranks", 128, 1, cli::kMaxRanks);
+  auto max_ranks_arg = args.get_int("max-ranks", 128, 1, exec::kMaxRanks);
   if (!max_ranks_arg.is_ok()) return usage(max_ranks_arg.status());
   const int max_ranks = static_cast<int>(max_ranks_arg.value());
 

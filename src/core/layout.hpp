@@ -13,14 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "array/chunking.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
-#include "util/sync.hpp"
 
 namespace mloc {
 
@@ -64,31 +61,6 @@ struct BinLayout {
   [[nodiscard]] static Result<BinLayout> deserialize(ByteReader& r);
 
   [[nodiscard]] bool operator==(const BinLayout&) const = default;
-};
-
-/// One-slot cache for a bin's decoded fragment table. A bin's .idx header
-/// is immutable once written, so the first decode (or the writer itself)
-/// publishes the layout and every later query skips the header read and
-/// re-parse entirely — repeated queries stop paying one header extent per
-/// (rank, bin) in both wall time and the modeled seek count.
-class BinHeaderCache {
- public:
-  [[nodiscard]] std::shared_ptr<const BinLayout> get() const
-      MLOC_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return layout_;
-  }
-
-  /// First writer wins; later calls are no-ops (the header is immutable,
-  /// so any decoded copy is as good as another).
-  void put(std::shared_ptr<const BinLayout> layout) MLOC_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    if (!layout_) layout_ = std::move(layout);
-  }
-
- private:
-  mutable sync::Mutex mu_;
-  std::shared_ptr<const BinLayout> layout_ MLOC_GUARDED_BY(mu_);
 };
 
 // --- Subfile footer -------------------------------------------------------

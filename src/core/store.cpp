@@ -7,7 +7,6 @@
 #include "compress/registry.hpp"
 #include "exec/engine.hpp"
 #include "ingest/ingest.hpp"
-#include "plod/plod.hpp"
 #include "util/hash.hpp"
 #include "util/timer.hpp"
 
@@ -75,9 +74,9 @@ Status MlocStore::write_meta() {
       v->layout.serialize(w);
       v->scheme.serialize(w);
       w.put_varint(v->bins.size());
-      for (const auto& b : v->bins) w.put_varint(b.header_len);
+      for (const auto& b : v->bins) w.put_varint(b.idx.header_len);
       // v4: .hbx node-table length; 0 = no hierarchical index.
-      w.put_varint(v->hbx.present ? v->hbx.header_len : 0);
+      w.put_varint(v->hbx ? v->hbx->header_len : 0);
     }
   }
   Bytes meta = std::move(w).take();
@@ -136,41 +135,42 @@ Result<MlocStore> MlocStore::open(pfs::PfsStorage* fs,
   MLOC_ASSIGN_OR_RETURN(std::uint64_t nvars, r.get_varint());
   if (nvars > 1024) return corrupt_data("meta: implausible variable count");
   for (std::uint64_t i = 0; i < nvars; ++i) {
-    VariableState vs;
-    MLOC_ASSIGN_OR_RETURN(vs.name, r.get_string());
+    auto vs = std::make_shared<VariableState>();
+    MLOC_ASSIGN_OR_RETURN(vs->name, r.get_string());
     if (version == kLegacyMetaVersion) {
-      vs.layout = store.cfg_.layout;
+      vs->layout = store.cfg_.layout;
     } else {
-      MLOC_ASSIGN_OR_RETURN(vs.layout,
+      MLOC_ASSIGN_OR_RETURN(vs->layout,
                             VariableLayout::deserialize(r, has_index_fanout));
     }
-    MLOC_RETURN_IF_ERROR(store.init_derived_state(&vs));
-    MLOC_ASSIGN_OR_RETURN(vs.scheme, BinningScheme::deserialize(r));
+    MLOC_RETURN_IF_ERROR(store.init_derived_state(vs.get()));
+    MLOC_ASSIGN_OR_RETURN(vs->scheme, BinningScheme::deserialize(r));
     MLOC_ASSIGN_OR_RETURN(std::uint64_t nbins, r.get_varint());
-    if (nbins != static_cast<std::uint64_t>(vs.scheme.num_bins())) {
+    if (nbins != static_cast<std::uint64_t>(vs->scheme.num_bins())) {
       return corrupt_data("meta: bin count mismatches scheme");
     }
-    vs.bins.resize(nbins);
+    vs->bins = std::vector<VariableState::Bin>(nbins);
     for (std::uint64_t b = 0; b < nbins; ++b) {
-      MLOC_ASSIGN_OR_RETURN(vs.bins[b].header_len, r.get_varint());
+      VariableState::Bin& bin = vs->bins[b];
+      MLOC_ASSIGN_OR_RETURN(bin.idx.header_len, r.get_varint());
       MLOC_ASSIGN_OR_RETURN(
-          vs.bins[b].idx,
-          fs->open(ingest::idx_name(name, vs.name, static_cast<int>(b))));
+          bin.idx.file,
+          fs->open(ingest::idx_name(name, vs->name, static_cast<int>(b))));
       MLOC_ASSIGN_OR_RETURN(
-          vs.bins[b].dat,
-          fs->open(ingest::dat_name(name, vs.name, static_cast<int>(b))));
+          bin.dat.file,
+          fs->open(ingest::dat_name(name, vs->name, static_cast<int>(b))));
     }
     if (has_index_fanout) {
       MLOC_ASSIGN_OR_RETURN(std::uint64_t hbx_header_len, r.get_varint());
       if (hbx_header_len > 0) {
-        vs.hbx.present = true;
-        vs.hbx.header_len = hbx_header_len;
-        MLOC_ASSIGN_OR_RETURN(vs.hbx.file,
-                              fs->open(ingest::hbx_name(name, vs.name)));
+        vs->hbx.emplace();
+        vs->hbx->header_len = hbx_header_len;
+        MLOC_ASSIGN_OR_RETURN(vs->hbx->file,
+                              fs->open(ingest::hbx_name(name, vs->name)));
       }
     }
     sync::WriterLock lock(store.vars_mu_);
-    store.vars_.push_back(std::make_shared<VariableState>(std::move(vs)));
+    store.vars_.push_back(std::move(vs));
   }
   // A legacy store is kept byte-stable on open (read-only opens of archived
   // data must not mutate it); its meta upgrades to v3 on the next ingest.
@@ -185,72 +185,33 @@ std::vector<std::string> MlocStore::variables() const {
   return out;
 }
 
-Result<const BinningScheme*> MlocStore::binning(const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  return &vs->scheme;
-}
-
-Result<std::vector<MlocStore::BinSubfiles>> MlocStore::bin_subfiles(
-    const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  std::vector<BinSubfiles> out;
-  out.reserve(vs->bins.size());
-  for (const auto& b : vs->bins) {
-    out.push_back({b.idx, b.dat, b.header_len});
-  }
-  return out;
-}
-
-Result<MlocStore::HbxSubfile> MlocStore::hbx_subfile(
-    const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  HbxSubfile out;
-  out.present = vs->hbx.present;
-  out.file = vs->hbx.file;
-  out.header_len = vs->hbx.header_len;
-  return out;
-}
-
 Result<const VariableLayout*> MlocStore::variable_layout(
     const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
+  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
   return &vs->layout;
 }
 
-Result<const ChunkGrid*> MlocStore::chunk_grid(const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  return &vs->chunk_grid;
+namespace {
+MlocStore::VariableDesc desc_of(const VariableState& vs) {
+  return {vs.name, vs.layout, vs.epoch, vs.plod_capable(), vs.num_groups()};
 }
+}  // namespace
 
 Result<MlocStore::VariableDesc> MlocStore::describe(
     const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  VariableDesc desc;
-  desc.name = vs->name;
-  desc.layout = vs->layout;
-  desc.epoch = vs->epoch;
-  desc.plod_capable = vs->plod_capable();
-  desc.num_groups = vs->plod_capable() ? plod::kNumGroups : 1;
-  return desc;
+  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
+  return desc_of(*vs);
 }
 
 std::vector<MlocStore::VariableDesc> MlocStore::describe_all() const {
   sync::ReaderLock lock(vars_mu_);
   std::vector<VariableDesc> out;
   out.reserve(vars_.size());
-  for (const auto& v : vars_) {
-    VariableDesc desc;
-    desc.name = v->name;
-    desc.layout = v->layout;
-    desc.epoch = v->epoch;
-    desc.plod_capable = v->plod_capable();
-    desc.num_groups = v->plod_capable() ? plod::kNumGroups : 1;
-    out.push_back(std::move(desc));
-  }
+  for (const auto& v : vars_) out.push_back(desc_of(*v));
   return out;
 }
 
-Result<const MlocStore::VariableState*> MlocStore::find_var(
+Result<const VariableState*> MlocStore::variable(
     const std::string& var) const {
   sync::ReaderLock lock(vars_mu_);
   for (const auto& v : vars_) {
@@ -264,7 +225,7 @@ std::uint64_t MlocStore::data_bytes() const {
   std::uint64_t total = 0;
   for (const auto& v : vars_) {
     for (const auto& b : v->bins) {
-      total += fs_->file_size(b.dat).value_or(0);
+      total += fs_->file_size(b.dat.file).value_or(0);
     }
   }
   return total;
@@ -275,9 +236,9 @@ std::uint64_t MlocStore::index_bytes() const {
   std::uint64_t total = fs_->file_size(meta_file_).value_or(0);
   for (const auto& v : vars_) {
     for (const auto& b : v->bins) {
-      total += fs_->file_size(b.idx).value_or(0);
+      total += fs_->file_size(b.idx.file).value_or(0);
     }
-    if (v->hbx.present) total += fs_->file_size(v->hbx.file).value_or(0);
+    if (v->hbx) total += fs_->file_size(v->hbx->file).value_or(0);
   }
   return total;
 }
@@ -307,41 +268,8 @@ Status MlocStore::write_variable(const std::string& var, const Grid& grid,
   // One ingest at a time; queries keep running against the published state.
   sync::MutexLock ingest_lock(ingest_mu_);
 
-  ingest::StoreWriter writer;
-  writer.fs = fs_;
-  writer.layout = &vs->layout;
-  writer.chunk_grid = &vs->chunk_grid;
-  writer.curve = &vs->curve_order;
-  writer.byte_codec = vs->byte_codec.get();
-  writer.double_codec = vs->double_codec.get();
-  writer.store_name = name_;
-  MLOC_ASSIGN_OR_RETURN(ingest::IngestOutput out,
-                        ingest::ingest_variable(writer, var, grid, opts));
-
-  vs->scheme = std::move(out.scheme);
-  vs->bins.reserve(out.bins.size());
-  for (auto& bin : out.bins) {
-    BinFiles files;
-    files.idx = bin.idx;
-    files.dat = bin.dat;
-    files.header_len = bin.header_len;
-    // We wrote these bytes ourselves: no need to re-verify on first read,
-    // and the fragment table is in hand — publish it to the header cache so
-    // queries against a freshly written variable never re-read bin headers.
-    files.footer_state->store(3);
-    files.header_cache->put(std::move(bin.layout));
-    vs->bins.push_back(std::move(files));
-  }
-  if (out.hbx.present) {
-    vs->hbx.present = true;
-    vs->hbx.file = out.hbx.file;
-    vs->hbx.header_len = out.hbx.header_len;
-    // Same freshness argument as the bins: we wrote (and parsed) the .hbx
-    // ourselves, so first reads skip the CRC scan and the node table is
-    // already in hand.
-    vs->hbx.footer_state->store(1);
-    vs->hbx.header_cache->put(out.hbx.header);
-  }
+  MLOC_ASSIGN_OR_RETURN(const ingest::IngestStats stats,
+                        ingest::ingest_variable(fs_, name_, *vs, grid, opts));
 
   {
     sync::WriterLock lock(vars_mu_);
@@ -351,7 +279,7 @@ Status MlocStore::write_variable(const std::string& var, const Grid& grid,
       if (existing->name == var) {
         // Re-ingest: swap the fresh state in place (meta order preserved)
         // and retire the old one, keeping every raw pointer ever handed
-        // out by find_var/binning valid. In-flight queries on the old
+        // out by variable() valid. In-flight queries on the old
         // state fail cleanly on checksum mismatch against the reused
         // subfiles rather than reading mixed generations.
         retired_.push_back(std::move(existing));
@@ -361,7 +289,7 @@ Status MlocStore::write_variable(const std::string& var, const Grid& grid,
       }
     }
     if (!replaced) vars_.push_back(std::move(vs));
-    ingest_stats_ += out.stats;
+    ingest_stats_ += stats;
   }
   // The epoch bump already hides the replaced variable's cached fragments;
   // erase reclaims their provider budget eagerly.
@@ -376,34 +304,6 @@ ingest::IngestStats MlocStore::ingest_stats() const {
 
 // ------------------------------------------------------------ query path
 
-Status MlocStore::ensure_subfile_verified(const BinFiles& files,
-                                          bool dat_file) const {
-  const std::uint8_t bit = dat_file ? 2 : 1;
-  if ((files.footer_state->load(std::memory_order_acquire) & bit) != 0) {
-    return Status::ok();
-  }
-  const pfs::FileId id = dat_file ? files.dat : files.idx;
-  MLOC_ASSIGN_OR_RETURN(std::uint64_t size, fs_->file_size(id));
-  // Integrity scan, not query I/O: read without the IoLog so the cost
-  // model charges only what the query itself fetches.
-  MLOC_ASSIGN_OR_RETURN(Bytes content, fs_->read(id, 0, size));
-  MLOC_RETURN_IF_ERROR(verify_subfile_footer(content).status());
-  files.footer_state->fetch_or(bit, std::memory_order_acq_rel);
-  return Status::ok();
-}
-
-Status MlocStore::ensure_hbx_verified(const HbxFiles& files) const {
-  if ((files.footer_state->load(std::memory_order_acquire) & 1) != 0) {
-    return Status::ok();
-  }
-  MLOC_ASSIGN_OR_RETURN(std::uint64_t size, fs_->file_size(files.file));
-  // Integrity scan, not query I/O — outside the IoLog, like the bins.
-  MLOC_ASSIGN_OR_RETURN(Bytes content, fs_->read(files.file, 0, size));
-  MLOC_RETURN_IF_ERROR(verify_subfile_footer(content).status());
-  files.footer_state->fetch_or(1, std::memory_order_acq_rel);
-  return Status::ok();
-}
-
 Result<QueryResult> MlocStore::execute(const std::string& var, const Query& q,
                                        int num_ranks) const {
   return execute(var, q, num_ranks, exec::ExecOptions{});
@@ -412,46 +312,15 @@ Result<QueryResult> MlocStore::execute(const std::string& var, const Query& q,
 Result<QueryResult> MlocStore::execute(const std::string& var, const Query& q,
                                        int num_ranks,
                                        const exec::ExecOptions& opts) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  return exec::execute_query(make_view(*vs), q, num_ranks, nullptr, opts);
+  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
+  return exec::execute_query(*this, *vs, q, num_ranks, nullptr, opts);
 }
 
 Result<exec::PlanSummary> MlocStore::plan(const std::string& var,
                                           const Query& q, int num_ranks,
                                           const exec::ExecOptions& opts) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(var));
-  return exec::plan_query(make_view(*vs), q, num_ranks, opts);
-}
-
-exec::StoreView MlocStore::make_view(const VariableState& vs) const {
-  exec::StoreView view;
-  view.fs = fs_;
-  view.shape = &cfg_.shape;
-  view.layout = &vs.layout;
-  view.chunk_grid = &vs.chunk_grid;
-  view.var = &vs.name;
-  view.scheme = &vs.scheme;
-  view.epoch = vs.epoch;
-  view.bins.reserve(vs.bins.size());
-  for (const BinFiles& files : vs.bins) {
-    view.bins.push_back(
-        {files.idx, files.dat, files.header_len, files.header_cache.get()});
-  }
-  view.byte_codec = vs.byte_codec.get();
-  view.double_codec = vs.double_codec.get();
-  view.provider = provider_;
-  view.verify_subfile = [this, &vs](int bin, bool dat_file) {
-    return ensure_subfile_verified(vs.bins[static_cast<std::size_t>(bin)],
-                                   dat_file);
-  };
-  if (vs.hbx.present) {
-    view.hbx.present = true;
-    view.hbx.file = vs.hbx.file;
-    view.hbx.header_len = vs.hbx.header_len;
-    view.hbx.header_cache = vs.hbx.header_cache.get();
-    view.verify_hbx = [this, &vs] { return ensure_hbx_verified(vs.hbx); };
-  }
-  return view;
+  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
+  return exec::plan_query(*this, *vs, q, num_ranks, opts);
 }
 
 Result<QueryResult> MlocStore::multivar_select(
@@ -480,31 +349,30 @@ Result<QueryResult> MlocStore::multivar_select(
   Query region_q;
   region_q.values_needed = false;
   struct RegionPass {
-    exec::StoreView view;
+    const VariableState* var;
     ValueConstraint vc;
   };
   std::vector<RegionPass> pass1;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (i == fused) continue;
-    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(preds[i].var));
-    pass1.push_back({make_view(*vs), preds[i].vc});
+    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(preds[i].var));
+    pass1.push_back({vs, preds[i].vc});
     region_q.vc = preds[i].vc;
-    MLOC_RETURN_IF_ERROR(
-        exec::validate_query(pass1.back().view, region_q, num_ranks));
+    MLOC_RETURN_IF_ERROR(exec::validate_query(*this, *vs, region_q, num_ranks));
   }
-  exec::StoreView fetch_view;
+  const VariableState* fetch_state = nullptr;
   Query fetch_q;
   if (fetch) {
-    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, find_var(fetch_var));
-    fetch_view = make_view(*vs);
+    MLOC_ASSIGN_OR_RETURN(fetch_state, variable(fetch_var));
     fetch_q.plod_level = plod_level;
     if (fused < preds.size()) fetch_q.vc = preds[fused].vc;
-    MLOC_RETURN_IF_ERROR(exec::validate_query(fetch_view, fetch_q, num_ranks));
+    MLOC_RETURN_IF_ERROR(
+        exec::validate_query(*this, *fetch_state, fetch_q, num_ranks));
   }
   if (pass1.empty()) {
     // The fused predicate was the only one: a plain VC query answers it.
-    return exec::execute_query(fetch_view, fetch_q, num_ranks, nullptr,
-                               exec::ExecOptions{});
+    return exec::execute_query(*this, *fetch_state, fetch_q, num_ranks,
+                               nullptr, exec::ExecOptions{});
   }
 
   // The passes' accounting folds into the one answer.
@@ -530,7 +398,7 @@ Result<QueryResult> MlocStore::multivar_select(
     Bitmap bits;
     MLOC_ASSIGN_OR_RETURN(
         QueryResult selected,
-        exec::execute_query(pass.view, region_q, num_ranks, nullptr,
+        exec::execute_query(*this, *pass.var, region_q, num_ranks, nullptr,
                             exec::ExecOptions{}, &bits));
     Stopwatch sw;
     if (!combined.has_value()) {
@@ -559,8 +427,8 @@ Result<QueryResult> MlocStore::multivar_select(
   // the chunks holding a selected position.
   MLOC_ASSIGN_OR_RETURN(
       QueryResult fetched,
-      exec::execute_query(fetch_view, fetch_q, num_ranks, &*combined,
-                          exec::ExecOptions{}));
+      exec::execute_query(*this, *fetch_state, fetch_q, num_ranks,
+                          &*combined, exec::ExecOptions{}));
   add_stats(fetched, accumulated);
   return fetched;
 }

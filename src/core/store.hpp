@@ -29,17 +29,16 @@
 #include "core/config.hpp"
 #include "core/layout.hpp"
 #include "exec/read_plan.hpp"
+#include "index/hbx.hpp"
 #include "ingest/ingest.hpp"
 #include "parallel/runtime.hpp"
 #include "pfs/pfs.hpp"
+#include "plod/plod.hpp"
 #include "query/query.hpp"
+#include "sfc/hilbert.hpp"
 #include "util/sync.hpp"
 
 namespace mloc {
-
-namespace exec {
-struct StoreView;  // engine-facing projection (exec/engine.hpp)
-}  // namespace exec
 
 /// Identity of one fragment's decompressed payload: the (variable, bin,
 /// chunk) cell of a store. The PLoD level is deliberately not part of the
@@ -120,6 +119,85 @@ class FragmentProvider {
   virtual void erase(const std::string& var) { (void)var; }
 };
 
+/// One subfile of a variable: a bin's .idx, whose header is the bin's
+/// fragment table, or .dat (Header = void: no header), or the variable's
+/// .hbx, whose header is the index's node table. Set up by ingest or
+/// MlocStore::open before the record is published; after that, queries
+/// share it and only the footer flag and the header slot change.
+template <class Header>
+struct Subfile {
+  pfs::FileId file = 0;
+  std::uint64_t header_len = 0;  ///< header bytes at the start of the file
+  /// True once the whole-file footer CRC is known good: set by ingest (the
+  /// store wrote the bytes), else by the first query read that needs it.
+  mutable std::atomic<bool> footer_checked{false};
+
+  /// Check the footer CRC unless already done (lazy, thread-safe). The
+  /// scan reads outside any IoLog: it is an integrity check, not query
+  /// I/O, so the cost model charges only what the query fetches.
+  [[nodiscard]] Status check_footer(const pfs::PfsStorage& fs) const {
+    if (footer_checked) return Status::ok();
+    MLOC_ASSIGN_OR_RETURN(std::uint64_t size, fs.file_size(file));
+    MLOC_ASSIGN_OR_RETURN(Bytes content, fs.read(file, 0, size));
+    MLOC_RETURN_IF_ERROR(verify_subfile_footer(content).status());
+    footer_checked = true;
+    return Status::ok();
+  }
+
+  /// The parsed header, or null until ingest or a query puts one. Ingest
+  /// puts what it wrote, so a fresh variable never re-reads its headers;
+  /// a reopened store pays one cold read per subfile.
+  [[nodiscard]] std::shared_ptr<const Header> header() const
+      MLOC_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    return header_;
+  }
+  /// First writer wins; later calls are no-ops (the header is immutable,
+  /// so any parsed copy is as good as another).
+  void put_header(std::shared_ptr<const Header> header) const
+      MLOC_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    if (!header_) header_ = std::move(header);
+  }
+
+ private:
+  mutable sync::Mutex mu_;
+  mutable std::shared_ptr<const Header> header_ MLOC_GUARDED_BY(mu_);
+};
+
+/// The store's record of one variable (paper §III's bins of index/data
+/// subfile pairs, plus the optional hierarchical index). ingest fills it
+/// in place, MlocStore::open rebuilds it from the meta, and the query
+/// engine, fsck and the benches read it through MlocStore::variable.
+/// Immutable once published, apart from each subfile's footer flag and
+/// header slot.
+struct VariableState {
+  std::string name;
+  VariableLayout layout;
+  /// Derived from `layout` against the store shape (never serialized).
+  ChunkGrid chunk_grid;
+  sfc::CurveOrder curve_order;
+  std::shared_ptr<const ByteCodec> byte_codec;      ///< PLoD/COL mode
+  std::shared_ptr<const DoubleCodec> double_codec;  ///< whole-value mode
+  BinningScheme scheme;
+  struct Bin {
+    Subfile<BinLayout> idx;  ///< fragment table + positional-index blobs
+    Subfile<void> dat;       ///< compressed payload segments
+  };
+  std::vector<Bin> bins;  ///< size = scheme.num_bins()
+  /// Hierarchical bitmap index; empty when layout.index_fanout == 0.
+  std::optional<Subfile<index::HbxHeader>> hbx;
+  std::uint64_t epoch = 0;  ///< ingest generation (FragmentKey::epoch)
+
+  [[nodiscard]] bool plod_capable() const noexcept {
+    return byte_codec != nullptr;
+  }
+  /// Byte groups per fragment: 7 in PLoD mode, 1 whole-value group.
+  [[nodiscard]] int num_groups() const noexcept {
+    return plod_capable() ? plod::kNumGroups : 1;
+  }
+};
+
 class MlocStore {
  public:
   /// Create an empty store named `name` on `fs` (non-owning; must outlive
@@ -174,8 +252,8 @@ class MlocStore {
                               const exec::ExecOptions& opts) const;
 
   /// Cost a query without executing it: the PlanSummary of the exact
-  /// ReadPlan execute() would run. Side-effect-free — consults the bin
-  /// header cache and any attached FragmentProvider but never warms them.
+  /// ReadPlan execute() would run. Side-effect-free — consults the subfile
+  /// header slots and any attached FragmentProvider but never warms them.
   /// Feeding summary.planned_io to pfs::model_makespan reproduces the
   /// modeled I/O seconds execution would report; on cold caches the byte
   /// and extent counts match execution exactly. Drives
@@ -220,39 +298,23 @@ class MlocStore {
   [[nodiscard]] std::vector<std::string> variables() const
       MLOC_EXCLUDES(vars_mu_);
 
-  /// Metadata accessors for the query planner.
-  [[nodiscard]] Result<const BinningScheme*> binning(
-      const std::string& var) const;
-  /// Subfile locations of one variable's bins, for offline tooling
-  /// (tools/fsck's LayoutVerifier walks the raw layout through these).
-  struct BinSubfiles {
-    pfs::FileId idx = 0;
-    pfs::FileId dat = 0;
-    std::uint64_t header_len = 0;  ///< fragment-table bytes at .idx start
-  };
-  [[nodiscard]] Result<std::vector<BinSubfiles>> bin_subfiles(
-      const std::string& var) const;
-  /// Hierarchical-index (.hbx) subfile location of one variable, for
-  /// offline tooling and benches. `present` is false when the variable's
-  /// layout has index_fanout == 0.
-  struct HbxSubfile {
-    bool present = false;
-    pfs::FileId file = 0;
-    std::uint64_t header_len = 0;
-  };
-  [[nodiscard]] Result<HbxSubfile> hbx_subfile(const std::string& var) const;
-  /// This variable's layout / chunk lattice (pointers stay valid for the
-  /// store's lifetime, like every find_var-derived pointer).
+  /// The record of `var`, or NotFound. The pointer stays valid for the
+  /// store's lifetime: a re-ingest publishes a fresh record and retires
+  /// this one rather than destroying it.
+  [[nodiscard]] Result<const VariableState*> variable(
+      const std::string& var) const MLOC_EXCLUDES(vars_mu_);
+  /// `&variable(var)->layout`.
   [[nodiscard]] Result<const VariableLayout*> variable_layout(
       const std::string& var) const;
-  [[nodiscard]] Result<const ChunkGrid*> chunk_grid(
-      const std::string& var) const;
+  [[nodiscard]] const pfs::PfsStorage& storage() const noexcept {
+    return *fs_;
+  }
   [[nodiscard]] const pfs::PfsConfig& pfs_config() const noexcept {
     return fs_->config();
   }
 
-  /// Everything offline tooling (fsck, the wire layer, mloc_tune) needs to
-  /// describe one variable without touching its data.
+  /// A copy of what describes one variable, without its subfiles: the
+  /// wire layer's variable list (describe_all).
   struct VariableDesc {
     std::string name;
     VariableLayout layout;
@@ -282,72 +344,12 @@ class MlocStore {
   }
 
  private:
-  struct BinFiles {
-    pfs::FileId idx = 0;
-    pfs::FileId dat = 0;
-    std::uint64_t header_len = 0;  ///< fragment-table bytes at .idx start
-    /// Lazy footer-verification state, shared across copies: bit 0 set once
-    /// the .idx footer CRC has been checked, bit 1 for .dat. Stores opened
-    /// from existing files start unverified; the first cache-miss read of
-    /// each subfile pays one full-file CRC scan.
-    std::shared_ptr<std::atomic<std::uint8_t>> footer_state =
-        std::make_shared<std::atomic<std::uint8_t>>(0);
-    /// Decoded fragment-table header, shared across copies. Populated at
-    /// write time (created stores query header-warm) or by the first query
-    /// that parses the header (reopened stores pay one cold read per bin).
-    std::shared_ptr<BinHeaderCache> header_cache =
-        std::make_shared<BinHeaderCache>();
-  };
-  /// Hierarchical-index subfile state, the .hbx analogue of BinFiles.
-  struct HbxFiles {
-    bool present = false;
-    pfs::FileId file = 0;
-    std::uint64_t header_len = 0;  ///< node-table bytes at .hbx start
-    /// Bit 0 set once the .hbx footer CRC has been checked (lazy, like
-    /// BinFiles::footer_state).
-    std::shared_ptr<std::atomic<std::uint8_t>> footer_state =
-        std::make_shared<std::atomic<std::uint8_t>>(0);
-    /// Parsed node table, shared across copies; warmed at write time or by
-    /// the first query that reads the header.
-    std::shared_ptr<index::HbxHeaderCache> header_cache =
-        std::make_shared<index::HbxHeaderCache>();
-  };
-  struct VariableState {
-    std::string name;
-    VariableLayout layout;
-    /// Derived from `layout` by init_derived_state (never serialized).
-    ChunkGrid chunk_grid;
-    sfc::CurveOrder curve_order;
-    std::shared_ptr<const ByteCodec> byte_codec;      // PLoD/COL mode
-    std::shared_ptr<const DoubleCodec> double_codec;  // whole-value mode
-    BinningScheme scheme;
-    std::vector<BinFiles> bins;  ///< size = scheme.num_bins()
-    HbxFiles hbx;                ///< hierarchical index (may be absent)
-    std::uint64_t epoch = 0;     ///< ingest generation (FragmentKey::epoch)
-
-    [[nodiscard]] bool plod_capable() const noexcept {
-      return byte_codec != nullptr;
-    }
-  };
-
   MlocStore() = default;
 
   /// Materialize the layout-derived members of `vs` (chunk grid, curve
   /// order, codecs) from vs->layout against the store shape.
   [[nodiscard]] Status init_derived_state(VariableState* vs) const;
   [[nodiscard]] Status write_meta() MLOC_EXCLUDES(vars_mu_);
-
-  /// Verify the footer CRC of one bin subfile if not already done (lazy,
-  /// thread-safe; reads the whole file outside the modeled I/O log).
-  [[nodiscard]] Status ensure_subfile_verified(const BinFiles& files, bool dat_file) const;
-  /// Same, for the variable's .hbx subfile.
-  [[nodiscard]] Status ensure_hbx_verified(const HbxFiles& files) const;
-  [[nodiscard]] Result<const VariableState*> find_var(
-      const std::string& var) const MLOC_EXCLUDES(vars_mu_);
-
-  /// Build the engine-facing projection of one variable (non-owning; valid
-  /// while `vs` and this store are alive and unmodified).
-  exec::StoreView make_view(const VariableState& vs) const;
 
   pfs::PfsStorage* fs_ = nullptr;
   std::string name_;
@@ -360,7 +362,7 @@ class MlocStore {
   /// stays movable (moves happen only at setup).
   sync::MutexHandle ingest_mu_ MLOC_ACQUIRED_BEFORE(vars_mu_);
   /// Published variable states. Reader/writer gated by vars_mu_; states
-  /// are handed out as raw pointers (find_var/binning), so a replaced
+  /// are handed out as raw pointers (variable()), so a replaced
   /// state is moved to retired_ instead of destroyed — every pointer ever
   /// returned stays valid for the store's lifetime.
   sync::SharedMutexHandle vars_mu_;

@@ -12,11 +12,11 @@ DecodedFragment decode_fragment(const DecodeInput& in,
                                 std::vector<std::uint64_t>& positions,
                                 std::vector<double>& values) {
   DecodedFragment out;
-  const StoreView& view = *in.view;
+  const VariableState& var = *in.var;
   const Query& q = *in.q;
   const FragmentTask& task = *in.task;
   const FragmentInfo& frag = *task.frag;
-  const Region chunk_region = view.chunk_grid->chunk_region(frag.chunk);
+  const Region chunk_region = var.chunk_grid.chunk_region(frag.chunk);
 
   std::size_t si = 0;  // cursor over the task's segments
   auto next_bytes = [&]() -> std::span<const std::uint8_t> {
@@ -56,7 +56,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
     }
     out.reconstruct_s += sw_pos.seconds();
     local = &decoded_positions;
-    if (view.provider != nullptr) {
+    if (in.for_provider) {
       auto fresh = std::make_shared<FragmentData>();
       fresh->count = frag.count;
       fresh->positions = decoded_positions;
@@ -70,7 +70,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
   std::vector<double> degraded;      // q.plod_level < fetch_level only
   std::span<const double> out_vals;  // at q.plod_level (returned values)
   if (task.fetch_values) {
-    if (view.plod_capable()) {
+    if (var.plod_capable()) {
       // Cached planes answer groups [0, cached_depth); the batch buffers
       // cover [cached_depth, fetch_level).
       std::shared_ptr<FragmentData> fresh;
@@ -88,7 +88,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
             return out;
           }
           Stopwatch sw;
-          auto plane = view.byte_codec->decode(raw);
+          auto plane = var.byte_codec->decode(raw);
           out.decompress_s += sw.seconds();
           if (!plane.is_ok()) {
             out.status = plane.status();
@@ -96,7 +96,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
           }
           fresh->planes.push_back(std::move(plane).value());
         }
-        if (view.provider != nullptr) out.fresh_payload = fresh;
+        if (in.for_provider) out.fresh_payload = fresh;
       }
       Stopwatch sw;
       const auto& planes =
@@ -124,7 +124,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
           return out;
         }
         Stopwatch sw;
-        auto decoded = view.double_codec->decode(raw);
+        auto decoded = var.double_codec->decode(raw);
         out.decompress_s += sw.seconds();
         if (!decoded.is_ok()) {
           out.status = decoded.status();
@@ -132,7 +132,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
         }
         vals_owned = std::move(decoded).value();
         vals = vals_owned;
-        if (view.provider != nullptr && vals.size() == frag.count) {
+        if (in.for_provider && vals.size() == frag.count) {
           auto fresh = std::make_shared<FragmentData>();
           fresh->count = frag.count;
           fresh->values = std::move(vals_owned);
@@ -146,7 +146,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
       return out;
     }
     out_vals = vals;
-    if (q.values_needed && view.plod_capable() &&
+    if (q.values_needed && var.plod_capable() &&
         task.fetch_level != q.plod_level) {
       // One masked pass instead of shred + assemble round-tripping
       // through byte planes; bit-identical by degrade_into's contract.
@@ -165,7 +165,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
   // and whether its leading coordinates lie inside the SC, and per point
   // the SC test is one subtract and one unsigned window compare.
   Stopwatch sw;
-  const NDShape& shape = *view.shape;
+  const NDShape& shape = *in.shape;
   const int last = shape.ndims() - 1;
   const std::uint64_t row_len = chunk_region.extent(last);
   // SC ∩ chunk in chunk-local coordinates, [win_lo, win_hi) per dimension

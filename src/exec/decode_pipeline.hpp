@@ -27,7 +27,10 @@ namespace mloc::exec {
 
 /// Everything decode_fragment needs, all read-only and owned elsewhere.
 struct DecodeInput {
-  const StoreView* view = nullptr;
+  const VariableState* var = nullptr;
+  const NDShape* shape = nullptr;  ///< the store's grid shape
+  /// Hand fresh decodes back as provider candidates (a provider is set).
+  bool for_provider = false;
   const Query* q = nullptr;
   const Bitmap* position_filter = nullptr;
   const FragmentTask* task = nullptr;

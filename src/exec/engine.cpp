@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,18 +27,34 @@
 
 namespace mloc::exec {
 
-Status validate_query(const StoreView& view, const Query& q, int num_ranks) {
-  if (num_ranks < 1) return invalid_argument("query: num_ranks must be >= 1");
+namespace {
+
+/// The checks execute_query and plan_query share: the rank count (a
+/// remote request must not size the plan) and the SC's dimensionality.
+Status check_ranks_and_sc(const NDShape& shape, const Query& q,
+                          int num_ranks) {
+  if (num_ranks < 1 || num_ranks > kMaxRanks) {
+    return invalid_argument("query: num_ranks must be in [1, " +
+                            std::to_string(kMaxRanks) + "]");
+  }
+  if (q.sc.has_value() && q.sc->ndims() != shape.ndims()) {
+    return invalid_argument("query: SC dimensionality mismatch");
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
+Status validate_query(const MlocStore& store, const VariableState& var,
+                      const Query& q, int num_ranks) {
+  MLOC_RETURN_IF_ERROR(check_ranks_and_sc(store.config().shape, q, num_ranks));
   if (q.plod_level < 1 || q.plod_level > 7) {
     return invalid_argument("query: PLoD level must be in [1,7]");
   }
-  if (q.plod_level < 7 && !view.plod_capable()) {
+  if (q.plod_level < 7 && !var.plod_capable()) {
     return unsupported(
         "query: PLoD levels below full precision need a byte-column codec "
-        "(MLOC-COL); this store uses " + view.layout->codec);
-  }
-  if (q.sc.has_value() && q.sc->ndims() != view.shape->ndims()) {
-    return invalid_argument("query: SC dimensionality mismatch");
+        "(MLOC-COL); this store uses " + var.layout.codec);
   }
   // A degenerate ([lo, lo)) or NaN value range can never match; surface it
   // as a caller error rather than silently returning an empty result.
@@ -48,18 +65,31 @@ Status validate_query(const StoreView& view, const Query& q, int num_ranks) {
   return Status::ok();
 }
 
-Result<QueryResult> execute_query(const StoreView& view, const Query& q,
+Result<PlanSummary> plan_query(const MlocStore& store,
+                               const VariableState& var, const Query& q,
+                               int num_ranks, const ExecOptions& opts) {
+  MLOC_RETURN_IF_ERROR(check_ranks_and_sc(store.config().shape, q, num_ranks));
+  MLOC_ASSIGN_OR_RETURN(ReadPlan plan, build_plan(store, var, q, num_ranks,
+                                                  opts, /*warm=*/false));
+  return std::move(plan.summary);
+}
+
+Result<QueryResult> execute_query(const MlocStore& store,
+                                  const VariableState& var, const Query& q,
                                   int num_ranks, const Bitmap* position_filter,
                                   const ExecOptions& opts,
                                   Bitmap* region_bits) {
-  MLOC_RETURN_IF_ERROR(validate_query(view, q, num_ranks));
+  MLOC_RETURN_IF_ERROR(validate_query(store, var, q, num_ranks));
   if (region_bits != nullptr && q.values_needed) {
     return invalid_argument("query: region_bits requires a region-only query");
   }
+  const pfs::PfsStorage& fs = store.storage();
+  const NDShape& shape = store.config().shape;
+  FragmentProvider* const provider = store.fragment_provider();
 
-  MLOC_ASSIGN_OR_RETURN(
-      ReadPlan plan,
-      build_plan(view, q, num_ranks, opts, /*warm=*/true, position_filter));
+  MLOC_ASSIGN_OR_RETURN(ReadPlan plan,
+                        build_plan(store, var, q, num_ranks, opts,
+                                   /*warm=*/true, position_filter));
   const PlanSummary& sum = plan.summary;
 
   QueryResult result;
@@ -79,7 +109,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
                   [](const RankPlan& rp) { return !rp.hbx_tasks.empty(); });
   std::optional<Bitmap> grid;
   if (has_hbx_tasks || region_bits != nullptr) {
-    grid.emplace(view.shape->volume());
+    grid.emplace(shape.volume());
   }
 
   // The arrival buffer: every fragment's qualifying points, appended by
@@ -105,8 +135,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
     // straight from the provider, fresh ones checksum-verified, decoded,
     // and published back.
     if (!rp.hbx_tasks.empty()) {
-      if (!rp.hbx_segments.empty() && view.verify_hbx) {
-        MLOC_RETURN_IF_ERROR(view.verify_hbx());
+      if (!rp.hbx_segments.empty()) {
+        MLOC_RETURN_IF_ERROR(var.hbx->check_footer(fs));
       }
       std::vector<SlotRef> hbx_slots;
       const std::vector<pfs::ReadRequest> hbx_requests =
@@ -116,8 +146,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
                                   &hbx_slots);
       MLOC_ASSIGN_OR_RETURN(
           const std::vector<Bytes> hbx_buffers,
-          view.fs->read_batch(hbx_requests, &ctx.io_log,
-                              static_cast<std::uint32_t>(ctx.rank)));
+          fs.read_batch(hbx_requests, &ctx.io_log,
+                        static_cast<std::uint32_t>(ctx.rank)));
 
       for (const HbxNodeTask& task : rp.hbx_tasks) {
         const index::HbxNode& node = plan.hbx_header->nodes[task.node];
@@ -138,18 +168,18 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
           ByteReader rd(raw);
           MLOC_ASSIGN_OR_RETURN(fresh, WahBitmap::deserialize(rd));
           ctx.times.decompress += sw.seconds();
-          if (fresh.size_bits() != view.shape->volume() ||
+          if (fresh.size_bits() != shape.volume() ||
               fresh.count() != node.popcount) {
             return corrupt_data("hbx: node bitmap geometry mismatch");
           }
-          if (view.provider != nullptr) {
+          if (provider != nullptr) {
             auto data = std::make_shared<FragmentData>();
             data->node_bitmap = fresh;
             data->has_node = true;
             data->count = node.popcount;
-            view.provider->insert({*view.var, static_cast<int>(task.node),
-                                   kHbxNodeChunk, view.epoch},
-                                  std::move(data));
+            provider->insert({var.name, static_cast<int>(task.node),
+                              kHbxNodeChunk, var.epoch},
+                             std::move(data));
           }
           wah = &fresh;
         }
@@ -160,7 +190,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
         } else {
           wah->decompress().for_each_set([&](std::uint64_t pos) {
             if (q.sc.has_value() &&
-                !q.sc->contains(view.shape->delinearize(pos))) {
+                !q.sc->contains(shape.delinearize(pos))) {
               return;
             }
             if (position_filter != nullptr && !position_filter->get(pos)) {
@@ -177,8 +207,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
     while (a < rp.tasks.size()) {
       std::size_t b = a;
       while (b < rp.tasks.size() && rp.tasks[b].bin == rp.tasks[a].bin) ++b;
-      const int bin = rp.tasks[a].bin;
-      const StoreView::BinRef& ref = view.bins[static_cast<std::size_t>(bin)];
+      const VariableState::Bin& bin =
+          var.bins[static_cast<std::size_t>(rp.tasks[a].bin)];
       const std::size_t seg_begin = rp.tasks[a].seg_begin;
       const std::size_t seg_end =
           rp.tasks[b - 1].seg_begin + rp.tasks[b - 1].seg_count;
@@ -188,14 +218,10 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       bool need_idx = false;
       bool need_dat = false;
       for (std::size_t s = seg_begin; s < seg_end; ++s) {
-        (rp.segments[s].file == ref.idx ? need_idx : need_dat) = true;
+        (rp.segments[s].file == bin.idx.file ? need_idx : need_dat) = true;
       }
-      if (view.verify_subfile && need_idx) {
-        MLOC_RETURN_IF_ERROR(view.verify_subfile(bin, false));
-      }
-      if (view.verify_subfile && need_dat) {
-        MLOC_RETURN_IF_ERROR(view.verify_subfile(bin, true));
-      }
+      if (need_idx) MLOC_RETURN_IF_ERROR(bin.idx.check_footer(fs));
+      if (need_dat) MLOC_RETURN_IF_ERROR(bin.dat.check_footer(fs));
 
       // Stage 2: merge the run's segments and fetch them in one batch.
       std::vector<SlotRef> slots;
@@ -207,8 +233,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
               : coalesce_segments(run_segs, kCoalesceGapBytes, &slots);
       MLOC_ASSIGN_OR_RETURN(
           const std::vector<Bytes> buffers,
-          view.fs->read_batch(requests, &ctx.io_log,
-                              static_cast<std::uint32_t>(ctx.rank)));
+          fs.read_batch(requests, &ctx.io_log,
+                        static_cast<std::uint32_t>(ctx.rank)));
 
       // Stage 3: decode + filter each fragment into the arrival buffer, in
       // task order.
@@ -216,7 +242,9 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
         const FragmentTask& task = rp.tasks[ti];
         if (task.skipped) continue;
         DecodeInput in;
-        in.view = &view;
+        in.var = &var;
+        in.shape = &shape;
+        in.for_provider = provider != nullptr;
         in.q = &q;
         in.position_filter = position_filter;
         in.task = &task;
@@ -229,14 +257,14 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
         MLOC_RETURN_IF_ERROR(std::move(d.status));
         ctx.times.decompress += d.decompress_s;
         ctx.times.reconstruct += d.reconstruct_s;
-        if (view.provider != nullptr) {
-          const FragmentKey key{*view.var, task.bin, task.frag->chunk,
-                                view.epoch};
+        if (provider != nullptr) {
+          const FragmentKey key{var.name, task.bin, task.frag->chunk,
+                                var.epoch};
           if (d.fresh_positions != nullptr) {
-            view.provider->insert(key, std::move(d.fresh_positions));
+            provider->insert(key, std::move(d.fresh_positions));
           }
           if (d.fresh_payload != nullptr) {
-            view.provider->insert(key, std::move(d.fresh_payload));
+            provider->insert(key, std::move(d.fresh_payload));
           }
         }
       }
@@ -244,8 +272,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
     }
     return Status::ok();
   };
-  MLOC_RETURN_IF_ERROR(parallel::run_query_ranks(view.fs->config(), num_ranks,
-                                                 rank_body, &result));
+  MLOC_RETURN_IF_ERROR(
+      parallel::run_query_ranks(fs.config(), num_ranks, rank_body, &result));
 
   // --- Gather: the arrivals into grid order (root process role).
   Stopwatch sw_gather;
@@ -259,7 +287,7 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
       grid->for_each_set([&](std::uint64_t pos) { arrivals.push_back(pos); });
     }
   } else {
-    sort_by_position(arrivals, arrival_values, view.shape->volume());
+    sort_by_position(arrivals, arrival_values, shape.volume());
   }
   // Ranks synchronize before the gather, so it adds to their CPU maximum.
   result.times.reconstruct += sw_gather.seconds();

@@ -2,13 +2,13 @@
 //
 // MlocStore::execute / multivar_select are thin wrappers over
 // execute_query; MlocStore::plan costs the identical plan through
-// plan_query.
-// Both consume a StoreView — a non-owning projection of one variable's
-// state — so the engine stays free of MlocStore internals.
+// plan_query. Both read the variable's record (VariableState) directly,
+// with only the store-wide storage, grid shape and FragmentProvider
+// beside it, all taken from the MlocStore that owns the record.
 //
 // Pipeline per query:
 //   build_plan     resolves bins → fragments → segments; consults the
-//                  FragmentProvider and the per-bin header cache so every
+//                  FragmentProvider and the subfile header slots so every
 //                  cache decision is made before the first payload read;
 //   IoScheduler    merges each rank's segments into batch extents
 //                  (exec/io_scheduler.hpp);
@@ -29,16 +29,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "array/chunking.hpp"
-#include "binning/binning.hpp"
 #include "bitmap/bitmap.hpp"
-#include "compress/codec.hpp"
-#include "core/config.hpp"
 #include "core/layout.hpp"
 #include "core/store.hpp"
 #include "exec/read_plan.hpp"
@@ -47,50 +41,6 @@
 #include "query/query.hpp"
 
 namespace mloc::exec {
-
-/// Non-owning view of one variable of a store — everything the engine
-/// needs, nothing it doesn't. Valid only for the duration of one
-/// execute_query/plan_query call.
-struct StoreView {
-  const pfs::PfsStorage* fs = nullptr;
-  const NDShape* shape = nullptr;           ///< full grid shape (store-wide)
-  const VariableLayout* layout = nullptr;   ///< this variable's layout
-  const ChunkGrid* chunk_grid = nullptr;
-  const std::string* var = nullptr;
-  const BinningScheme* scheme = nullptr;
-  /// Ingest generation of the variable (FragmentKey::epoch).
-  std::uint64_t epoch = 0;
-
-  struct BinRef {
-    pfs::FileId idx = 0;
-    pfs::FileId dat = 0;
-    std::uint64_t header_len = 0;
-    BinHeaderCache* header_cache = nullptr;
-  };
-  std::vector<BinRef> bins;
-
-  const ByteCodec* byte_codec = nullptr;      ///< PLoD/COL mode
-  const DoubleCodec* double_codec = nullptr;  ///< whole-value mode
-  FragmentProvider* provider = nullptr;
-  /// Lazy footer verification of bin subfiles (absolute bin index).
-  std::function<Status(int bin, bool dat_file)> verify_subfile;
-
-  /// Hierarchical bitmap index (.hbx), when the layout carries one.
-  struct HbxRef {
-    bool present = false;
-    pfs::FileId file = 0;
-    std::uint64_t header_len = 0;  ///< node-table bytes at .hbx start
-    index::HbxHeaderCache* header_cache = nullptr;
-  };
-  HbxRef hbx;
-  /// Lazy footer verification of the .hbx subfile.
-  std::function<Status()> verify_hbx;
-
-  [[nodiscard]] bool plod_capable() const noexcept {
-    return byte_codec != nullptr;
-  }
-  [[nodiscard]] int num_groups() const noexcept;
-};
 
 /// One fragment's resolved work: what to read (slots into the owning
 /// rank's segment array) and how to decode/filter it.
@@ -143,32 +93,35 @@ struct ReadPlan {
   std::vector<RankPlan> ranks;
   PlanSummary summary;
   /// Keeps FragmentInfo pointers in tasks alive (headers come from the
-  /// BinHeaderCache or from a plan-time parse).
+  /// .idx header slots or from a plan-time parse).
   std::vector<std::shared_ptr<const BinLayout>> layouts;
   /// Parsed .hbx node table backing HbxNodeTask::node (null when the
   /// query resolved no tree nodes).
   std::shared_ptr<const index::HbxHeader> hbx_header;
 };
 
-/// Stage 1: resolve a query into a ReadPlan. `warm` = execution mode:
-/// freshly parsed headers are published to the bin header cache. With
-/// `warm == false` (planner mode) the call is side-effect-free — it reads
-/// the caches but never mutates them.
+/// Stage 1: resolve a query on `var`, a record of `store`, into a
+/// ReadPlan. `warm` = execution mode: freshly parsed headers are put in
+/// their subfiles' header slots. With `warm == false` (planner mode) the
+/// call is side-effect-free — it reads the slots and the provider but
+/// never fills them.
 ///
 /// `position_filter` (optional, over linear grid offsets): the selection
 /// a multivariable pass 2 fetches. The plan keeps only the chunks where
 /// the filter has a set bit, tested one chunk row at a time with
 /// Bitmap::any; no other chunk holds a position the filter passes, so
 /// the answer is unchanged. plan_query passes none.
-Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
-                            int num_ranks, const ExecOptions& opts, bool warm,
+Result<ReadPlan> build_plan(const MlocStore& store, const VariableState& var,
+                            const Query& q, int num_ranks,
+                            const ExecOptions& opts, bool warm,
                             const Bitmap* position_filter = nullptr);
 
-/// The request checks execute_query makes before planning: rank count,
-/// PLoD level (and a byte-column codec below 7), SC dimensionality and a
-/// valid VC. MlocStore::multivar_select runs them on every pass before
-/// running any.
-Status validate_query(const StoreView& view, const Query& q, int num_ranks);
+/// The request checks execute_query makes before planning: rank count in
+/// [1, kMaxRanks] and SC dimensionality (the checks plan_query makes too),
+/// PLoD level (and a byte-column codec below 7) and a valid VC.
+/// MlocStore::multivar_select runs them on every pass before running any.
+Status validate_query(const MlocStore& store, const VariableState& var,
+                      const Query& q, int num_ranks);
 
 /// Execute a query end to end (validation, plan, batch I/O, decode,
 /// gather). `position_filter` (optional, over linear grid offsets) is the
@@ -182,7 +135,8 @@ Status validate_query(const StoreView& view, const Query& q, int num_ranks);
 /// same tests) and fragment points are set in it. This is how
 /// multivariable selection combines pass-1 answers without materializing
 /// per-variable position vectors.
-Result<QueryResult> execute_query(const StoreView& view, const Query& q,
+Result<QueryResult> execute_query(const MlocStore& store,
+                                  const VariableState& var, const Query& q,
                                   int num_ranks, const Bitmap* position_filter,
                                   const ExecOptions& opts,
                                   Bitmap* region_bits = nullptr);
@@ -192,7 +146,8 @@ Result<QueryResult> execute_query(const StoreView& view, const Query& q,
 /// summary.planned_io to pfs::model_makespan reproduces the modeled I/O
 /// seconds execution will report; on a cold provider the byte and extent
 /// counts match the executed plan exactly.
-Result<PlanSummary> plan_query(const StoreView& view, const Query& q,
+Result<PlanSummary> plan_query(const MlocStore& store,
+                               const VariableState& var, const Query& q,
                                int num_ranks, const ExecOptions& opts);
 
 }  // namespace mloc::exec

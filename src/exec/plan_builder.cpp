@@ -5,8 +5,9 @@
 // here, up front:
 //   - bins from the VC, chunks from the SC (paper Fig. 5 steps 1-2) and,
 //     in a multivariable pass 2, from the position filter;
-//   - fragment-table headers via the per-bin BinHeaderCache (cold reads
-//     are consumed here and charged to the owning phase-1 rank);
+//   - fragment-table and .hbx node-table headers from their subfiles'
+//     header slots (cold reads are consumed here by load_header and
+//     charged to the owning rank);
 //   - zone-map pruning and aligned-bin/-fragment classification;
 //   - FragmentProvider consultation: cache hits prune their extents from
 //     the plan (hit/miss/bytes_saved accounting is fixed at plan time);
@@ -16,12 +17,13 @@
 // (warm=false, side-effect-free), which is what makes planner predictions
 // match the executed plan exactly.
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <span>
 
 #include "exec/engine.hpp"
 #include "exec/io_scheduler.hpp"
 #include "parallel/runtime.hpp"
-#include "plod/plod.hpp"
 #include "util/timer.hpp"
 
 namespace mloc::exec {
@@ -64,31 +66,58 @@ bool region_has_bit(const Bitmap& filter, const NDShape& shape,
   }
 }
 
-}  // namespace
-
-int StoreView::num_groups() const noexcept {
-  return plod_capable() ? plod::kNumGroups : 1;
+/// The parsed header of `sf`: from its slot, or read and parsed here, with
+/// the cold read charged to rank `r` of the plan (execution logs it), and
+/// put in the slot when `warm`.
+template <class Header, class Parse>
+Result<std::shared_ptr<const Header>> load_header(const pfs::PfsStorage& fs,
+                                                  const Subfile<Header>& sf,
+                                                  RankPlan& rp, int r,
+                                                  bool warm, Parse parse) {
+  if (std::shared_ptr<const Header> cached = sf.header()) return cached;
+  MLOC_ASSIGN_OR_RETURN(Bytes raw, fs.read(sf.file, 0, sf.header_len));
+  Stopwatch sw;
+  MLOC_ASSIGN_OR_RETURN(Header parsed, parse(raw));
+  auto owned = std::make_shared<const Header>(std::move(parsed));
+  rp.header_parse_s += sw.seconds();
+  if (sf.header_len > 0) {
+    rp.header_reads.push_back(
+        {sf.file, 0, sf.header_len, static_cast<std::uint32_t>(r)});
+  }
+  if (warm) sf.put_header(owned);
+  return owned;
 }
 
-Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
-                            int num_ranks, const ExecOptions& opts, bool warm,
+Result<BinLayout> parse_fragment_table(std::span<const std::uint8_t> raw) {
+  ByteReader rd(raw);
+  return BinLayout::deserialize(rd);
+}
+
+}  // namespace
+
+Result<ReadPlan> build_plan(const MlocStore& store, const VariableState& var,
+                            const Query& q, int num_ranks,
+                            const ExecOptions& opts, bool warm,
                             const Bitmap* position_filter) {
+  const pfs::PfsStorage& fs = store.storage();
+  const NDShape& shape = store.config().shape;
+  FragmentProvider* const provider = store.fragment_provider();
   ReadPlan plan;
   plan.num_ranks = num_ranks;
   plan.ranks.resize(static_cast<std::size_t>(num_ranks));
   PlanSummary& sum = plan.summary;
 
-  const bool plod = view.plod_capable();
-  const int ngroups = view.num_groups();
+  const bool plod = var.plod_capable();
+  const int ngroups = var.num_groups();
   // Planner calls clamp instead of rejecting; execute_query validates the
   // raw level before planning, so clamping never changes execution.
   const int req_level = plod ? std::clamp(q.plod_level, 1, ngroups) : 1;
 
   // --- Step 1 (paper Fig. 5): bins to access, from the VC vs bin bounds.
   int first_bin = 0;
-  int last_bin = view.scheme->num_bins() - 1;
+  int last_bin = var.scheme.num_bins() - 1;
   if (q.vc.has_value()) {
-    const auto span = view.scheme->bins_overlapping(q.vc->lo, q.vc->hi);
+    const auto span = var.scheme.bins_overlapping(q.vc->lo, q.vc->hi);
     if (span.empty()) return plan;  // no bin can match
     first_bin = span.first;
     last_bin = span.last;
@@ -97,7 +126,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
   // --- Step 2: chunks to access, from the SC mapped to the chunk lattice
   // and, in a multivariable pass 2, from the position filter: a chunk with
   // no selected position holds nothing to fetch. Empty = every chunk.
-  const ChunkGrid& grid = *view.chunk_grid;
+  const ChunkGrid& grid = var.chunk_grid;
   std::vector<bool> chunk_keep;
   if (q.sc.has_value() || position_filter != nullptr) {
     if (q.sc.has_value() && q.sc->empty()) return plan;
@@ -110,7 +139,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
     if (position_filter != nullptr) {
       for (ChunkId c = 0; c < grid.num_chunks(); ++c) {
         chunk_keep[c] = chunk_keep[c] &&
-                        region_has_bit(*position_filter, *view.shape,
+                        region_has_bit(*position_filter, shape,
                                        grid.chunk_region(c));
       }
     }
@@ -126,44 +155,28 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
   // positional-index path below. Value-retrieval queries keep the flat
   // path: they must touch the fragments anyway.
   int hbx_first = 0, hbx_last = -1;  // empty span
-  const bool hbx_usable = opts.use_hbx && view.hbx.present &&
+  const bool hbx_usable = opts.use_hbx && var.hbx.has_value() &&
                           q.vc.has_value() && !q.values_needed;
   if (hbx_usable) {
-    std::shared_ptr<const index::HbxHeader> header =
-        view.hbx.header_cache != nullptr ? view.hbx.header_cache->get()
-                                         : nullptr;
-    if (header == nullptr) {
-      // Cold node-table read: consumed here, charged to rank 0 (one small
-      // read per store open, the .hbx analogue of a bin header).
-      MLOC_ASSIGN_OR_RETURN(
-          Bytes raw, view.fs->read(view.hbx.file, 0, view.hbx.header_len));
-      Stopwatch sw;
-      MLOC_ASSIGN_OR_RETURN(index::HbxHeader parsed,
-                            index::HbxHeader::deserialize(raw));
-      auto owned = std::make_shared<const index::HbxHeader>(std::move(parsed));
-      plan.ranks[0].header_parse_s += sw.seconds();
-      if (view.hbx.header_len > 0) {
-        plan.ranks[0].header_reads.push_back(
-            {view.hbx.file, 0, view.hbx.header_len, 0});
-      }
-      if (warm && view.hbx.header_cache != nullptr) {
-        view.hbx.header_cache->put(owned);
-      }
-      header = std::move(owned);
-    }
-    if (header->num_bins != view.scheme->num_bins() ||
-        header->nbits != view.shape->volume()) {
+    // A cold node-table read is charged to rank 0 (one small read per
+    // store open, the .hbx analogue of a bin header).
+    MLOC_ASSIGN_OR_RETURN(
+        std::shared_ptr<const index::HbxHeader> header,
+        load_header(fs, *var.hbx, plan.ranks[0], 0, warm,
+                    index::HbxHeader::deserialize));
+    if (header->num_bins != var.scheme.num_bins() ||
+        header->nbits != shape.volume()) {
       return corrupt_data("hbx: node table mismatches store geometry");
     }
     // Aligned interior: the maximal contiguous run of VC-aligned bins.
     // With interval binning only the two boundary bins can be misaligned;
     // the full-scan guard below keeps correctness even if they aren't.
     int a = first_bin, b = last_bin;
-    while (a <= b && !view.scheme->aligned(a, q.vc->lo, q.vc->hi)) ++a;
-    while (b >= a && !view.scheme->aligned(b, q.vc->lo, q.vc->hi)) --b;
+    while (a <= b && !var.scheme.aligned(a, q.vc->lo, q.vc->hi)) ++a;
+    while (b >= a && !var.scheme.aligned(b, q.vc->lo, q.vc->hi)) --b;
     bool contiguous = a <= b;
     for (int bin = a; bin <= b && contiguous; ++bin) {
-      contiguous = view.scheme->aligned(bin, q.vc->lo, q.vc->hi);
+      contiguous = var.scheme.aligned(bin, q.vc->lo, q.vc->hi);
     }
     if (contiguous && a <= b) {
       hbx_first = a;
@@ -174,7 +187,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
       double sc_vol_frac = 1.0;
       if (q.sc.has_value()) {
         sc_vol_frac = static_cast<double>(q.sc->volume()) /
-                      static_cast<double>(view.shape->volume());
+                      static_cast<double>(shape.volume());
       }
       std::vector<std::size_t> nodes =
           index::cover(*header, hbx_first, hbx_last);
@@ -193,9 +206,9 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
           const index::HbxNode& n = header->nodes[id];
           HbxNodeTask task;
           task.node = id;
-          if (view.provider != nullptr) {
-            auto hit = view.provider->lookup(
-                {*view.var, static_cast<int>(id), kHbxNodeChunk, view.epoch});
+          if (provider != nullptr) {
+            auto hit = provider->lookup(
+                {var.name, static_cast<int>(id), kHbxNodeChunk, var.epoch});
             if (hit != nullptr && hit->has_node) {
               task.cached = std::move(hit);
               ++sum.cache.hits;
@@ -207,8 +220,8 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
           if (task.cached == nullptr) {
             task.has_segment = true;
             task.seg_index = rp.hbx_segments.size();
-            rp.hbx_segments.push_back({view.hbx.file,
-                                       view.hbx.header_len + n.offset,
+            rp.hbx_segments.push_back({var.hbx->file,
+                                       var.hbx->header_len + n.offset,
                                        n.length, kHbxClass});
           }
           sum.est_points += static_cast<double>(n.popcount) * sc_vol_frac;
@@ -242,32 +255,16 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
     for (std::size_t i = bin_ranges[static_cast<std::size_t>(r)].first;
          i < bin_ranges[static_cast<std::size_t>(r)].second; ++i) {
       const int bin = flat_bins[i];
-      const StoreView::BinRef& ref = view.bins[static_cast<std::size_t>(bin)];
-      std::shared_ptr<const BinLayout> layout =
-          ref.header_cache != nullptr ? ref.header_cache->get() : nullptr;
-      if (layout == nullptr) {
-        MLOC_ASSIGN_OR_RETURN(
-            Bytes header, view.fs->read(ref.idx, 0, ref.header_len));
-        Stopwatch sw;
-        ByteReader rd(header);
-        MLOC_ASSIGN_OR_RETURN(BinLayout parsed, BinLayout::deserialize(rd));
-        auto owned = std::make_shared<const BinLayout>(std::move(parsed));
-        rp.header_parse_s += sw.seconds();
-        if (ref.header_len > 0) {
-          rp.header_reads.push_back(
-              {ref.idx, 0, ref.header_len, static_cast<std::uint32_t>(r)});
-        }
-        if (warm && ref.header_cache != nullptr) {
-          ref.header_cache->put(owned);
-        }
-        layout = std::move(owned);
-      }
+      MLOC_ASSIGN_OR_RETURN(
+          std::shared_ptr<const BinLayout> layout,
+          load_header(fs, var.bins[static_cast<std::size_t>(bin)].idx, rp, r,
+                      warm, parse_fragment_table));
       BinWork& w = bin_work[i];
       w.bin = bin;
       // Aligned-bin fast path: the VC contains the bin's interval, so all
       // (original) values qualify without decompression.
       w.aligned = q.vc.has_value() &&
-                  view.scheme->aligned(bin, q.vc->lo, q.vc->hi);
+                  var.scheme.aligned(bin, q.vc->lo, q.vc->hi);
       for (const auto& f : layout->fragments) {
         if (chunk_keep.empty() ||
             (f.chunk < chunk_keep.size() && chunk_keep[f.chunk])) {
@@ -311,13 +308,14 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
   }
   std::uint32_t next_private_class = kPrivateClassBase;
   std::uint64_t planned_seg_bytes = 0;
-  std::uint64_t planned_seg_count = 0;
   for (int r = 0; r < num_ranks; ++r) {
     RankPlan& rp = plan.ranks[static_cast<std::size_t>(r)];
     for (std::size_t i = item_ranges[static_cast<std::size_t>(r)].first;
          i < item_ranges[static_cast<std::size_t>(r)].second; ++i) {
       const BinWork& bw = *items[i].bin;
       const FragmentInfo& frag = *items[i].frag;
+      const VariableState::Bin& files =
+          var.bins[static_cast<std::size_t>(bw.bin)];
       FragmentTask task;
       task.bin = bw.bin;
       task.frag = &frag;
@@ -343,9 +341,8 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
       // One provider lookup decides both the positional index and the
       // payload prefix — cache hits prune their extents from the plan.
       std::shared_ptr<const FragmentData> hit;
-      if (view.provider != nullptr) {
-        hit = view.provider->lookup(
-            {*view.var, bw.bin, frag.chunk, view.epoch});
+      if (provider != nullptr) {
+        hit = provider->lookup({var.name, bw.bin, frag.chunk, var.epoch});
       }
       task.cached = hit;
 
@@ -355,10 +352,8 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
         task.blob_cached = true;
         sum.cache.bytes_saved += frag.positions.length;
       } else {
-        const StoreView::BinRef& ref =
-            view.bins[static_cast<std::size_t>(bw.bin)];
-        rp.segments.push_back({ref.idx,
-                               ref.header_len + frag.positions.offset,
+        rp.segments.push_back({files.idx.file,
+                               files.idx.header_len + frag.positions.offset,
                                frag.positions.length, kBlobClass});
       }
 
@@ -370,8 +365,6 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
 
       if (task.fetch_values) {
         ++sum.fragments_to_fetch;
-        const StoreView::BinRef& ref =
-            view.bins[static_cast<std::size_t>(bw.bin)];
         if (plod) {
           const bool planes_usable = hit != nullptr &&
                                      hit->count == frag.count &&
@@ -381,7 +374,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
           for (int g = 0; g < task.cached_depth; ++g) {
             sum.cache.bytes_saved += frag.groups[g].length;
           }
-          if (view.provider != nullptr) {
+          if (provider != nullptr) {
             if (task.cached_depth >= task.fetch_level) {
               ++sum.cache.hits;
             } else {
@@ -394,7 +387,7 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
           // partial/reduced fetch stays private so bridging never re-reads
           // the planes the level (or the cache) skipped.
           std::uint32_t cls;
-          if (view.layout->order == LevelOrder::kVMS) {
+          if (var.layout.order == LevelOrder::kVMS) {
             cls = 0;  // per-group, assigned below
           } else if (task.cached_depth == 0 && task.fetch_level == ngroups) {
             cls = kStreamClass;
@@ -403,10 +396,10 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
           }
           for (int g = task.cached_depth; g < task.fetch_level; ++g) {
             const std::uint32_t group_cls =
-                view.layout->order == LevelOrder::kVMS
+                var.layout.order == LevelOrder::kVMS
                     ? kSectionClassBase + static_cast<std::uint32_t>(g)
                     : cls;
-            rp.segments.push_back({ref.dat, frag.groups[g].offset,
+            rp.segments.push_back({files.dat.file, frag.groups[g].offset,
                                    frag.groups[g].length, group_cls});
           }
         } else {
@@ -415,11 +408,11 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
                                    !hit->values.empty();
           if (vals_usable) {
             task.cached_depth = 1;  // full hit: no payload segment
-            if (view.provider != nullptr) ++sum.cache.hits;
+            if (provider != nullptr) ++sum.cache.hits;
             sum.cache.bytes_saved += frag.groups[0].length;
           } else {
-            if (view.provider != nullptr) ++sum.cache.misses;
-            rp.segments.push_back({ref.dat, frag.groups[0].offset,
+            if (provider != nullptr) ++sum.cache.misses;
+            rp.segments.push_back({files.dat.file, frag.groups[0].offset,
                                    frag.groups[0].length, kStreamClass});
           }
         }
@@ -473,12 +466,10 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
       planned_seg_bytes += s.len;
       if (s.len > 0) ++rank_naive;
     }
-    planned_seg_count += rank_naive;
     sum.stats.extents_naive += rank_naive + rp.header_reads.size();
     sum.stats.extents_coalesced +=
         merged.size() + hbx_merged.size() + rp.header_reads.size();
   }
-  (void)planned_seg_count;
 
   std::uint64_t header_bytes = 0;
   for (const auto& rp : plan.ranks) {
@@ -490,19 +481,6 @@ Result<ReadPlan> build_plan(const StoreView& view, const Query& q,
   sum.stats.bytes_read = sum.planned_io.total_bytes();
   sum.stats.modeled_seeks = pfs::coalesced_extent_count(sum.planned_io);
   return plan;
-}
-
-Result<PlanSummary> plan_query(const StoreView& view, const Query& q,
-                               int num_ranks, const ExecOptions& opts) {
-  if (num_ranks < 1) {
-    return invalid_argument("query: num_ranks must be >= 1");
-  }
-  if (q.sc.has_value() && q.sc->ndims() != view.shape->ndims()) {
-    return invalid_argument("query: SC dimensionality mismatch");
-  }
-  MLOC_ASSIGN_OR_RETURN(ReadPlan plan,
-                        build_plan(view, q, num_ranks, opts, /*warm=*/false));
-  return std::move(plan.summary);
 }
 
 }  // namespace mloc::exec

@@ -43,6 +43,11 @@ struct PlannedSegment {
   std::uint32_t merge_class = 0;
 };
 
+/// Upper bound on a query's rank count, checked where requests enter the
+/// engine (and by the CLIs' --ranks/--max-ranks): the planner builds one
+/// RankPlan per rank.
+inline constexpr int kMaxRanks = 1 << 16;
+
 /// Engine tuning knobs (defaults match the benched configuration).
 struct ExecOptions {
   /// Issue one read per planned segment in plan order instead of merged

@@ -25,16 +25,13 @@
 // engine and cached in the FragmentCache keyed by epoch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "bitmap/bitmap.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
-#include "util/sync.hpp"
 
 namespace mloc::index {
 
@@ -57,7 +54,8 @@ struct HbxNode {
 };
 
 /// Parsed .hbx header: the node table plus level structure. Immutable
-/// after parse; shared across queries via HbxHeaderCache.
+/// after parse; shared across queries through the .hbx subfile's header
+/// slot (Subfile in core/store.hpp).
 struct HbxHeader {
   int fanout = 0;
   int num_bins = 0;
@@ -101,26 +99,5 @@ HbxBuild build_index(const std::vector<WahBitmap>& leaves,
 /// is empty or out of range.
 std::vector<std::size_t> cover(const HbxHeader& h, int first_bin,
                                int last_bin);
-
-/// One-slot parsed-header cache, mirroring core BinHeaderCache: first
-/// writer wins, the header is immutable so any decoded copy is as good
-/// as another.
-class HbxHeaderCache {
- public:
-  [[nodiscard]] std::shared_ptr<const HbxHeader> get() const
-      MLOC_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return header_;
-  }
-
-  void put(std::shared_ptr<const HbxHeader> header) MLOC_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    if (!header_) header_ = std::move(header);
-  }
-
- private:
-  mutable sync::Mutex mu_;
-  std::shared_ptr<const HbxHeader> header_ MLOC_GUARDED_BY(mu_);
-};
 
 }  // namespace mloc::index

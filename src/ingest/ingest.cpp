@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/store.hpp"
 #include "parallel/runtime.hpp"
 #include "plod/plod.hpp"
 #include "util/hash.hpp"
@@ -111,7 +112,7 @@ struct EncodedFragment {
 /// and per-group codec encode. Pure function of the stage — encoded bytes
 /// are identical regardless of which thread runs it, which is what makes
 /// the fold stage's output byte-identical to a serial write.
-EncodedFragment encode_fragment(const StoreWriter& writer,
+EncodedFragment encode_fragment(const VariableState& var,
                                 const FragStage& stage, int groups) {
   Stopwatch sw;
   EncodedFragment out;
@@ -127,7 +128,7 @@ EncodedFragment encode_fragment(const StoreWriter& writer,
     out.max_value = std::max(out.max_value, v);
   }
   out.groups.resize(static_cast<std::size_t>(groups));
-  if (writer.plod_capable()) {
+  if (var.plod_capable()) {
     // One flat scratch buffer sliced into the 7 byte planes: shred_into
     // fills them in place, with no per-fragment Shredded vector churn.
     const std::size_t n = stage.values.size();
@@ -142,7 +143,7 @@ EncodedFragment encode_fragment(const StoreWriter& writer,
     }
     plod::shred_into(stage.values, planes);
     for (int g = 0; g < groups; ++g) {
-      auto enc = writer.byte_codec->encode(planes[g]);
+      auto enc = var.byte_codec->encode(planes[g]);
       if (!enc.is_ok()) {
         out.status = enc.status();
         return out;
@@ -150,7 +151,7 @@ EncodedFragment encode_fragment(const StoreWriter& writer,
       out.groups[static_cast<std::size_t>(g)] = std::move(enc).value();
     }
   } else {
-    auto enc = writer.double_codec->encode(stage.values);
+    auto enc = var.double_codec->encode(stage.values);
     if (!enc.is_ok()) {
       out.status = enc.status();
       return out;
@@ -170,16 +171,17 @@ struct FlushSlot {
 
 }  // namespace
 
-Result<IngestOutput> ingest_variable(const StoreWriter& writer,
-                                     const std::string& var, const Grid& grid,
-                                     const WriteOptions& opts) {
+Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
+                                    const std::string& store_name,
+                                    VariableState& var, const Grid& grid,
+                                    const WriteOptions& opts) {
   Stopwatch sw_wall;
-  const VariableLayout& layout = *writer.layout;
-  const ChunkGrid& chunk_grid = *writer.chunk_grid;
-  IngestOutput out;
-  out.stats.threads = std::max(1, opts.threads);
-  out.stats.write_behind = opts.write_behind && opts.threads > 1;
-  out.stats.cells_routed = grid.size();
+  const VariableLayout& layout = var.layout;
+  const ChunkGrid& chunk_grid = var.chunk_grid;
+  IngestStats stats;
+  stats.threads = std::max(1, opts.threads);
+  stats.write_behind = opts.write_behind && opts.threads > 1;
+  stats.cells_routed = grid.size();
 
   // --- Level V: equal-frequency binning boundaries from a sample.
   Stopwatch sw_sample;
@@ -189,7 +191,7 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
     sample.push_back(grid.at_linear(i));
   }
   if (layout.binning == BinningKind::kEqualFrequency) {
-    out.scheme = BinningScheme::equal_frequency(sample, layout.num_bins);
+    var.scheme = BinningScheme::equal_frequency(sample, layout.num_bins);
   } else {
     double lo = sample[0], hi = sample[0];
     for (double v : sample) {
@@ -198,30 +200,28 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
       hi = std::max(hi, v);
     }
     if (!(hi > lo)) hi = lo + 1.0;
-    out.scheme = BinningScheme::equal_width(lo, hi, layout.num_bins);
+    var.scheme = BinningScheme::equal_width(lo, hi, layout.num_bins);
   }
-  const int nbins = out.scheme.num_bins();
-  const int groups = writer.plod_capable() ? plod::kNumGroups : 1;
-  out.stats.partition_s += sw_sample.seconds();
+  const int nbins = var.scheme.num_bins();
+  const int groups = var.num_groups();
+  stats.partition_s += sw_sample.seconds();
 
   // Subfiles for every bin, created (or reused on re-ingest) upfront in
   // bin order so FileIds match a serial write and write-behind flushing
   // never mutates the storage's file table concurrently with queries.
-  out.bins.resize(static_cast<std::size_t>(nbins));
+  var.bins = std::vector<VariableState::Bin>(static_cast<std::size_t>(nbins));
   for (int b = 0; b < nbins; ++b) {
-    auto& bin = out.bins[static_cast<std::size_t>(b)];
+    auto& bin = var.bins[static_cast<std::size_t>(b)];
     MLOC_ASSIGN_OR_RETURN(
-        bin.idx,
-        open_or_create(writer.fs, idx_name(writer.store_name, var, b)));
+        bin.idx.file, open_or_create(fs, idx_name(store_name, var.name, b)));
     MLOC_ASSIGN_OR_RETURN(
-        bin.dat,
-        open_or_create(writer.fs, dat_name(writer.store_name, var, b)));
+        bin.dat.file, open_or_create(fs, dat_name(store_name, var.name, b)));
   }
   const bool build_hbx = layout.index_fanout >= 2;
   if (build_hbx) {
-    MLOC_ASSIGN_OR_RETURN(
-        out.hbx.file,
-        open_or_create(writer.fs, hbx_name(writer.store_name, var)));
+    var.hbx.emplace();
+    MLOC_ASSIGN_OR_RETURN(var.hbx->file,
+                          open_or_create(fs, hbx_name(store_name, var.name)));
   }
   // Per-bin leaf bitmaps over global grid offsets, filled during fold.
   std::vector<WahBitmap> hbx_leaves;
@@ -251,10 +251,10 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
   if (pool != nullptr) {
     route_handles.reserve(num_chunks);
     for (std::uint32_t rank = 0; rank < num_chunks; ++rank) {
-      const ChunkId chunk = writer.curve->chunk_at(rank);
+      const ChunkId chunk = var.curve_order.chunk_at(rank);
       route_handles.push_back(pool->submit_waitable([&, rank, chunk] {
         routing[rank] =
-            route_chunk(grid, chunk_grid, out.scheme, chunk, nbins);
+            route_chunk(grid, chunk_grid, var.scheme, chunk, nbins);
       }));
     }
   }
@@ -266,27 +266,27 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
     if (pool != nullptr) {
       route_handles[rank].wait();
     } else {
-      const ChunkId chunk = writer.curve->chunk_at(rank);
+      const ChunkId chunk = var.curve_order.chunk_at(rank);
       routing[rank] =
-          route_chunk(grid, chunk_grid, out.scheme, chunk, nbins);
+          route_chunk(grid, chunk_grid, var.scheme, chunk, nbins);
     }
     ChunkRouting& routed = routing[rank];
-    out.stats.partition_s += routed.route_s;
+    stats.partition_s += routed.route_s;
     for (std::size_t k = 0; k < routed.bins.size(); ++k) {
       const auto b = static_cast<std::size_t>(routed.bins[k]);
       encoded[b].emplace_back();
       EncodedFragment* slot = &encoded[b].back();
-      ++out.stats.fragments_encoded;
+      ++stats.fragments_encoded;
       if (pool != nullptr) {
         auto stage =
             std::make_shared<FragStage>(std::move(routed.frags[k]));
         encode_handles[b].push_back(pool->submit_waitable(
-            [slot, stage, &writer, groups] {
-              *slot = encode_fragment(writer, *stage, groups);
+            [slot, stage, &var, groups] {
+              *slot = encode_fragment(var, *stage, groups);
             }));
       } else {
-        *slot = encode_fragment(writer, routed.frags[k], groups);
-        out.stats.encode_s += slot->encode_s;
+        *slot = encode_fragment(var, routed.frags[k], groups);
+        stats.encode_s += slot->encode_s;
         routed.frags[k] = FragStage{};  // release staged cells eagerly
       }
     }
@@ -301,12 +301,12 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
     std::deque<EncodedFragment>& frags = encoded[bi];
     for (EncodedFragment& f : frags) {
       MLOC_RETURN_IF_ERROR(f.status);
-      if (pool != nullptr) out.stats.encode_s += f.encode_s;
+      if (pool != nullptr) stats.encode_s += f.encode_s;
     }
 
     Stopwatch sw_fold;
-    BinLayout layout;
-    layout.fragments.resize(frags.size());
+    BinLayout table;
+    table.fragments.resize(frags.size());
     std::uint64_t blob_total = 0;
     std::uint64_t dat_total = 0;
     for (const EncodedFragment& f : frags) {
@@ -318,7 +318,7 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
     Bytes blob_section;
     blob_section.reserve(blob_total);
     for (std::size_t f = 0; f < frags.size(); ++f) {
-      FragmentInfo& info = layout.fragments[f];
+      FragmentInfo& info = table.fragments[f];
       info.chunk = frags[f].chunk;
       info.count = frags[f].count;
       info.positions = {blob_section.size(), frags[f].pos_blob.size(),
@@ -340,11 +340,11 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
       seg->checksum = fnv1a64(encoded_bytes);
       dat.insert(dat.end(), encoded_bytes.begin(), encoded_bytes.end());
     };
-    if (writer.plod_capable() && writer.layout->order == LevelOrder::kVMS) {
+    if (var.plod_capable() && layout.order == LevelOrder::kVMS) {
       for (int g = 0; g < groups; ++g) {
         for (std::size_t f = 0; f < frags.size(); ++f) {
           append_segment(
-              &layout.fragments[f].groups[static_cast<std::size_t>(g)],
+              &table.fragments[f].groups[static_cast<std::size_t>(g)],
               frags[f].groups[static_cast<std::size_t>(g)]);
         }
       }
@@ -352,7 +352,7 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
       for (std::size_t f = 0; f < frags.size(); ++f) {
         for (int g = 0; g < groups; ++g) {
           append_segment(
-              &layout.fragments[f].groups[static_cast<std::size_t>(g)],
+              &table.fragments[f].groups[static_cast<std::size_t>(g)],
               frags[f].groups[static_cast<std::size_t>(g)]);
         }
       }
@@ -380,19 +380,23 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
     frags.clear();  // encoded segments are folded; release them
 
     ByteWriter header;
-    layout.serialize(header);
-    auto& bin = out.bins[bi];
-    bin.header_len = header.size();
+    table.serialize(header);
+    auto& bin = var.bins[bi];
+    bin.idx.header_len = header.size();
     Bytes idx = std::move(header).take();
     idx.reserve(idx.size() + blob_section.size() + kSubfileFooterSize);
     idx.insert(idx.end(), blob_section.begin(), blob_section.end());
     append_subfile_footer(idx);
     append_subfile_footer(dat);
-    bin.layout = std::make_shared<const BinLayout>(std::move(layout));
-    out.stats.fold_s += sw_fold.seconds();
+    // The store wrote these bytes itself: no CRC scan on first read, and
+    // the fragment table is in hand, so queries never re-read it.
+    bin.idx.put_header(std::make_shared<const BinLayout>(std::move(table)));
+    bin.idx.footer_checked = true;
+    bin.dat.footer_checked = true;
+    stats.fold_s += sw_fold.seconds();
 
     FlushSlot* slot = &flush_slots[bi];
-    auto flush = [fs = writer.fs, idx_id = bin.idx, dat_id = bin.dat, slot](
+    auto flush = [fs, idx_id = bin.idx.file, dat_id = bin.dat.file, slot](
                      Bytes idx_bytes, Bytes dat_bytes) {
       Stopwatch sw_flush;
       slot->bytes = idx_bytes.size() + dat_bytes.size();
@@ -421,29 +425,30 @@ Result<IngestOutput> ingest_variable(const StoreWriter& writer,
     index::HbxBuild built =
         index::build_index(hbx_leaves, grid.size(), layout.index_fanout);
     hbx_leaves.clear();
-    out.hbx.header_len = built.header.header_len;
-    out.stats.fold_s += sw_hbx.seconds();
+    var.hbx->header_len = built.header.header_len;
+    stats.fold_s += sw_hbx.seconds();
     Stopwatch sw_flush;
     const std::uint64_t hbx_bytes = built.file.size();
     MLOC_RETURN_IF_ERROR(
-        writer.fs->set_contents(out.hbx.file, std::move(built.file)));
-    out.stats.bytes_written += hbx_bytes;
-    out.stats.flush_s += sw_flush.seconds();
-    out.hbx.header =
-        std::make_shared<const index::HbxHeader>(std::move(built.header));
-    out.hbx.present = true;
+        fs->set_contents(var.hbx->file, std::move(built.file)));
+    stats.bytes_written += hbx_bytes;
+    stats.flush_s += sw_flush.seconds();
+    // Written and parsed here, like the bins.
+    var.hbx->put_header(
+        std::make_shared<const index::HbxHeader>(std::move(built.header)));
+    var.hbx->footer_checked = true;
   }
 
   for (auto& handle : flush_handles) handle.wait();
   for (int b = 0; b < nbins; ++b) {
     const FlushSlot& slot = flush_slots[static_cast<std::size_t>(b)];
     MLOC_RETURN_IF_ERROR(slot.status);
-    out.stats.bytes_written += slot.bytes;
-    out.stats.flush_s += slot.flush_s;
+    stats.bytes_written += slot.bytes;
+    stats.flush_s += slot.flush_s;
   }
-  out.stats.bins_written = static_cast<std::uint64_t>(nbins);
-  out.stats.wall_s = sw_wall.seconds();
-  return out;
+  stats.bins_written = static_cast<std::uint64_t>(nbins);
+  stats.wall_s = sw_wall.seconds();
+  return stats;
 }
 
 }  // namespace mloc::ingest

@@ -29,19 +29,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "array/chunking.hpp"
 #include "array/grid.hpp"
-#include "binning/binning.hpp"
-#include "compress/codec.hpp"
-#include "core/config.hpp"
-#include "core/layout.hpp"
-#include "index/hbx.hpp"
 #include "pfs/pfs.hpp"
-#include "sfc/hilbert.hpp"
+
+namespace mloc {
+struct VariableState;  // the store's record of a variable (core/store.hpp)
+}  // namespace mloc
 
 namespace mloc::ingest {
 
@@ -87,50 +82,6 @@ struct IngestStats {
   }
 };
 
-/// Non-owning projection of the store state the pipeline needs — the
-/// write-side mirror of exec::StoreView. Valid for one ingest_variable
-/// call; the caller owns everything referenced.
-struct StoreWriter {
-  pfs::PfsStorage* fs = nullptr;
-  const VariableLayout* layout = nullptr;
-  const ChunkGrid* chunk_grid = nullptr;
-  const sfc::CurveOrder* curve = nullptr;
-  const ByteCodec* byte_codec = nullptr;      ///< PLoD/COL mode
-  const DoubleCodec* double_codec = nullptr;  ///< whole-value mode
-  std::string store_name;
-
-  [[nodiscard]] bool plod_capable() const noexcept {
-    return byte_codec != nullptr;
-  }
-};
-
-/// One finished bin: its subfiles (created or reused on re-ingest) and the
-/// decoded fragment table, handed back so the store can warm its
-/// BinHeaderCache without re-reading what it just wrote.
-struct IngestedBin {
-  pfs::FileId idx = 0;
-  pfs::FileId dat = 0;
-  std::uint64_t header_len = 0;
-  std::shared_ptr<const BinLayout> layout;
-};
-
-/// The hierarchical bitmap index built alongside the bins when
-/// layout.index_fanout >= 2: its sealed .hbx subfile plus the parsed
-/// header, handed back so the store can warm its HbxHeaderCache.
-struct IngestedIndex {
-  bool present = false;
-  pfs::FileId file = 0;
-  std::uint64_t header_len = 0;
-  std::shared_ptr<const index::HbxHeader> header;
-};
-
-struct IngestOutput {
-  BinningScheme scheme;
-  std::vector<IngestedBin> bins;  ///< size = scheme.num_bins()
-  IngestedIndex hbx;
-  IngestStats stats;
-};
-
 /// Bin subfile names: <store>/<var>.bin<k>.{idx,dat}. Shared with
 /// MlocStore::open — re-ingest file reuse depends on both sides agreeing.
 std::string idx_name(const std::string& store, const std::string& var,
@@ -140,12 +91,14 @@ std::string dat_name(const std::string& store, const std::string& var,
 /// Hierarchical-index subfile name: <store>/<var>.hbx.
 std::string hbx_name(const std::string& store, const std::string& var);
 
-/// Run the full layout pipeline for one variable. Creates the bin subfiles
-/// (reusing existing files of the same name on re-ingest) and leaves them
-/// flushed and footer-sealed. The grid shape must already be validated
-/// against the config by the caller.
-[[nodiscard]] Result<IngestOutput> ingest_variable(const StoreWriter& writer,
-                                     const std::string& var, const Grid& grid,
-                                     const WriteOptions& opts);
+/// Run the full layout pipeline for `var`, an unpublished record whose
+/// name, layout and layout-derived state the caller has set, and fill in
+/// its scheme, bins and index in place: each subfile is created (or reused
+/// on re-ingest), left flushed and footer-sealed, marked footer-checked,
+/// and given the header it was written with. The grid shape must already
+/// be validated against the config by the caller.
+[[nodiscard]] Result<IngestStats> ingest_variable(
+    pfs::PfsStorage* fs, const std::string& store_name, VariableState& var,
+    const Grid& grid, const WriteOptions& opts);
 
 }  // namespace mloc::ingest

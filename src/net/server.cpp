@@ -98,6 +98,9 @@ struct Server::Loop {
 Server::Server(service::QueryService& svc, ServerConfig cfg)
     : svc_(svc), cfg_(std::move(cfg)) {
   if (cfg_.num_loops < 1) cfg_.num_loops = 1;
+  // std::clamp in the kShmOffer handler needs max >= min.
+  cfg_.max_shm_ring_bytes =
+      std::max(cfg_.max_shm_ring_bytes, kShmMinRingBytes);
 }
 
 Server::~Server() { shutdown(); }

@@ -66,7 +66,8 @@ struct ServerConfig {
   /// offers are refused (Unsupported) and clients fall back to TCP.
   bool enable_shm = true;
   /// Clamp on the ring size a client may request (per connection, so 512
-  /// greedy clients cannot pin 512 x unbounded tmpfs pages).
+  /// greedy clients cannot pin 512 x unbounded tmpfs pages). A value below
+  /// kShmMinRingBytes is raised to it.
   std::uint64_t max_shm_ring_bytes = 64ull << 20;
 };
 

@@ -178,7 +178,8 @@ Result<service::Request> parse_request(const Args& args) {
   service::Request req;
   req.var = args.get("var", "v");
   MLOC_ASSIGN_OR_RETURN(req.query, parse_query(args));
-  MLOC_RETURN_IF_ERROR(read_int(args, "ranks", &req.num_ranks, 0, 0, kMaxRanks));
+  MLOC_RETURN_IF_ERROR(
+      read_int(args, "ranks", &req.num_ranks, 0, 0, exec::kMaxRanks));
   MLOC_ASSIGN_OR_RETURN(req.deadline_s, args.get_double("deadline", -1));
 
   const std::vector<std::string> selects = args.get_all("select");

@@ -22,10 +22,6 @@
 
 namespace mloc::cli {
 
-/// Upper bound on --ranks and --max-ranks: the planner builds one plan per
-/// rank.
-inline constexpr int kMaxRanks = 1 << 16;
-
 /// `[command] --key value ... --flag ...`: a token after `--key` that does
 /// not start with "--" is its value; otherwise `--key` is a flag.
 struct Args {

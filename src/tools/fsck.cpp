@@ -8,7 +8,6 @@
 
 #include "array/chunking.hpp"
 #include "bitmap/bitmap.hpp"
-#include "compress/registry.hpp"
 #include "core/layout.hpp"
 #include "core/store.hpp"
 #include "index/hbx.hpp"
@@ -79,21 +78,14 @@ Result<Bytes> read_all(const pfs::PfsStorage& fs, pfs::FileId id) {
 struct StoreContext {
   const pfs::PfsStorage* fs = nullptr;
   const MlocStore* store = nullptr;
-  const BinningScheme* scheme = nullptr;
-  std::string var;
-  const ChunkGrid* chunk_grid = nullptr;
-  int num_groups = 1;
-  LevelOrder order = LevelOrder::kVMS;
-  sfc::CurveOrder curve;
-  std::shared_ptr<const ByteCodec> byte_codec;      // PLoD mode
-  std::shared_ptr<const DoubleCodec> double_codec;  // whole-value mode
+  const VariableState* var = nullptr;  ///< the store's record
   bool lossless = false;
   /// Per-chunk occupancy marks for the cross-bin bijectivity check.
   std::vector<std::vector<bool>> chunk_marks;
 };
 
 std::string bin_name(const StoreContext& ctx, int bin) {
-  return ctx.var + ".bin" + std::to_string(bin);
+  return ctx.var->name + ".bin" + std::to_string(bin);
 }
 std::string frag_name(const StoreContext& ctx, int bin, std::size_t f,
                       ChunkId chunk) {
@@ -105,25 +97,25 @@ std::string frag_name(const StoreContext& ctx, int bin, std::size_t f,
 /// permutation would scramble every subsequent order check, so verify it
 /// first (a violation indicates a code bug, not data corruption).
 void check_curve_permutation(const StoreContext& ctx, Sink& sink) {
-  const std::uint32_t n = ctx.chunk_grid->num_chunks();
-  if (ctx.curve.size() != n) {
-    sink.add("order", ctx.var,
-             "curve order has " + u64str(ctx.curve.size()) +
+  const std::uint32_t n = ctx.var->chunk_grid.num_chunks();
+  if (ctx.var->curve_order.size() != n) {
+    sink.add("order", ctx.var->name,
+             "curve order has " + u64str(ctx.var->curve_order.size()) +
              " cells, chunk lattice has " + u64str(n));
     return;
   }
   std::vector<bool> seen(n, false);
   for (std::uint32_t r = 0; r < n; ++r) {
-    const ChunkId id = ctx.curve.chunk_at(r);
+    const ChunkId id = ctx.var->curve_order.chunk_at(r);
     if (id >= n || seen[id]) {
-      sink.add("order", ctx.var,
+      sink.add("order", ctx.var->name,
                "curve rank " + u64str(r) + " maps to invalid/duplicate chunk " +
                u64str(id));
       return;
     }
     seen[id] = true;
-    if (ctx.curve.rank_of(id) != r) {
-      sink.add("order", ctx.var,
+    if (ctx.var->curve_order.rank_of(id) != r) {
+      sink.add("order", ctx.var->name,
                "rank_of(chunk_at(" + u64str(r) + ")) != " + u64str(r));
       return;
     }
@@ -152,8 +144,8 @@ void check_fragment_payload(StoreContext& ctx, int bin,
                "group " + u64str(g) + " segment failed FNV checksum");
       return;
     }
-    if (ctx.byte_codec != nullptr) {
-      auto plane = ctx.byte_codec->decode(raw);
+    if (ctx.var->byte_codec != nullptr) {
+      auto plane = ctx.var->byte_codec->decode(raw);
       if (!plane.is_ok()) {
         sink.add("planes", name, "group " + u64str(g) + " decode failed: " +
                  plane.status().to_string());
@@ -174,7 +166,7 @@ void check_fragment_payload(StoreContext& ctx, int bin,
   }
 
   std::vector<double> values;
-  if (ctx.byte_codec != nullptr) {
+  if (ctx.var->byte_codec != nullptr) {
     // Group count mismatches are reported under "table"; without the full
     // prefix there is nothing coherent to reassemble.
     if (static_cast<int>(planes.size()) != plod::kNumGroups) return;
@@ -197,7 +189,7 @@ void check_fragment_payload(StoreContext& ctx, int bin,
   } else {
     if (frag.groups.size() != 1) return;  // reported under "table"
     const Segment& seg = frag.groups[0];
-    auto decoded = ctx.double_codec->decode(
+    auto decoded = ctx.var->double_codec->decode(
         std::span<const std::uint8_t>(dat).subspan(seg.offset, seg.length));
     if (!decoded.is_ok()) {
       sink.add("planes", name,
@@ -214,7 +206,7 @@ void check_fragment_payload(StoreContext& ctx, int bin,
   }
 
   if (!ctx.lossless) return;  // lossy codecs may move values across bounds
-  const int last_bin = ctx.scheme->num_bins() - 1;
+  const int last_bin = ctx.var->scheme.num_bins() - 1;
   for (double v : values) {
     if (std::isnan(v)) {
       if (bin != last_bin) {
@@ -230,21 +222,24 @@ void check_fragment_payload(StoreContext& ctx, int bin,
                std::to_string(frag.max_value) + "]");
       return;
     }
-    if (ctx.scheme->bin_of(v) != bin) {
+    if (ctx.var->scheme.bin_of(v) != bin) {
       sink.add("bin-bounds", name,
                "value " + std::to_string(v) + " routes to bin " +
-               std::to_string(ctx.scheme->bin_of(v)) + ", stored in bin " +
+               std::to_string(ctx.var->scheme.bin_of(v)) + ", stored in bin " +
                std::to_string(bin));
       return;
     }
   }
 }
 
-void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
-               const Options& opts, Report& report, Sink& sink) {
+void check_bin(StoreContext& ctx, int bin, const Options& opts,
+               Report& report, Sink& sink) {
   const std::string name = bin_name(ctx, bin);
-  auto idx = read_all(*ctx.fs, files.idx);
-  auto dat = read_all(*ctx.fs, files.dat);
+  const VariableState::Bin& files =
+      ctx.var->bins[static_cast<std::size_t>(bin)];
+  const std::uint64_t header_len = files.idx.header_len;
+  auto idx = read_all(*ctx.fs, files.idx.file);
+  auto dat = read_all(*ctx.fs, files.dat.file);
   if (!idx.is_ok() || !dat.is_ok()) {
     sink.add("footer", name, "cannot read subfiles: " +
              (idx.is_ok() ? dat.status() : idx.status()).to_string());
@@ -267,13 +262,13 @@ void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
 
   // --- table: the fragment table must decode and consume header_len
   // bytes exactly.
-  if (files.header_len > idx_payload.value()) {
-    sink.add("table", name, "header_len " + u64str(files.header_len) +
+  if (header_len > idx_payload.value()) {
+    sink.add("table", name, "header_len " + u64str(header_len) +
              " exceeds .idx payload of " + u64str(idx_payload.value()));
     return;
   }
   ByteReader header_reader(
-      std::span<const std::uint8_t>(idx.value()).first(files.header_len));
+      std::span<const std::uint8_t>(idx.value()).first(header_len));
   auto layout = BinLayout::deserialize(header_reader);
   if (!layout.is_ok()) {
     sink.add("table", name,
@@ -288,9 +283,9 @@ void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
 
   const auto& frags = layout.value().fragments;
   report.fragments_checked += frags.size();
-  const std::uint32_t num_chunks = ctx.chunk_grid->num_chunks();
-  const int want_groups = ctx.num_groups;
-  const std::uint64_t blob_section = idx_payload.value() - files.header_len;
+  const std::uint32_t num_chunks = ctx.var->chunk_grid.num_chunks();
+  const int want_groups = ctx.var->num_groups();
+  const std::uint64_t blob_section = idx_payload.value() - header_len;
 
   // --- order: strictly increasing curve rank, each chunk at most once.
   for (std::size_t f = 0; f < frags.size(); ++f) {
@@ -300,12 +295,13 @@ void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
       continue;
     }
     if (f > 0 && frags[f - 1].chunk < num_chunks &&
-        ctx.curve.rank_of(frags[f].chunk) <=
-            ctx.curve.rank_of(frags[f - 1].chunk)) {
+        ctx.var->curve_order.rank_of(frags[f].chunk) <=
+            ctx.var->curve_order.rank_of(frags[f - 1].chunk)) {
       sink.add("order", frag_name(ctx, bin, f, frags[f].chunk),
-               "curve rank " + u64str(ctx.curve.rank_of(frags[f].chunk)) +
+               "curve rank " +
+               u64str(ctx.var->curve_order.rank_of(frags[f].chunk)) +
                " not after predecessor's rank " +
-               u64str(ctx.curve.rank_of(frags[f - 1].chunk)));
+               u64str(ctx.var->curve_order.rank_of(frags[f - 1].chunk)));
     }
   }
 
@@ -352,7 +348,7 @@ void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
   // --- ...and payload segments tile the .dat payload in the configured
   // (M,S) emission order — this is the "correct prefix offsets" check.
   running = 0;
-  const bool vms = ctx.order == LevelOrder::kVMS;
+  const bool vms = ctx.var->layout.order == LevelOrder::kVMS;
   const std::size_t outer =
       vms ? static_cast<std::size_t>(want_groups) : frags.size();
   const std::size_t inner =
@@ -393,7 +389,7 @@ void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
       continue;
     }
     const auto blob = std::span<const std::uint8_t>(idx.value())
-                          .subspan(files.header_len + pos.offset, pos.length);
+                          .subspan(header_len + pos.offset, pos.length);
     if (fnv1a64(blob) != pos.checksum) {
       sink.add("positions", fname, "position blob failed FNV checksum");
       continue;
@@ -406,7 +402,7 @@ void check_bin(StoreContext& ctx, int bin, const MlocStore::BinSubfiles& files,
     }
     if (frag.chunk >= num_chunks) continue;  // reported under "order"
     const std::uint64_t chunk_volume =
-        ctx.chunk_grid->chunk_region(frag.chunk).volume();
+        ctx.var->chunk_grid.chunk_region(frag.chunk).volume();
     auto& marks = ctx.chunk_marks[frag.chunk];
     if (marks.empty()) marks.resize(chunk_volume, false);
     for (std::uint32_t off : decoded.value()) {
@@ -447,29 +443,30 @@ std::string node_name(const std::string& hbx, std::size_t i,
 /// the ground truth every .hbx leaf must reproduce. Returns false when the
 /// bin's table or blobs are unreadable (already reported by check_bin).
 bool rebuild_bin_bitmap(const StoreContext& ctx, const NDShape& shape,
-                        const MlocStore::BinSubfiles& files, Bitmap& out) {
-  auto idx = read_all(*ctx.fs, files.idx);
+                        const VariableState::Bin& files, Bitmap& out) {
+  const std::uint64_t header_len = files.idx.header_len;
+  auto idx = read_all(*ctx.fs, files.idx.file);
   if (!idx.is_ok()) return false;
   auto payload = verify_subfile_footer(idx.value());
-  if (!payload.is_ok() || files.header_len > payload.value()) return false;
+  if (!payload.is_ok() || header_len > payload.value()) return false;
   ByteReader header_reader(
-      std::span<const std::uint8_t>(idx.value()).first(files.header_len));
+      std::span<const std::uint8_t>(idx.value()).first(header_len));
   auto layout = BinLayout::deserialize(header_reader);
   if (!layout.is_ok()) return false;
-  const std::uint64_t blob_section = payload.value() - files.header_len;
+  const std::uint64_t blob_section = payload.value() - header_len;
   for (const FragmentInfo& frag : layout.value().fragments) {
     const Segment& pos = frag.positions;
     if (pos.offset + pos.length > blob_section ||
         pos.offset + pos.length < pos.offset ||
-        frag.chunk >= ctx.chunk_grid->num_chunks()) {
+        frag.chunk >= ctx.var->chunk_grid.num_chunks()) {
       return false;
     }
     auto decoded = decode_positions(
         std::span<const std::uint8_t>(idx.value())
-            .subspan(files.header_len + pos.offset, pos.length),
+            .subspan(header_len + pos.offset, pos.length),
         frag.count);
     if (!decoded.is_ok()) return false;
-    const Region region = ctx.chunk_grid->chunk_region(frag.chunk);
+    const Region region = ctx.var->chunk_grid.chunk_region(frag.chunk);
     Coord extents{};
     for (int d = 0; d < shape.ndims(); ++d) {
       extents[d] = region.hi(d) - region.lo(d);
@@ -486,18 +483,12 @@ bool rebuild_bin_bitmap(const StoreContext& ctx, const NDShape& shape,
 }
 
 /// The "index" family: hierarchical bitmap index consistency (.hbx).
-void check_index(const StoreContext& ctx,
-                 const std::vector<MlocStore::BinSubfiles>& bins,
-                 VariableLayoutInfo& info, Report& report, Sink& sink) {
-  auto sub = ctx.store->hbx_subfile(ctx.var);
-  if (!sub.is_ok()) {
-    sink.add("meta", ctx.var, sub.status().to_string());
-    return;
-  }
-  if (!sub.value().present) return;
+void check_index(const StoreContext& ctx, VariableLayoutInfo& info,
+                 Report& report, Sink& sink) {
+  if (!ctx.var->hbx) return;
   info.hbx_present = true;
-  const std::string name = ctx.var + ".hbx";
-  auto raw = read_all(*ctx.fs, sub.value().file);
+  const std::string name = ctx.var->name + ".hbx";
+  auto raw = read_all(*ctx.fs, ctx.var->hbx->file);
   if (!raw.is_ok()) {
     sink.add("footer", name,
              "cannot read subfile: " + raw.status().to_string());
@@ -514,7 +505,7 @@ void check_index(const StoreContext& ctx,
   }
   report.bytes_verified += raw.value().size();
 
-  const std::uint64_t header_len = sub.value().header_len;
+  const std::uint64_t header_len = ctx.var->hbx->header_len;
   if (header_len > payload.value()) {
     sink.add("index", name,
              "header_len " + u64str(header_len) + " exceeds payload of " +
@@ -532,11 +523,11 @@ void check_index(const StoreContext& ctx,
   info.hbx_levels = h.num_levels();
   info.hbx_nodes = h.nodes.size();
   const NDShape& shape = ctx.store->config().shape;
-  if (h.num_bins != ctx.scheme->num_bins() || h.nbits != shape.volume()) {
+  if (h.num_bins != ctx.var->scheme.num_bins() || h.nbits != shape.volume()) {
     sink.add("index", name,
              "node table for " + std::to_string(h.num_bins) + " bins x " +
              u64str(h.nbits) + " bits, store has " +
-             std::to_string(ctx.scheme->num_bins()) + " bins x " +
+             std::to_string(ctx.var->scheme.num_bins()) + " bins x " +
              u64str(shape.volume()));
     return;
   }
@@ -618,6 +609,7 @@ void check_index(const StoreContext& ctx,
 
   // --- leaves: leaf b must equal the union of bin b's positional-index
   // entries mapped to global grid offsets (ground truth from .idx).
+  const std::vector<VariableState::Bin>& bins = ctx.var->bins;
   for (int b = 0; b < h.num_bins && b < static_cast<int>(bins.size()); ++b) {
     const std::size_t i = static_cast<std::size_t>(b);  // leaf node id == bin
     if (!node_ok[i]) continue;
@@ -733,19 +725,13 @@ Report LayoutVerifier::verify_store(const std::string& name) const {
 
   for (const auto& var : store.variables()) {
     ++report.variables_checked;
-    auto scheme = store.binning(var);
-    if (!scheme.is_ok()) {
-      sink.add("meta", var, scheme.status().to_string());
+    auto state = store.variable(var);
+    if (!state.is_ok()) {
+      sink.add("meta", var, state.status().to_string());
       continue;
     }
-    auto desc = store.describe(var);
-    auto grid = store.chunk_grid(var);
-    if (!desc.is_ok() || !grid.is_ok()) {
-      sink.add("meta", var,
-               (desc.is_ok() ? grid.status() : desc.status()).to_string());
-      continue;
-    }
-    const VariableLayout& layout = desc.value().layout;
+    const VariableState& vs = *state.value();
+    const VariableLayout& layout = vs.layout;
     VariableLayoutInfo info;
     info.name = var;
     info.order = std::string(level_order_name(layout.order));
@@ -754,53 +740,28 @@ Report LayoutVerifier::verify_store(const std::string& name) const {
     info.codec = layout.codec;
     info.chunk_shape = layout.chunk_shape.to_string();
     info.num_bins = layout.num_bins;
-    info.plod_capable = desc.value().plod_capable;
+    info.plod_capable = vs.plod_capable();
     info.index_fanout = layout.index_fanout;
     report.variable_layouts.push_back(std::move(info));
 
-    // Codecs and the reference curve are re-resolved per variable from its
-    // recorded layout — a layout naming an unknown codec or an interleave
-    // that no longer validates is itself an invariant violation.
+    // The codecs and the reference curve come from the record, which open()
+    // derived from the recorded layout (a layout naming an unknown codec or
+    // an interleave that no longer validates fails the open, reported
+    // above as a "meta" violation).
     StoreContext ctx;
     ctx.fs = fs_;
     ctx.store = &store;
-    ctx.scheme = scheme.value();
-    ctx.var = var;
-    ctx.chunk_grid = grid.value();
-    ctx.num_groups = desc.value().num_groups;
-    ctx.order = layout.order;
-    if (desc.value().plod_capable) {
-      auto c = make_byte_codec(layout.codec);
-      if (!c.is_ok()) {
-        sink.add("meta", var, "unknown byte codec " + layout.codec);
-        continue;
-      }
-      ctx.byte_codec = std::move(c).value();
-      ctx.lossless = true;  // byte-plane storage is exact by construction
-    } else {
-      auto c = make_double_codec(layout.codec);
-      if (!c.is_ok()) {
-        sink.add("meta", var, "unknown codec " + layout.codec);
-        continue;
-      }
-      ctx.double_codec = std::move(c).value();
-      ctx.lossless = ctx.double_codec->lossless();
-    }
-    auto curve = make_curve_order(layout, ctx.chunk_grid->lattice_shape());
-    if (!curve.is_ok()) {
-      sink.add("order", var,
-               "cannot rebuild curve order: " + curve.status().to_string());
-      continue;
-    }
-    ctx.curve = std::move(curve).value();
-    ctx.chunk_marks.resize(ctx.chunk_grid->num_chunks());
+    ctx.var = &vs;
+    // Byte-plane storage is exact by construction.
+    ctx.lossless = vs.plod_capable() || vs.double_codec->lossless();
+    ctx.chunk_marks.resize(vs.chunk_grid.num_chunks());
 
     check_curve_permutation(ctx, sink);
 
     // --- bin-bounds: strictly increasing interior boundaries covering the
     // whole real line. BinningScheme::deserialize re-validates monotonicity
     // on open, so a violation here means in-memory construction broke.
-    const BinningScheme& bs = *ctx.scheme;
+    const BinningScheme& bs = vs.scheme;
     for (int b = 0; b + 1 < bs.num_bins(); ++b) {
       if (bs.upper(b) != bs.lower(b + 1)) {
         sink.add("bin-bounds", var + ".bin" + std::to_string(b),
@@ -816,34 +777,27 @@ Report LayoutVerifier::verify_store(const std::string& name) const {
       sink.add("bin-bounds", var, "extreme bins do not cover +/-inf");
     }
 
-    auto bins = store.bin_subfiles(var);
-    if (!bins.is_ok()) {
-      sink.add("meta", var, bins.status().to_string());
-      continue;
-    }
-    if (static_cast<int>(bins.value().size()) != bs.num_bins()) {
+    if (static_cast<int>(vs.bins.size()) != bs.num_bins()) {
       sink.add("bin-bounds", var,
-               u64str(bins.value().size()) +
-               " bin subfile pairs, scheme has " +
+               u64str(vs.bins.size()) + " bin subfile pairs, scheme has " +
                std::to_string(bs.num_bins()) + " bins");
       continue;
     }
 
-    for (int b = 0; b < static_cast<int>(bins.value().size()); ++b) {
-      check_bin(ctx, b, bins.value()[b], opts_, report, sink);
+    for (int b = 0; b < static_cast<int>(vs.bins.size()); ++b) {
+      check_bin(ctx, b, opts_, report, sink);
     }
 
     // --- index: hierarchical bitmap index consistency (.hbx), when the
     // variable carries one.
-    check_index(ctx, bins.value(), report.variable_layouts.back(), report,
-                sink);
+    check_index(ctx, report.variable_layouts.back(), report, sink);
 
     // --- positions: cross-bin bijectivity — every cell of every chunk
     // claimed exactly once across all bins (duplicates were reported
     // in-bin as they were found).
-    for (ChunkId c = 0; c < ctx.chunk_grid->num_chunks(); ++c) {
+    for (ChunkId c = 0; c < ctx.var->chunk_grid.num_chunks(); ++c) {
       const std::uint64_t chunk_volume =
-          ctx.chunk_grid->chunk_region(c).volume();
+          ctx.var->chunk_grid.chunk_region(c).volume();
       const auto& marks = ctx.chunk_marks[c];
       std::uint64_t covered = 0;
       for (bool m : marks) covered += m ? 1 : 0;

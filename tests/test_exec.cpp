@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "compress/registry.hpp"
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
 #include "exec/engine.hpp"
@@ -503,48 +502,6 @@ TEST(Gather, RadixMatchesPairSortReference) {
 
 // ------------------------------------------------ region-only grid bitmap
 
-/// The engine-facing view MlocStore builds for `var`, assembled from its
-/// public accessors, so a test can call exec::execute_query with a
-/// position filter and region_bits. No header caches, no lazy footer
-/// checks.
-struct TestView {
-  std::string var;
-  std::shared_ptr<const ByteCodec> byte_codec;
-  std::shared_ptr<const DoubleCodec> double_codec;
-  exec::StoreView view;
-};
-
-std::unique_ptr<TestView> view_of(pfs::PfsStorage& fs, const MlocStore& store,
-                                  const std::string& var) {
-  auto tv = std::make_unique<TestView>();
-  tv->var = var;
-  exec::StoreView& v = tv->view;
-  v.fs = &fs;
-  v.shape = &store.config().shape;
-  v.layout = store.variable_layout(var).value();
-  v.chunk_grid = store.chunk_grid(var).value();
-  v.var = &tv->var;
-  v.scheme = store.binning(var).value();
-  v.epoch = store.describe(var).value().epoch;
-  const std::vector<MlocStore::BinSubfiles> bins =
-      store.bin_subfiles(var).value();
-  for (const auto& b : bins) {
-    v.bins.push_back({b.idx, b.dat, b.header_len, nullptr});
-  }
-  if (is_byte_codec(v.layout->codec)) {
-    tv->byte_codec = make_byte_codec(v.layout->codec).value();
-    v.byte_codec = tv->byte_codec.get();
-  } else {
-    tv->double_codec = make_double_codec(v.layout->codec).value();
-    v.double_codec = tv->double_codec.get();
-  }
-  const MlocStore::HbxSubfile hbx = store.hbx_subfile(var).value();
-  v.hbx.present = hbx.present;
-  v.hbx.file = hbx.file;
-  v.hbx.header_len = hbx.header_len;
-  return tv;
-}
-
 // execute_query with region_bits sets exactly the positions the same query
 // returns without it: .hbx on (node bitmaps OR into the grid bitmap, or go
 // bit by bit under an SC or a filter) and off, at 1 and 3 ranks, with no
@@ -559,8 +516,9 @@ TEST(Engine, RegionBitsMatchPositions) {
   auto store = MlocStore::create(&fs, "s", cfg);
   ASSERT_TRUE(store.is_ok()) << store.status().to_string();
   ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
-  const std::unique_ptr<TestView> tv = view_of(fs, store.value(), "phi");
-  ASSERT_TRUE(tv->view.hbx.present);
+  MlocStore& st = store.value();
+  const VariableState& var = *st.variable("phi").value();
+  ASSERT_TRUE(var.hbx.has_value());
   const std::uint64_t volume = grid.shape().volume();
 
   Bitmap filter(volume);
@@ -586,7 +544,8 @@ TEST(Engine, RegionBitsMatchPositions) {
   flat.use_hbx = false;
   std::vector<std::vector<std::uint64_t>> flat_answers;
   for (const Shape& shape : shapes) {
-    auto r = exec::execute_query(tv->view, *shape.query, 1, shape.filter, flat);
+    auto r =
+        exec::execute_query(st, var, *shape.query, 1, shape.filter, flat);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     flat_answers.push_back(std::move(r.value().positions));
   }
@@ -602,14 +561,14 @@ TEST(Engine, RegionBitsMatchPositions) {
           SCOPED_TRACE(std::string(shape.what) + ", hbx " +
                        (use_hbx ? "on" : "off") + ", ranks " +
                        std::to_string(ranks) + ", provider " + provider);
-          tv->view.provider =
-              std::string_view(provider) == "none" ? nullptr : &cache;
+          st.set_fragment_provider(
+              std::string_view(provider) == "none" ? nullptr : &cache);
           Bitmap bits;
-          auto as_bits = exec::execute_query(tv->view, *shape.query, ranks,
+          auto as_bits = exec::execute_query(st, var, *shape.query, ranks,
                                              shape.filter, opts, &bits);
           ASSERT_TRUE(as_bits.is_ok()) << as_bits.status().to_string();
-          auto as_positions = exec::execute_query(
-              tv->view, *shape.query, ranks, shape.filter, opts);
+          auto as_positions = exec::execute_query(st, var, *shape.query,
+                                                  ranks, shape.filter, opts);
           ASSERT_TRUE(as_positions.is_ok())
               << as_positions.status().to_string();
           ASSERT_EQ(bits.size(), volume);
@@ -627,6 +586,7 @@ TEST(Engine, RegionBitsMatchPositions) {
           }
           hbx_engaged = hbx_engaged || as_bits.value().aligned_bins > 0;
         }
+        st.set_fragment_provider(nullptr);  // `cache` goes out of scope
       }
     }
   }

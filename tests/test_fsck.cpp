@@ -154,7 +154,7 @@ TEST(Fsck, NonMonotoneBinBoundariesDetected) {
   build_store(fs, "mzip");
   auto store = MlocStore::open(&fs, "s");
   ASSERT_TRUE(store.is_ok());
-  const BinningScheme* scheme = store.value().binning("phi").value();
+  const BinningScheme* scheme = &store.value().variable("phi").value()->scheme;
   const double b3 = scheme->upper(3);
   const double b4 = scheme->upper(4);
   ASSERT_LT(b3, b4);
@@ -379,25 +379,48 @@ TEST(Fsck, FragmentsOutOfCurveOrderDetected) {
 }
 
 // The store's own read path must also reject tampered subfiles on first
-// cache-miss access after reopen (lazy footer verification).
+// cache-miss access after reopen (lazy footer verification), for every
+// kind of subfile a query reads: .dat and .idx under a value query, and
+// .hbx under a region-only VC over aligned bins of an indexed variable.
 TEST(Fsck, StoreQueryRejectsUnresealedTamperingAfterReopen) {
-  pfs::PfsStorage fs;
-  build_store(fs, "mzip");
-  const std::string dat = file_named(fs, ".dat");
-  auto id = fs.open(dat).value();
-  auto size = fs.file_size(id).value();
-  Bytes content = fs.read(id, 0, size).value();
-  content[size - 1] ^= 0xFF;  // footer magic byte: no query reads it
-  ASSERT_TRUE(fs.set_contents(id, std::move(content)).is_ok());
+  for (const std::string suffix : {".dat", ".idx", ".hbx"}) {
+    SCOPED_TRACE(suffix);
+    pfs::PfsStorage fs;
+    const Grid grid = datagen::gts_like(64, 42);
+    MlocConfig cfg = small_config(grid.shape(), NDShape{16, 16}, "mzip");
+    cfg.layout.index_fanout = 4;
+    {
+      auto store = MlocStore::create(&fs, "s", cfg);
+      ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+      ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+    }
+    auto id = fs.open(file_named(fs, suffix)).value();
+    auto size = fs.file_size(id).value();
+    Bytes content = fs.read(id, 0, size).value();
+    content[size - 1] ^= 0xFF;  // footer magic byte: no query reads it
+    ASSERT_TRUE(fs.set_contents(id, std::move(content)).is_ok());
 
-  auto reopened = MlocStore::open(&fs, "s");
-  ASSERT_TRUE(reopened.is_ok());
-  Query q;
-  q.vc = ValueConstraint{-1e30, 1e30};
-  q.values_needed = true;  // force payload reads even for aligned bins
-  auto res = reopened.value().execute("phi", q);
-  ASSERT_FALSE(res.is_ok());
-  EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
+    auto reopened = MlocStore::open(&fs, "s");
+    ASSERT_TRUE(reopened.is_ok());
+    Query q;
+    if (suffix == ".hbx") {
+      const BinningScheme& scheme =
+          reopened.value().variable("phi").value()->scheme;
+      q.vc = ValueConstraint{scheme.lower(1),
+                             scheme.upper(scheme.num_bins() - 2)};
+      q.values_needed = false;
+      // The flat path reads no .hbx byte, so only the index can fail.
+      exec::ExecOptions flat;
+      flat.use_hbx = false;
+      ASSERT_TRUE(reopened.value().execute("phi", q, 1, flat).is_ok());
+    } else {
+      q.vc = ValueConstraint{-1e30, 1e30};
+      q.values_needed = true;  // force payload reads even for aligned bins
+    }
+    auto res = reopened.value().execute("phi", q);
+    ASSERT_FALSE(res.is_ok());
+    EXPECT_EQ(res.status().code(), ErrorCode::kCorruptData);
+  }
 }
 
 }  // namespace

@@ -372,10 +372,10 @@ TEST(HbxStore, MetaV4ReopenKeepsIndex) {
   }
   auto reopened = MlocStore::open(&fs, "s");
   ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
-  auto sub = reopened.value().hbx_subfile("phi");
-  ASSERT_TRUE(sub.is_ok());
-  EXPECT_TRUE(sub.value().present);
-  EXPECT_GT(sub.value().header_len, 0u);
+  auto var = reopened.value().variable("phi");
+  ASSERT_TRUE(var.is_ok());
+  ASSERT_TRUE(var.value()->hbx.has_value());
+  EXPECT_GT(var.value()->hbx->header_len, 0u);
 
   Rng rng(41);
   Query q;
@@ -683,13 +683,13 @@ TEST(HbxFsck, DetectsPaddingBitPastGrid) {
   ASSERT_TRUE(store.is_ok()) << store.status().to_string();
   auto fid = fs.open("s/phi.hbx");
   ASSERT_TRUE(fid.is_ok());
-  const std::uint64_t header_len =
-      store.value().hbx_subfile("phi").value().header_len;
+  const VariableState* var = store.value().variable("phi").value();
+  const std::uint64_t header_len = var->hbx->header_len;
   auto header =
       HbxHeader::deserialize(fs.read(fid.value(), 0, header_len).value());
   ASSERT_TRUE(header.is_ok());
   const HbxNode& node = header.value().nodes[id];
-  const BinningScheme* scheme = store.value().binning("phi").value();
+  const BinningScheme* scheme = &var->scheme;
   Query q;
   q.vc = ValueConstraint{scheme->lower(node.first_bin),
                          scheme->upper(node.last_bin())};

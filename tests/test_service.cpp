@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -264,6 +265,41 @@ TEST(QueryService, QueryErrorsPropagate) {
   EXPECT_EQ(svc.run(sid.value(), degenerate).status.code(),
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(svc.aggregate().failed, 2u);
+}
+
+// A rank count above exec::kMaxRanks (a remote request can carry any int)
+// is rejected before anything is sized by it, on every entry point, and
+// the session keeps serving.
+TEST(QueryService, RankCountAboveMaxRejected) {
+  pfs::PfsStorage fs;
+  auto store = make_store(&fs);
+  ASSERT_TRUE(store.is_ok());
+  Query q;
+  q.sc = Region(2, {0, 0}, {16, 16});
+  for (const int ranks : {exec::kMaxRanks + 1, INT_MAX}) {
+    EXPECT_EQ(store.value().plan("phi", q, ranks).status().code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(store.value()
+                  .multivar_select({{"phi", ValueConstraint{-1e30, 1e30}}},
+                                   MlocStore::Combine::kAnd, "", 7, ranks)
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument);
+  }
+
+  QueryService svc(std::move(store).value());
+  auto sid = svc.open_session();
+  ASSERT_TRUE(sid.is_ok());
+  Request req;
+  req.var = "phi";
+  req.query = q;
+  req.num_ranks = INT_MAX;
+  EXPECT_EQ(svc.run(sid.value(), req).status.code(),
+            ErrorCode::kInvalidArgument);
+  req.num_ranks = 4;
+  const Response ok = svc.run(sid.value(), req);
+  ASSERT_TRUE(ok.status.is_ok()) << ok.status.to_string();
+  EXPECT_FALSE(ok.result.positions.empty());
 }
 
 TEST(QueryService, DeadlineExpiryWhileQueued) {

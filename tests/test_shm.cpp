@@ -497,6 +497,46 @@ TEST(ShmBackpressure, FullRingFallsBackPerResponseAndStaysIdentical) {
   EXPECT_TRUE(resp.value().stats.via_shm);
 }
 
+// A ring cap below the minimum is raised to it, as num_loops < 1 is raised
+// to 1: the server grants a kShmMinRingBytes ring whatever the client
+// asks for, and answers through it match cold execution.
+TEST(ShmNegotiation, CapBelowMinimumGrantsMinimumRing) {
+  pfs::PfsStorage expected_fs;
+  auto expected_store = make_store(&expected_fs);
+  ASSERT_TRUE(expected_store.is_ok());
+  const Request probe = vc_request(0.48, 0.52, /*values=*/false);
+  auto expected = expected_store.value().execute("phi", probe.query, 1);
+  ASSERT_TRUE(expected.is_ok());
+
+  ServerConfig srv_cfg;
+  srv_cfg.max_shm_ring_bytes = 0;
+  ServedStore served({}, srv_cfg);
+  const int fd = raw_connect(served.server->port());
+  raw_send(fd, encode_frame(FrameType::kShmOffer, 1,
+                            encode_shm_offer(1 << 20)));
+  FrameHeader h;
+  Bytes payload;
+  ASSERT_TRUE(raw_read_frame(fd, &h, &payload));
+  ASSERT_EQ(h.type, FrameType::kShmAccept);
+  auto info = decode_shm_accept(payload);
+  ASSERT_TRUE(info.is_ok()) << info.status().to_string();
+  EXPECT_EQ(info.value().ring_bytes, kShmMinRingBytes);
+  ::close(fd);
+
+  net::Client c;
+  served.connect(&c);
+  ASSERT_TRUE(c.enable_shm(1 << 20).is_ok());
+  ASSERT_TRUE(c.open_session("min-ring").is_ok());
+  for (int i = 0; i < 3; ++i) {
+    auto resp = c.query(probe);
+    ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+    ASSERT_TRUE(resp.value().status.is_ok());
+    EXPECT_TRUE(resp.value().stats.via_shm);
+    EXPECT_EQ(resp.value().result.positions, expected.value().positions);
+    EXPECT_EQ(resp.value().result.values, expected.value().values);
+  }
+}
+
 // ------------------------------------------------------ crash reclamation
 
 TEST(ShmReclaim, ClientCrashMidStreamLeaksNothing) {

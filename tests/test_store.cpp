@@ -821,7 +821,8 @@ TEST(Store, EqualFrequencyIsMoreBalancedThanEqualWidth) {
     auto store = MlocStore::create(&fs, name, cfg);
     MLOC_CHECK(store.is_ok());
     MLOC_CHECK(store.value().write_variable("phi", grid).is_ok());
-    auto scheme = store.value().binning("phi").value();
+    const BinningScheme* scheme =
+        &store.value().variable("phi").value()->scheme;
     std::vector<std::uint64_t> pop(scheme->num_bins(), 0);
     for (std::uint64_t i = 0; i < grid.size(); ++i) {
       ++pop[scheme->bin_of(grid.at_linear(i))];
