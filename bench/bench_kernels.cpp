@@ -1,11 +1,14 @@
 // Hot-kernel microbenchmarks: the blocked/SWAR fast paths vs the retained
 // scalar references in mloc::detail::scalar (DESIGN.md §11). Each kernel
 // runs best-of-reps on both implementations, asserts the outputs are
-// byte-/bit-identical, and reports GB/s plus the fast/scalar speedup.
+// byte-/bit-identical, and reports GB/s plus the fast/scalar speedup. One
+// row has another reference: mzip_decode_stored times the planes that code
+// stored against inflating their dynamic streams.
 // Results land in BENCH_kernels.json (`MLOC_BENCH_JSON` overrides the
 // path); the binary exits non-zero if any kernel's outputs differ or its
 // speedup drops below 1.0, and CI's bench-smoke job jq-asserts the same
 // two claims from the JSON.
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -176,33 +179,45 @@ KernelResult bench_mzip_encode(const std::vector<double>& values) {
   return out;
 }
 
-/// The streams a cold query inflates: the field shredded into 1024-value
-/// fragments, each fragment's 7 PLoD planes mzip-encoded one by one, as
-/// ingest writes them. Identical only if every output equals both the
-/// other side's output and the raw plane.
-KernelResult bench_mzip_decode(const std::vector<double>& values) {
-  constexpr std::size_t kFragment = 1024;
-  const MzipCodec codec;
+/// The planes ingest writes for `values`: 1024-value fragments, each
+/// fragment's 7 PLoD planes mzip-encoded one by one. Split by the stream
+/// form they code to: [0] dynamic (Huffman-coded), [1] stored (raw copy).
+struct PlaneStreams {
   std::vector<Bytes> raws;
   std::vector<Bytes> streams;
   double raw_bytes = 0;
+};
+
+std::array<PlaneStreams, 2> fragment_planes(const std::vector<double>& values) {
+  constexpr std::size_t kFragment = 1024;
+  const MzipCodec codec;
+  std::array<PlaneStreams, 2> out;
   for (std::size_t at = 0; at + kFragment <= values.size(); at += kFragment) {
     const plod::Shredded planes = plod::shred(
         std::span<const double>(values.data() + at, kFragment));
     for (const Bytes& plane : planes.groups) {
       auto enc = codec.encode(plane);
       MLOC_CHECK(enc.is_ok());
-      streams.push_back(std::move(enc).value());
-      raws.push_back(plane);
-      raw_bytes += static_cast<double>(plane.size());
+      PlaneStreams& form = out[enc.value()[0] == 0 ? 1 : 0];
+      form.streams.push_back(std::move(enc).value());
+      form.raws.push_back(plane);
+      form.raw_bytes += static_cast<double>(plane.size());
     }
   }
+  return out;
+}
 
+/// The dynamic streams a cold query inflates, fast decoder against the
+/// retained reference. Identical only if every output equals both the
+/// other side's output and the raw plane.
+KernelResult bench_mzip_decode(const PlaneStreams& dynamic) {
+  const MzipCodec codec;
+  const std::vector<Bytes>& streams = dynamic.streams;
   std::vector<Bytes> fast_out(streams.size());
   std::vector<Bytes> ref_out(streams.size());
   KernelResult out;
   out.name = "mzip_decode";
-  out.mb = raw_bytes / 1e6;
+  out.mb = dynamic.raw_bytes / 1e6;
   out.fast_s = best_seconds([&] {
     for (std::size_t i = 0; i < streams.size(); ++i) {
       auto dec = codec.decode(streams[i]);
@@ -217,7 +232,43 @@ KernelResult bench_mzip_decode(const std::vector<double>& values) {
       ref_out[i] = std::move(dec).value();
     }
   });
-  out.identical = fast_out == ref_out && fast_out == raws;
+  out.identical = fast_out == ref_out && fast_out == dynamic.raws;
+  return out;
+}
+
+/// The planes that code stored: the copy out of the stored stream against
+/// inflating the dynamic stream the encoder would otherwise have written
+/// for the same plane (MzipCodec::decode both times). The reference side
+/// is what every such plane cost before mzip had a stored form.
+KernelResult bench_mzip_decode_stored(const PlaneStreams& stored) {
+  const MzipCodec codec;
+  std::vector<Bytes> dynamic;
+  for (const Bytes& raw : stored.raws) {
+    std::size_t predicted = 0;
+    auto enc = detail::mzip_encode_dynamic(raw, 64, predicted);
+    MLOC_CHECK(enc.is_ok());
+    dynamic.push_back(std::move(enc).value());
+  }
+  std::vector<Bytes> fast_out(stored.streams.size());
+  std::vector<Bytes> ref_out(stored.streams.size());
+  KernelResult out;
+  out.name = "mzip_decode_stored";
+  out.mb = stored.raw_bytes / 1e6;
+  out.fast_s = best_seconds([&] {
+    for (std::size_t i = 0; i < stored.streams.size(); ++i) {
+      auto dec = codec.decode(stored.streams[i]);
+      MLOC_CHECK(dec.is_ok());
+      fast_out[i] = std::move(dec).value();
+    }
+  });
+  out.scalar_s = best_seconds([&] {
+    for (std::size_t i = 0; i < dynamic.size(); ++i) {
+      auto dec = codec.decode(dynamic[i]);
+      MLOC_CHECK(dec.is_ok());
+      ref_out[i] = std::move(dec).value();
+    }
+  });
+  out.identical = fast_out == stored.raws && ref_out == stored.raws;
   return out;
 }
 
@@ -374,8 +425,10 @@ int main() {
   results.push_back(bench_bin_route(mixed, 1024));
   results.push_back(bench_mzip_encode(
       std::vector<double>(field.begin(), field.begin() + (1u << 19))));
-  results.push_back(bench_mzip_decode(
-      std::vector<double>(field.begin(), field.begin() + (1u << 19))));
+  const std::array<PlaneStreams, 2> planes = fragment_planes(
+      std::vector<double>(field.begin(), field.begin() + (1u << 19)));
+  results.push_back(bench_mzip_decode(planes[0]));
+  results.push_back(bench_mzip_decode_stored(planes[1]));
   results.push_back(bench_crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(field.data()), 300u << 10)));
   results.push_back(bench_gather(300000, "gather"));

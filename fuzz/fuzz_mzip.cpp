@@ -3,8 +3,8 @@
 // mzip streams come off the PFS, where the threat model is corruption
 // rather than hostility — but the decoder's contract is the same either
 // way: arbitrary bytes produce either a valid decode or a clean error
-// Status, never a crash or UB (Huffman tables, match distances, and output
-// lengths are all attacker-influenced). Every input also runs through the
+// Status, never a crash or UB (Huffman tables, match distances, stored
+// lengths and output lengths are all attacker-influenced). Every input also runs through the
 // retained reference decoder, detail::scalar::mzip_decode: the verdict,
 // the ErrorCode and the decoded bytes must match. When a mutated stream
 // does decode, the harness additionally checks the codec's round-trip

@@ -7,9 +7,10 @@
 // states (CRC-correct frames, well-formed Huffman streams) instead of
 // spending their budget rediscovering the magic number. Wire seeds come in
 // both shapes the harness consumes: whole frames (header path) and
-// selector-prefixed payloads (decoder dispatch path). Mirrors the corpora
-// the round-trip unit tests exercise; regenerate whenever the wire format
-// or mzip bitstream changes.
+// selector-prefixed payloads (decoder dispatch path); mzip seeds cover
+// both stream forms, dynamic and stored, plus malformed stored headers.
+// Mirrors the corpora the round-trip unit tests exercise; regenerate
+// whenever the wire format or mzip bitstream changes.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -132,6 +133,26 @@ void make_mzip_seeds(const std::filesystem::path& dir) {
     b = static_cast<std::uint8_t>((state >> 24) & 0x0F);
   }
   emit("planes", planes);
+
+  // Mantissa-noise bytes, which code stored (0x00, varint(n), the n raw
+  // bytes), and three malformed stored streams around that form: n = 0,
+  // n past the end, and a byte after the last one.
+  mloc::Bytes noise(2048);
+  for (auto& b : noise) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(state >> 24);
+  }
+  auto stored = codec.encode(noise);
+  if (!stored.is_ok() || stored.value().empty() || stored.value()[0] != 0) {
+    std::cerr << "make_seeds: noise did not code stored\n";
+    std::exit(1);
+  }
+  write_seed(dir, "stored", stored.value());
+  write_seed(dir, "stored_empty", mloc::Bytes{0x00, 0x00});
+  write_seed(dir, "stored_short", mloc::Bytes{0x00, 0x10, 0x01, 0x02, 0x03});
+  mloc::Bytes trailing = stored.value();
+  trailing.push_back(0xFF);
+  write_seed(dir, "stored_trailing", trailing);
 }
 
 }  // namespace

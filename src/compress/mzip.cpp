@@ -23,6 +23,11 @@ constexpr int kHashSize = 1 << kHashBits;
 constexpr int kEndOfBlock = 256;
 constexpr int kNumLitLen = 286;  // 0..255 literals, 256 EOB, 257..285 lengths
 constexpr int kNumDist = 30;
+// Code lengths travel nibble-packed, two per byte (serialize_lengths).
+constexpr std::size_t kLitLenBytes = (kNumLitLen + 1) / 2;
+constexpr std::size_t kDistLenBytes = (kNumDist + 1) / 2;
+// Raw sizes above this are rejected as implausible by both decoders.
+constexpr std::uint64_t kMaxRawSize = 1ull << 28;
 
 // DEFLATE length codes: symbol 257+i covers lengths [base, base+2^extra).
 constexpr std::array<int, 29> kLenBase = {
@@ -260,12 +265,19 @@ void tokenize(std::span<const std::uint8_t> raw, int max_chain,
   }
 }
 
-/// Frequency + canonical-Huffman emission shared by both encoders.
-Result<Bytes> encode_tokens(std::size_t raw_size,
-                            const std::vector<Token>& tokens) {
+/// Frequency + canonical-Huffman emission shared by both encoders. The
+/// dynamic stream's exact size follows from the code lengths and symbol
+/// frequencies before any bit is emitted; when the stored form (a zero raw
+/// size, varint(n), the n raw bytes) is no larger, that is written instead,
+/// as DEFLATE writes a stored block. `force_dynamic` and `predicted` serve
+/// detail::mzip_encode_dynamic only.
+Result<Bytes> encode_tokens(std::span<const std::uint8_t> raw,
+                            const std::vector<Token>& tokens,
+                            bool force_dynamic = false,
+                            std::size_t* predicted = nullptr) {
   ByteWriter out;
-  out.put_varint(raw_size);
-  if (raw_size == 0) return std::move(out).take();
+  out.put_varint(raw.size());
+  if (raw.empty()) return std::move(out).take();
 
   std::vector<std::uint64_t> lit_freq(kNumLitLen, 0);
   std::vector<std::uint64_t> dist_freq(kNumDist, 0);
@@ -278,13 +290,39 @@ Result<Bytes> encode_tokens(std::size_t raw_size,
     }
   }
   ++lit_freq[kEndOfBlock];
-  if (std::all_of(dist_freq.begin(), dist_freq.end(),
-                  [](std::uint64_t f) { return f == 0; })) {
-    dist_freq[0] = 1;  // keep the distance table well-formed
-  }
+  const bool has_match = std::any_of(dist_freq.begin(), dist_freq.end(),
+                                     [](std::uint64_t f) { return f != 0; });
+  if (!has_match) dist_freq[0] = 1;  // keep the distance table well-formed
 
   const HuffmanCode lit_code = HuffmanCode::from_frequencies(lit_freq);
   const HuffmanCode dist_code = HuffmanCode::from_frequencies(dist_freq);
+
+  // Payload bits: each symbol's code per occurrence, plus the extra bits of
+  // length and distance symbols. The placeholder distance is never emitted.
+  std::uint64_t payload_bits = 0;
+  for (int s = 0; s < kNumLitLen; ++s) {
+    int cost = lit_code.code_length(s);
+    if (s > kEndOfBlock) cost += kLenExtra[s - 257];
+    payload_bits += lit_freq[s] * static_cast<std::uint64_t>(cost);
+  }
+  if (has_match) {
+    for (int s = 0; s < kNumDist; ++s) {
+      const int cost = dist_code.code_length(s) + kDistExtra[s];
+      payload_bits += dist_freq[s] * static_cast<std::uint64_t>(cost);
+    }
+  }
+  const std::size_t dynamic_size =
+      out.size() + kLitLenBytes + kDistLenBytes + (payload_bits + 7) / 8;
+  if (predicted != nullptr) *predicted = dynamic_size;
+  const std::size_t stored_size = 1 + out.size() + raw.size();
+  if (!force_dynamic && stored_size <= dynamic_size) {
+    ByteWriter stored(stored_size);
+    stored.put_varint(0);
+    stored.put_varint(raw.size());
+    stored.put_bytes(raw);
+    return std::move(stored).take();
+  }
+
   lit_code.serialize_lengths(out);
   dist_code.serialize_lengths(out);
 
@@ -338,9 +376,6 @@ Result<Bytes> encode_tokens(std::size_t raw_size,
 
 // ------------------------------------------------------------------ inflate
 
-// Code lengths travel nibble-packed, two per byte (serialize_lengths).
-constexpr std::size_t kLitLenBytes = (kNumLitLen + 1) / 2;
-constexpr std::size_t kDistLenBytes = (kNumDist + 1) / 2;
 constexpr int kRootBits = 10;
 
 template <std::size_t N>
@@ -518,22 +553,35 @@ class BitIn {
   unsigned pad_ = 0;  // zero bits appended past the payload
 };
 
+/// The stored form, after its zero raw size: varint(n), then exactly n raw
+/// bytes, n >= 1. Both decoders read it here.
+Result<Bytes> read_stored(ByteReader& r) {
+  MLOC_ASSIGN_OR_RETURN(std::uint64_t n, r.get_varint());
+  if (n == 0) return corrupt_data("mzip: empty stored stream");
+  if (n > kMaxRawSize) return corrupt_data("mzip: implausible raw size");
+  if (n != r.remaining()) {
+    return corrupt_data("mzip: stored size mismatches stream");
+  }
+  MLOC_ASSIGN_OR_RETURN(auto bytes, r.get_bytes(n));
+  return Bytes(bytes.begin(), bytes.end());
+}
+
 }  // namespace
 
 Result<Bytes> MzipCodec::encode(std::span<const std::uint8_t> raw) const {
   std::vector<Token> tokens;
   tokenize<true>(raw, max_chain_, tokens);
-  return encode_tokens(raw.size(), tokens);
+  return encode_tokens(raw, tokens);
 }
 
 Result<Bytes> MzipCodec::decode(std::span<const std::uint8_t> stream) const {
   ByteReader r(stream);
   MLOC_ASSIGN_OR_RETURN(std::uint64_t raw_size, r.get_varint());
   if (raw_size == 0) {
-    if (!r.exhausted()) return corrupt_data("mzip: trailing bytes after empty stream");
-    return Bytes{};
+    if (r.exhausted()) return Bytes{};
+    return read_stored(r);
   }
-  if (raw_size > (1ull << 28)) {
+  if (raw_size > kMaxRawSize) {
     return corrupt_data("mzip: implausible raw size");
   }
 
@@ -607,23 +655,35 @@ Result<Bytes> MzipCodec::decode(std::span<const std::uint8_t> stream) const {
   return out;
 }
 
+namespace detail {
+
+Result<Bytes> mzip_encode_dynamic(std::span<const std::uint8_t> raw,
+                                  int max_chain, std::size_t& predicted) {
+  MLOC_CHECK(max_chain >= 1);
+  std::vector<Token> tokens;
+  tokenize<true>(raw, max_chain, tokens);
+  return encode_tokens(raw, tokens, /*force_dynamic=*/true, &predicted);
+}
+
+}  // namespace detail
+
 namespace detail::scalar {
 
 Result<Bytes> mzip_encode(std::span<const std::uint8_t> raw, int max_chain) {
   MLOC_CHECK(max_chain >= 1);
   std::vector<Token> tokens;
   tokenize<false>(raw, max_chain, tokens);
-  return encode_tokens(raw.size(), tokens);
+  return encode_tokens(raw, tokens);
 }
 
 Result<Bytes> mzip_decode(std::span<const std::uint8_t> stream) {
   ByteReader r(stream);
   MLOC_ASSIGN_OR_RETURN(std::uint64_t raw_size, r.get_varint());
   if (raw_size == 0) {
-    if (!r.exhausted()) return corrupt_data("mzip: trailing bytes after empty stream");
-    return Bytes{};
+    if (r.exhausted()) return Bytes{};
+    return read_stored(r);
   }
-  if (raw_size > (1ull << 28)) {
+  if (raw_size > kMaxRawSize) {
     return corrupt_data("mzip: implausible raw size");
   }
 

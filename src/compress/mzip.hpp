@@ -5,7 +5,15 @@
 // mzip supplies the same mechanism: greedy LZ77 over a 32 KiB window with
 // hash-chain match search, followed by canonical-Huffman entropy coding of
 // a combined literal/length alphabet and a distance alphabet (DEFLATE's
-// code tables). One dynamically-coded block per buffer.
+// code tables).
+//
+// Each buffer becomes one of two streams, as zlib writes a block either
+// dynamically coded or stored:
+//   dynamic: varint(n), 158 nibble-packed code-length bytes, the Huffman
+//            payload ending in the end-of-block code;
+//   stored:  0x00, varint(n), the n raw bytes (n >= 1).
+// The encoder writes the stored form whenever it is no larger than the
+// dynamic stream would be. An empty buffer is the single byte 0x00.
 #pragma once
 
 #include "compress/codec.hpp"
@@ -34,6 +42,18 @@ class MzipCodec final : public ByteCodec {
   int max_chain_;
 };
 
+namespace detail {
+
+/// MzipCodec(max_chain)'s dynamic stream for a non-empty `raw`, written
+/// even where encode() stores the bytes instead, with the size encode()
+/// predicted for it (from code lengths and symbol frequencies) in
+/// `predicted`. Tests pin the prediction to the emitted size, since a
+/// wrong one would flip the stored-or-dynamic choice silently.
+Result<Bytes> mzip_encode_dynamic(std::span<const std::uint8_t> raw,
+                                  int max_chain, std::size_t& predicted);
+
+}  // namespace detail
+
 namespace detail::scalar {
 
 /// Retained byte-at-a-time encoder implementing the same tokenizer
@@ -45,7 +65,8 @@ Result<Bytes> mzip_encode(std::span<const std::uint8_t> raw, int max_chain);
 
 /// Retained decoder that MzipCodec::decode replaced: HuffmanCode tables
 /// rebuilt per stream, a bytewise BitReader and push_back output. Reads
-/// the same stream format; MzipCodec::decode returns identical bytes when
+/// both stream forms (the stored one through the same bounds-checked copy
+/// as MzipCodec::decode); MzipCodec::decode returns identical bytes when
 /// this succeeds and the same ErrorCode when it fails. Kept for
 /// differential tests, the fuzz harness and bench_kernels A/B runs.
 Result<Bytes> mzip_decode(std::span<const std::uint8_t> stream);

@@ -14,10 +14,14 @@ namespace mloc {
 namespace {
 
 constexpr std::uint32_t kMetaMagic = 0x4D4C4F43;  // "MLOC"
-// v4: layouts carry index_fanout and each variable records its optional
-// .hbx header length. v3 (per-variable layouts) and v2 (store-wide layout,
-// CRC footers) still open; both read as index-less.
-constexpr std::uint32_t kMetaVersion = 4;
+// v5: the v4 layout, but mzip streams may take the stored form, which a
+// v4 reader would call corrupt; the version makes such a reader refuse the
+// store as unknown instead. v4 (layouts carry index_fanout, each variable
+// records its optional .hbx header length), v3 (per-variable layouts) and
+// v2 (store-wide layout, CRC footers) still open; v3 and v2 read as
+// index-less.
+constexpr std::uint32_t kMetaVersion = 5;
+constexpr std::uint32_t kMetaVersionV4 = 4;
 constexpr std::uint32_t kMetaVersionV3 = 3;
 constexpr std::uint32_t kLegacyMetaVersion = 2;
 
@@ -75,7 +79,7 @@ Status MlocStore::write_meta() {
       v->scheme.serialize(w);
       w.put_varint(v->bins.size());
       for (const auto& b : v->bins) w.put_varint(b.idx.header_len);
-      // v4: .hbx node-table length; 0 = no hierarchical index.
+      // v4+: .hbx node-table length; 0 = no hierarchical index.
       w.put_varint(v->hbx ? v->hbx->header_len : 0);
     }
   }
@@ -101,11 +105,11 @@ Result<MlocStore> MlocStore::open(pfs::PfsStorage* fs,
   MLOC_ASSIGN_OR_RETURN(std::uint32_t magic, r.get_u32());
   if (magic != kMetaMagic) return corrupt_data("meta: bad magic");
   MLOC_ASSIGN_OR_RETURN(std::uint32_t version, r.get_u32());
-  if (version != kMetaVersion && version != kMetaVersionV3 &&
-      version != kLegacyMetaVersion) {
+  if (version != kMetaVersion && version != kMetaVersionV4 &&
+      version != kMetaVersionV3 && version != kLegacyMetaVersion) {
     return unsupported("meta: unknown version");
   }
-  const bool has_index_fanout = version >= kMetaVersion;
+  const bool has_index_fanout = version >= kMetaVersionV4;
   MLOC_ASSIGN_OR_RETURN(store.cfg_.shape, deserialize_shape(r));
   if (version == kLegacyMetaVersion) {
     // v2 stores carry one store-wide layout in fixed field order; it becomes
@@ -173,7 +177,7 @@ Result<MlocStore> MlocStore::open(pfs::PfsStorage* fs,
     store.vars_.push_back(std::move(vs));
   }
   // A legacy store is kept byte-stable on open (read-only opens of archived
-  // data must not mutate it); its meta upgrades to v3 on the next ingest.
+  // data must not mutate it); its meta upgrades to v5 on the next ingest.
   return store;
 }
 

@@ -20,6 +20,7 @@
 #include "compress/registry.hpp"
 #include "compress/rle.hpp"
 #include "compress/xor_delta.hpp"
+#include "datagen/datagen.hpp"
 #include "plod/plod.hpp"
 #include "util/rng.hpp"
 
@@ -302,6 +303,8 @@ TEST(Mzip, CompressesRepetitiveData) {
   auto enc = codec.encode(raw);
   ASSERT_TRUE(enc.is_ok());
   EXPECT_LT(enc.value().size(), raw.size() / 20);
+  EXPECT_NE(enc.value()[0], 0);  // dynamic: varint(n) leads, n > 0
+  EXPECT_EQ(codec.decode(enc.value()).value(), raw);
 }
 
 TEST(Mzip, RandomDataExpandsOnlySlightly) {
@@ -309,7 +312,107 @@ TEST(Mzip, RandomDataExpandsOnlySlightly) {
   const MzipCodec codec;
   auto enc = codec.encode(raw);
   ASSERT_TRUE(enc.is_ok());
-  EXPECT_LT(enc.value().size(), raw.size() * 103 / 100 + 512);
+  // Stored: the zero byte and the 3-byte varint of 100,000 before the raw
+  // bytes.
+  EXPECT_EQ(enc.value().size(), raw.size() + 1 + 3);
+  EXPECT_EQ(codec.decode(enc.value()).value(), raw);
+}
+
+// ------------------------------------------------- stored or dynamic
+
+// A stored stream: 0x00 (raw size 0), varint(n), then the n raw bytes.
+bool is_stored(const Bytes& stream) {
+  return stream.size() > 1 && stream[0] == 0;
+}
+
+std::size_t varint_size(std::uint64_t v) {
+  ByteWriter w;
+  w.put_varint(v);
+  return w.size();
+}
+
+Bytes stored_stream(std::span<const std::uint8_t> raw) {
+  ByteWriter w;
+  w.put_varint(0);
+  w.put_varint(raw.size());
+  w.put_bytes(raw);
+  return std::move(w).take();
+}
+
+TEST(MzipStored, RandomBuffersCodeStoredAtRawPlusHeader) {
+  std::vector<std::size_t> sizes = {1, 2, 3, 127, 128, 129, 4999, 5000};
+  for (std::size_t n = 5; n < 5000; n += 97) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    const Bytes raw = random_bytes(n, 1000 + n);
+    const Bytes enc = MzipCodec().encode(raw).value();
+    ASSERT_TRUE(is_stored(enc)) << "n=" << n;
+    EXPECT_EQ(enc.size(), n + 1 + varint_size(n)) << "n=" << n;
+    EXPECT_EQ(enc, stored_stream(raw)) << "n=" << n;
+    EXPECT_EQ(MzipCodec().decode(enc).value(), raw) << "n=" << n;
+    EXPECT_EQ(verdict_diff(enc), "") << "n=" << n;
+  }
+}
+
+// The encoder chooses from the dynamic size it predicts before emitting a
+// bit; the prediction must be the size the dynamic stream then has, and
+// the choice must follow from it.
+TEST(MzipStored, PredictedDynamicSizeIsTheEmittedSize) {
+  std::vector<Bytes> raws;
+  for (int which = 1; which < 9; ++which) {  // 0 is the empty buffer
+    raws.push_back(adversarial_buffer(which));
+  }
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    for (Bytes& plane : plod_planes(1024, 60 + seed)) {
+      raws.push_back(std::move(plane));
+    }
+  }
+  int stored = 0;
+  int dynamic = 0;
+  for (const int max_chain : {1, 8, 64}) {
+    for (const Bytes& raw : raws) {
+      std::size_t predicted = 0;
+      const Bytes dyn =
+          detail::mzip_encode_dynamic(raw, max_chain, predicted).value();
+      EXPECT_EQ(dyn.size(), predicted)
+          << raw.size() << " bytes, max_chain=" << max_chain;
+      EXPECT_EQ(MzipCodec().decode(dyn).value(), raw);
+      EXPECT_EQ(verdict_diff(dyn), "");
+
+      const Bytes enc = MzipCodec(max_chain).encode(raw).value();
+      if (raw.size() + 1 + varint_size(raw.size()) <= predicted) {
+        EXPECT_EQ(enc, stored_stream(raw));
+        ++stored;
+      } else {
+        EXPECT_EQ(enc, dyn);
+        ++dynamic;
+      }
+    }
+  }
+  // Both choices are exercised.
+  EXPECT_GT(stored, 0);
+  EXPECT_GT(dynamic, 0);
+}
+
+// A fragment of a GTS-like field (one 32x32 chunk): the sign, exponent and
+// top mantissa bits of group 0 compress, the mantissa bytes of groups 1-6
+// are noise and code stored.
+TEST(MzipStored, GtsFragmentPlaneZeroDynamicOthersStored) {
+  const Grid grid = datagen::gts_like(256, 1);
+  std::vector<double> fragment;
+  for (std::uint32_t y = 64; y < 96; ++y) {
+    for (std::uint32_t x = 32; x < 64; ++x) {
+      fragment.push_back(grid.at(Coord{y, x}));
+    }
+  }
+  const plod::Shredded planes = plod::shred(fragment);
+  for (int g = 0; g < plod::kNumGroups; ++g) {
+    const Bytes enc = MzipCodec().encode(planes.groups[g]).value();
+    EXPECT_EQ(is_stored(enc), g > 0) << "group " << g;
+    if (g == 0) {
+      EXPECT_LT(enc.size(), planes.groups[g].size());
+    }
+    EXPECT_EQ(MzipCodec().decode(enc).value(), planes.groups[g]);
+  }
 }
 
 TEST(Mzip, HigherChainImprovesOrMatchesRatio) {
@@ -576,10 +679,12 @@ TEST(Mzip, RawSizeAbovePayloadBoundRejectedBeforeDecoding) {
 }
 
 // Bytes after the end-of-block symbol are not read, and do not fail the
-// stream.
+// stream. Plane 0 codes dynamic (the mantissa planes code stored, whose
+// length is exact: see MzipStored.MalformedHeadersRejected).
 TEST(Mzip, PayloadBytesAfterEndOfBlockAccepted) {
-  const Bytes raw = plod_planes(1024, 7)[3];
+  const Bytes raw = plod_planes(1024, 7)[0];
   Bytes enc = MzipCodec().encode(raw).value();
+  ASSERT_FALSE(is_stored(enc));
   for (int i = 0; i < 12; ++i) enc.push_back(static_cast<std::uint8_t>(i * 37));
   const auto fast = MzipCodec().decode(enc);
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
@@ -604,6 +709,33 @@ TEST(Mzip, EndOfBlockReadFromPaddingIsRejected) {
   const auto fast = MzipCodec().decode(terminated.finish(4));
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
   EXPECT_EQ(fast.value(), bytes_of("ABAB"));
+}
+
+// A stored stream's length is exact: no bytes may be missing or follow
+// it, and it holds at least one byte (the empty buffer is the lone 0x00).
+TEST(MzipStored, MalformedHeadersRejected) {
+  const Bytes raw = random_bytes(300, 77);
+  const Bytes valid = stored_stream(raw);
+  ASSERT_EQ(MzipCodec().decode(valid).value(), raw);
+  ASSERT_EQ(verdict_diff(valid), "");
+
+  expect_rejected_as({0x00, 0x00}, "mzip: empty stored stream");
+  expect_rejected_as({0x00, 0x00, 0x41}, "mzip: empty stored stream");
+  expect_rejected_as({0x00, 0x05, 'a', 'b', 'c'},
+                     "mzip: stored size mismatches stream");
+  expect_rejected_as(Bytes(valid.begin(), valid.end() - 1),
+                     "mzip: stored size mismatches stream");
+  Bytes trailing = valid;
+  trailing.push_back(0);
+  expect_rejected_as(trailing, "mzip: stored size mismatches stream");
+
+  ByteWriter huge;
+  huge.put_varint(0);
+  huge.put_varint((1ull << 28) + 1);
+  huge.put_bytes(raw);
+  expect_rejected_as(std::move(huge).take(), "mzip: implausible raw size");
+
+  expect_rejected_as({0x00, 0x80}, "varint truncated");
 }
 
 // ------------------------------------------------------------------- RLE

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/store.hpp"
 #include "datagen/datagen.hpp"
 #include "plod/plod.hpp"
 #include "service/fragment_cache.hpp"
@@ -158,15 +159,30 @@ TEST(ServiceCache, PlodPrefixReuse) {
   EXPECT_EQ(l2.value().cache.partial_hits, 0u);
 
   // Level-7 only fetches the missing planes 3..6 (partial hits), saving
-  // exactly the bytes of the cached prefix.
+  // exactly the bytes of the cached prefix: the positions and planes 0..2
+  // of every fragment in the region.
   q.plod_level = 7;
   auto l7 = store.value().execute("phi", q);
   ASSERT_TRUE(l7.is_ok());
   EXPECT_EQ(l7.value().cache.partial_hits, l7.value().fragments_read);
   EXPECT_EQ(l7.value().cache.misses, 0u);
-  EXPECT_GT(l7.value().cache.bytes_saved, 0u);
-  EXPECT_LT(l7.value().cache.bytes_saved + l7.value().exec.bytes_read,
-            2 * l7.value().exec.bytes_read);  // prefix < the re-read planes
+  const VariableState& var = *store.value().variable("phi").value();
+  const std::vector<ChunkId> chunks = var.chunk_grid.chunks_overlapping(*q.sc);
+  std::uint64_t prefix_bytes = 0;
+  std::uint64_t fragments = 0;
+  for (const VariableState::Bin& bin : var.bins) {
+    for (const FragmentInfo& f : bin.idx.header()->fragments) {
+      if (std::find(chunks.begin(), chunks.end(), f.chunk) == chunks.end()) {
+        continue;
+      }
+      ++fragments;
+      prefix_bytes += f.positions.length;
+      for (int g = 0; g < 3; ++g) prefix_bytes += f.groups[g].length;
+    }
+  }
+  EXPECT_EQ(l7.value().fragments_read, fragments);
+  EXPECT_GT(prefix_bytes, 0u);
+  EXPECT_EQ(l7.value().cache.bytes_saved, prefix_bytes);
 
   // Results at every level match a provider-less store bit for bit.
   pfs::PfsStorage cold_fs;

@@ -17,6 +17,8 @@
 #include "datagen/datagen.hpp"
 #include "plod/plod.hpp"
 #include "service/fragment_cache.hpp"
+#include "tools/fsck.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace mloc {
@@ -687,6 +689,61 @@ TEST(StorePersistence, OpenAfterCreateSeesIdenticalResults) {
   EXPECT_EQ(res.value().positions, truth.positions);
 }
 
+// New stores write meta v5: their mzip streams may take the stored form,
+// which a v4 reader would call corrupt, so such a reader refuses the store
+// as an unknown version instead. The store holds both stream forms, the
+// reopened store answers as the raw grid does, and fsck finds it clean.
+TEST(StorePersistence, NewStoreWritesMetaV5AndHoldsBothStreamForms) {
+  pfs::PfsStorage fs;
+  const Grid grid = test_grid_2d();
+  int stored = 0;
+  int dynamic = 0;
+  {
+    // Fragments of about 512 values: group 0 codes dynamic, the mantissa
+    // groups code stored.
+    MlocConfig cfg = small_config(grid.shape(), NDShape{32, 32}, "mzip");
+    cfg.layout.num_bins = 2;
+    auto store = MlocStore::create(&fs, "v5", cfg);
+    ASSERT_TRUE(store.is_ok());
+    ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+    const VariableState& var = *store.value().variable("phi").value();
+    for (const VariableState::Bin& bin : var.bins) {
+      for (const FragmentInfo& f : bin.idx.header()->fragments) {
+        for (const Segment& seg : f.groups) {
+          const Bytes head = fs.read(bin.dat.file, seg.offset, 1).value();
+          ++(head[0] == 0 ? stored : dynamic);
+        }
+      }
+    }
+  }
+  EXPECT_GT(stored, 0);
+  EXPECT_GT(dynamic, 0);
+
+  const pfs::FileId meta = fs.open("v5.meta").value();
+  const Bytes meta_head = fs.read(meta, 0, 8).value();
+  ByteReader r(meta_head);
+  EXPECT_EQ(r.get_u32().value(), 0x4D4C4F43u);  // "MLOC"
+  EXPECT_EQ(r.get_u32().value(), 5u);
+
+  auto reopened = MlocStore::open(&fs, "v5");
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  Query vc;
+  vc.vc = ValueConstraint{-0.1, 0.3};
+  Query sc;
+  sc.sc = Region(2, Coord{5, 9}, Coord{50, 33});
+  for (const Query& q : {vc, sc}) {
+    auto res = reopened.value().execute("phi", q, 3);
+    ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+    const Truth truth = brute_force(grid, q);
+    EXPECT_EQ(res.value().positions, truth.positions);
+    EXPECT_EQ(res.value().values, truth.values);
+  }
+
+  const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("v5");
+  EXPECT_TRUE(report.ok()) << report.human();
+  EXPECT_GT(report.fragments_checked, 0u);
+}
+
 TEST(StorePersistence, OpenMissingStoreFails) {
   pfs::PfsStorage fs;
   EXPECT_FALSE(MlocStore::open(&fs, "nope").is_ok());
@@ -1337,6 +1394,71 @@ TEST(BackCompat, V2StoreFixtureOpensAndQueries) {
   EXPECT_NEAR(sum / 136.0, 0.400972, 1e-6);
   EXPECT_NEAR(lo, 0.201853, 1e-6);
   EXPECT_NEAR(hi, 0.780933, 1e-6);
+}
+
+// FNV-1a of the little-endian image of `xs`: a compact record of an
+// exact answer.
+std::uint64_t answer_hash(const std::vector<std::uint64_t>& xs) {
+  ByteWriter w;
+  for (const std::uint64_t x : xs) w.put_u64(x);
+  return fnv1a64(w.bytes());
+}
+std::uint64_t answer_hash(const std::vector<double>& xs) {
+  ByteWriter w;
+  for (const double x : xs) w.put_f64(x);
+  return fnv1a64(w.bytes());
+}
+
+TEST(BackCompat, V4StoreFixtureOpensAndQueries) {
+  // tests/data/v4-store was written by the meta v4 code, before mzip had a
+  // stored form, so every mzip stream in it is dynamic: `mloc_cli build
+  // --dataset gts --edge 32 --chunk 16 --bins 8 --codec mzip
+  // --index-fanout 2 --seed 1 --var temp`. Its answers below were recorded
+  // with that code.
+  const std::string dir = std::string(MLOC_TEST_DATA_DIR) + "/v4-store";
+  auto fs = pfs::PfsStorage::load_from_dir(dir);
+  ASSERT_TRUE(fs.is_ok()) << fs.status().to_string();
+  auto store = MlocStore::open(&fs.value(), "store");
+  ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+
+  EXPECT_EQ(store.value().variables(), std::vector<std::string>{"temp"});
+  const VariableState& var = *store.value().variable("temp").value();
+  EXPECT_EQ(var.layout.chunk_shape, (NDShape{16, 16}));
+  EXPECT_EQ(var.layout.num_bins, 8);
+  EXPECT_EQ(var.layout.codec, "mzip");
+  EXPECT_EQ(var.layout.index_fanout, 2);
+  EXPECT_TRUE(var.hbx.has_value());
+
+  // A value query with values: bins 3..6 aligned, 2 and 7 filtered.
+  Query q;
+  q.vc = ValueConstraint{-0.1, 0.5};
+  q.values_needed = true;
+  auto res = store.value().execute("temp", q, 2);
+  ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+  EXPECT_EQ(res.value().positions.size(), 744u);
+  EXPECT_EQ(res.value().aligned_bins, 4u);
+  EXPECT_EQ(answer_hash(res.value().positions), 0xea85d27c515b580aull);
+  EXPECT_EQ(answer_hash(res.value().values), 0x62478ccc6cdf637eull);
+
+  // A region-only query whose aligned bins 2..5 are answered from .hbx
+  // nodes; the flat per-bin path gives the same positions.
+  Query region;
+  region.vc = ValueConstraint{-0.2, 0.02};
+  region.values_needed = false;
+  auto hier = store.value().execute("temp", region, 2);
+  ASSERT_TRUE(hier.is_ok()) << hier.status().to_string();
+  EXPECT_EQ(hier.value().positions.size(), 441u);
+  EXPECT_EQ(hier.value().aligned_bins, 4u);
+  EXPECT_EQ(answer_hash(hier.value().positions), 0xedd1525f3b494a3aull);
+  exec::ExecOptions flat;
+  flat.use_hbx = false;
+  auto flat_res = store.value().execute("temp", region, 2, flat);
+  ASSERT_TRUE(flat_res.is_ok()) << flat_res.status().to_string();
+  EXPECT_EQ(flat_res.value().positions, hier.value().positions);
+
+  const fsck::Report report =
+      fsck::LayoutVerifier(&fs.value()).verify_store("store");
+  EXPECT_TRUE(report.ok()) << report.human();
 }
 
 }  // namespace
