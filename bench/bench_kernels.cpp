@@ -1,9 +1,10 @@
 // Hot-kernel microbenchmarks: the blocked/SWAR fast paths vs the retained
 // scalar references in mloc::detail::scalar (DESIGN.md §11). Each kernel
 // runs best-of-reps on both implementations, asserts the outputs are
-// byte-/bit-identical, and reports GB/s plus the fast/scalar speedup. One
-// row has another reference: mzip_decode_stored times the planes that code
-// stored against inflating their dynamic streams.
+// byte-/bit-identical, and reports GB/s plus the fast/scalar speedup. Two
+// rows have another reference: mzip_decode_stored times the planes that
+// code stored against inflating their dynamic streams, and
+// segment_checksum times the folded CRC-32 against FNV-1a.
 // Results land in BENCH_kernels.json (`MLOC_BENCH_JSON` overrides the
 // path); the binary exits non-zero if any kernel's outputs differ or its
 // speedup drops below 1.0, and CI's bench-smoke job jq-asserts the same
@@ -23,6 +24,7 @@
 #include "bitmap/bitmap.hpp"
 #include "common/bench_common.hpp"
 #include "compress/mzip.hpp"
+#include "core/layout.hpp"
 #include "exec/gather.hpp"
 #include "plod/plod.hpp"
 #include "util/crc32.hpp"
@@ -144,9 +146,13 @@ KernelResult bench_bin_route(const std::vector<double>& values,
   return out;
 }
 
+/// The field's 7 PLoD byte planes concatenated into one 4.19 MB buffer and
+/// encoded once, fast encoder against the retained reference. One large
+/// buffer isolates the tokenizer, the only stage where the two differ.
+/// Ingest encodes each fragment's planes one at a time, and at 1 KB a
+/// plane the Huffman table build both encoders share costs most of each
+/// call, so a per-plane row would time that build (DESIGN.md §11).
 KernelResult bench_mzip_encode(const std::vector<double>& values) {
-  // Encode the PLoD byte planes — the exact payload the ingest encode
-  // stage feeds mzip, fragment by fragment.
   plod::PlaneSpans spans;
   plod::Shredded buf = alloc_planes(values.size(), spans);
   plod::shred_into(values, spans);
@@ -284,6 +290,41 @@ KernelResult bench_crc32(std::span<const std::uint8_t> bytes) {
   out.scalar_s =
       best_seconds([&] { ref_crc = detail::scalar::crc32(bytes); });
   out.identical = fast_crc == ref_crc;
+  return out;
+}
+
+/// The check every cold read makes before decode, over the plane streams
+/// as ingest lays them out (one segment each, both stream forms): FNV-1a,
+/// which variables written before meta v6 carry, against the folded
+/// CRC-32 that ingest writes now (segment_checksum). Identical when every
+/// folded CRC equals the byte-at-a-time reference.
+KernelResult bench_segment_checksum(const std::array<PlaneStreams, 2>& forms) {
+  std::vector<std::span<const std::uint8_t>> segments;
+  for (const PlaneStreams& form : forms) {
+    for (const Bytes& stream : form.streams) segments.emplace_back(stream);
+  }
+  KernelResult out;
+  out.name = "segment_checksum";
+  for (const auto& seg : segments) out.mb += static_cast<double>(seg.size());
+  out.mb /= 1e6;
+  std::vector<std::uint64_t> fnv(segments.size());
+  std::vector<std::uint64_t> crc(segments.size());
+  out.scalar_s = best_seconds([&] {
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      fnv[i] = segment_checksum(ChecksumKind::kFnv1a64, segments[i]);
+    }
+  });
+  out.fast_s = best_seconds([&] {
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      crc[i] = segment_checksum(ChecksumKind::kCrc32, segments[i]);
+    }
+  });
+  out.identical = true;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    out.identical = out.identical &&
+                    crc[i] == detail::scalar::crc32(segments[i]) &&
+                    fnv[i] == fnv1a64(segments[i]);
+  }
   return out;
 }
 
@@ -431,6 +472,7 @@ int main() {
   results.push_back(bench_mzip_decode_stored(planes[1]));
   results.push_back(bench_crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(field.data()), 300u << 10)));
+  results.push_back(bench_segment_checksum(planes));
   results.push_back(bench_gather(300000, "gather"));
   results.push_back(bench_gather(30000, "gather_sparse"));
   const Bitmap dense = random_bitmap(1u << 26, 0.5, 11);

@@ -5,6 +5,10 @@
 
 namespace mloc {
 
+std::string_view checksum_kind_name(ChecksumKind kind) noexcept {
+  return kind == ChecksumKind::kCrc32 ? "crc32" : "fnv1a64";
+}
+
 void append_subfile_footer(Bytes& file) {
   ByteWriter w;
   w.put_u32(crc32(file));
@@ -99,17 +103,40 @@ Bytes encode_positions(std::span<const std::uint32_t> local_offsets) {
 
 Result<std::vector<std::uint32_t>> decode_positions(
     std::span<const std::uint8_t> blob, std::uint64_t count) {
+  std::vector<std::uint32_t> out;
+  MLOC_RETURN_IF_ERROR(decode_positions_into(blob, count, out));
+  return out;
+}
+
+Status decode_positions_into(std::span<const std::uint8_t> blob,
+                             std::uint64_t count,
+                             std::vector<std::uint32_t>& out) {
   // Every varint takes at least one byte, so a count above the blob size
   // is corrupt; `count` comes from the fragment table unchecked.
   if (count > blob.size()) {
     return corrupt_data("position count exceeds blob size");
   }
-  ByteReader r(blob);
-  std::vector<std::uint32_t> out;
-  out.reserve(count);
+  out.resize(count);
+  const std::uint8_t* p = blob.data();
+  const std::uint8_t* const end = p + blob.size();
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    MLOC_ASSIGN_OR_RETURN(std::uint64_t delta, r.get_varint());
+    // Deltas of one and two bytes (below 2^14) decode inline; anything
+    // longer, and every malformed varint, goes through ByteReader so the
+    // verdicts stay its own.
+    std::uint64_t delta;
+    const std::size_t left = static_cast<std::size_t>(end - p);
+    if (left >= 1 && p[0] < 0x80) {
+      delta = p[0];
+      p += 1;
+    } else if (left >= 2 && p[1] < 0x80) {
+      delta = (p[0] & 0x7fu) | (std::uint64_t{p[1]} << 7);
+      p += 2;
+    } else {
+      ByteReader r(std::span<const std::uint8_t>(p, left));
+      MLOC_ASSIGN_OR_RETURN(delta, r.get_varint());
+      p += r.position();
+    }
     if (i != 0 && delta == 0) {
       return corrupt_data("position index not strictly ascending");
     }
@@ -117,14 +144,11 @@ Result<std::vector<std::uint32_t>> decode_positions(
     if (delta > 0xFFFFFFFFull - prev) {
       return corrupt_data("position index exceeds 32 bits");
     }
-    const std::uint64_t value = prev + delta;
-    MLOC_DCHECK(out.size() == i);
-    MLOC_DCHECK(i == 0 || value > prev);
-    out.push_back(static_cast<std::uint32_t>(value));
-    prev = value;
+    prev += delta;
+    out[i] = static_cast<std::uint32_t>(prev);
   }
-  if (!r.exhausted()) return corrupt_data("position blob has trailing bytes");
-  return out;
+  if (p != end) return corrupt_data("position blob has trailing bytes");
+  return Status::ok();
 }
 
 }  // namespace mloc

@@ -7,20 +7,21 @@
 #include "compress/registry.hpp"
 #include "exec/engine.hpp"
 #include "ingest/ingest.hpp"
-#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace mloc {
 namespace {
 
 constexpr std::uint32_t kMetaMagic = 0x4D4C4F43;  // "MLOC"
-// v5: the v4 layout, but mzip streams may take the stored form, which a
-// v4 reader would call corrupt; the version makes such a reader refuse the
-// store as unknown instead. v4 (layouts carry index_fanout, each variable
-// records its optional .hbx header length), v3 (per-variable layouts) and
-// v2 (store-wide layout, CRC footers) still open; v3 and v2 read as
-// index-less.
-constexpr std::uint32_t kMetaVersion = 5;
+// v6: each variable ends with one ChecksumKind byte saying how its segment
+// and .hbx node checksums are computed (CRC-32 for everything ingest
+// writes; FNV-1a for variables carried over from an older meta). v5 (the
+// v4 layout, but mzip streams may take the stored form), v4 (layouts carry
+// index_fanout, each variable records its optional .hbx header length), v3
+// (per-variable layouts) and v2 (store-wide layout, CRC footers) still
+// open, every variable as FNV-1a; v3 and v2 read as index-less.
+constexpr std::uint32_t kMetaVersion = 6;
+constexpr std::uint32_t kMetaVersionV5 = 5;
 constexpr std::uint32_t kMetaVersionV4 = 4;
 constexpr std::uint32_t kMetaVersionV3 = 3;
 constexpr std::uint32_t kLegacyMetaVersion = 2;
@@ -81,6 +82,7 @@ Status MlocStore::write_meta() {
       for (const auto& b : v->bins) w.put_varint(b.idx.header_len);
       // v4+: .hbx node-table length; 0 = no hierarchical index.
       w.put_varint(v->hbx ? v->hbx->header_len : 0);
+      w.put_u8(static_cast<std::uint8_t>(v->checksum));  // v6+
     }
   }
   Bytes meta = std::move(w).take();
@@ -105,11 +107,13 @@ Result<MlocStore> MlocStore::open(pfs::PfsStorage* fs,
   MLOC_ASSIGN_OR_RETURN(std::uint32_t magic, r.get_u32());
   if (magic != kMetaMagic) return corrupt_data("meta: bad magic");
   MLOC_ASSIGN_OR_RETURN(std::uint32_t version, r.get_u32());
-  if (version != kMetaVersion && version != kMetaVersionV4 &&
-      version != kMetaVersionV3 && version != kLegacyMetaVersion) {
+  if (version != kMetaVersion && version != kMetaVersionV5 &&
+      version != kMetaVersionV4 && version != kMetaVersionV3 &&
+      version != kLegacyMetaVersion) {
     return unsupported("meta: unknown version");
   }
   const bool has_index_fanout = version >= kMetaVersionV4;
+  const bool has_checksum_kind = version >= kMetaVersion;
   MLOC_ASSIGN_OR_RETURN(store.cfg_.shape, deserialize_shape(r));
   if (version == kLegacyMetaVersion) {
     // v2 stores carry one store-wide layout in fixed field order; it becomes
@@ -173,11 +177,20 @@ Result<MlocStore> MlocStore::open(pfs::PfsStorage* fs,
                               fs->open(ingest::hbx_name(name, vs->name)));
       }
     }
+    vs->checksum = ChecksumKind::kFnv1a64;
+    if (has_checksum_kind) {
+      MLOC_ASSIGN_OR_RETURN(const std::uint8_t kind, r.get_u8());
+      if (kind > static_cast<std::uint8_t>(ChecksumKind::kCrc32)) {
+        return corrupt_data("meta: unknown checksum kind");
+      }
+      vs->checksum = static_cast<ChecksumKind>(kind);
+    }
     sync::WriterLock lock(store.vars_mu_);
     store.vars_.push_back(std::move(vs));
   }
   // A legacy store is kept byte-stable on open (read-only opens of archived
-  // data must not mutate it); its meta upgrades to v5 on the next ingest.
+  // data must not mutate it); its meta upgrades to v6 on the next ingest,
+  // and its variables keep their FNV-1a checksums until each is re-ingested.
   return store;
 }
 

@@ -187,6 +187,10 @@ struct VariableState {
   std::vector<Bin> bins;  ///< size = scheme.num_bins()
   /// Hierarchical bitmap index; empty when layout.index_fanout == 0.
   std::optional<Subfile<index::HbxHeader>> hbx;
+  /// How every segment and .hbx node checksum of this variable is
+  /// computed (segment_checksum). Ingest writes kCrc32; a variable opened
+  /// from a v2–v5 meta reads as kFnv1a64 until it is re-ingested.
+  ChecksumKind checksum = ChecksumKind::kCrc32;
   std::uint64_t epoch = 0;  ///< ingest generation (FragmentKey::epoch)
 
   [[nodiscard]] bool plod_capable() const noexcept {

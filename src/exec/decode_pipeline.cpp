@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "plod/plod.hpp"
-#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace mloc::exec {
@@ -28,40 +27,41 @@ DecodedFragment decode_fragment(const DecodeInput& in,
         .subspan(slot.delta, seg.len);
   };
 
-  // --- Positional index: cached decode or blob decode from the batch.
+  // --- Positional index: cached decode or blob decode from the batch,
+  // straight into the provider candidate when there is a provider.
   std::vector<std::uint32_t> decoded_positions;
   const std::vector<std::uint32_t>* local = nullptr;
   if (task.blob_cached) {
     local = &task.cached->positions;
   } else {
     const std::span<const std::uint8_t> blob = next_bytes();
-    if (fnv1a64(blob) != frag.positions.checksum) {
+    if (segment_checksum(var.checksum, blob) != frag.positions.checksum) {
       out.status = corrupt_data("position blob failed checksum");
       return out;
     }
     Stopwatch sw_pos;
-    auto decoded = decode_positions(blob, frag.count);
+    std::shared_ptr<FragmentData> fresh;
+    std::vector<std::uint32_t>* target = &decoded_positions;
+    if (in.for_provider) {
+      fresh = std::make_shared<FragmentData>();
+      fresh->count = frag.count;
+      target = &fresh->positions;
+    }
+    const Status decoded = decode_positions_into(blob, frag.count, *target);
     if (!decoded.is_ok()) {
-      out.status = decoded.status();
+      out.status = decoded;
       return out;
     }
-    decoded_positions = std::move(decoded).value();
     // Offsets strictly ascend (decode_positions rejects anything else), so
     // the last one bounds them all: nothing past the chunk reaches the
     // filter, the bitmap lookups, the gather's key width, or the cache.
-    if (!decoded_positions.empty() &&
-        decoded_positions.back() >= chunk_region.volume()) {
+    if (!target->empty() && target->back() >= chunk_region.volume()) {
       out.status = corrupt_data("position index exceeds chunk volume");
       return out;
     }
     out.reconstruct_s += sw_pos.seconds();
-    local = &decoded_positions;
-    if (in.for_provider) {
-      auto fresh = std::make_shared<FragmentData>();
-      fresh->count = frag.count;
-      fresh->positions = decoded_positions;
-      out.fresh_positions = std::move(fresh);
-    }
+    local = target;
+    out.fresh_positions = std::move(fresh);
   }
 
   // --- Values: decode at fetch_level, degrade to the requested level.
@@ -83,7 +83,8 @@ DecodedFragment decode_fragment(const DecodeInput& in,
         }
         for (int g = task.cached_depth; g < task.fetch_level; ++g) {
           const std::span<const std::uint8_t> raw = next_bytes();
-          if (fnv1a64(raw) != frag.groups[g].checksum) {
+          if (segment_checksum(var.checksum, raw) !=
+              frag.groups[g].checksum) {
             out.status = corrupt_data("fragment segment failed checksum");
             return out;
           }
@@ -119,7 +120,7 @@ DecodedFragment decode_fragment(const DecodeInput& in,
         vals = task.cached->values;
       } else {
         const std::span<const std::uint8_t> raw = next_bytes();
-        if (fnv1a64(raw) != frag.groups[0].checksum) {
+        if (segment_checksum(var.checksum, raw) != frag.groups[0].checksum) {
           out.status = corrupt_data("fragment segment failed checksum");
           return out;
         }

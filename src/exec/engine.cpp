@@ -22,7 +22,6 @@
 #include "exec/io_scheduler.hpp"
 #include "parallel/runtime.hpp"
 #include "plod/plod.hpp"
-#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace mloc::exec {
@@ -161,7 +160,7 @@ Result<QueryResult> execute_query(const MlocStore& store,
               hbx_buffers[static_cast<std::size_t>(slot.extent)];
           const std::span<const std::uint8_t> raw(buf.data() + slot.delta,
                                                   node.length);
-          if (fnv1a64(raw) != node.checksum) {
+          if (segment_checksum(var.checksum, raw) != node.checksum) {
             return corrupt_data("hbx: node bitmap checksum mismatch");
           }
           Stopwatch sw;

@@ -5,7 +5,6 @@
 
 #include "core/layout.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 
 namespace mloc::index {
 
@@ -106,7 +105,7 @@ Result<HbxHeader> HbxHeader::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 HbxBuild build_index(const std::vector<WahBitmap>& leaves,
-                     std::uint64_t nbits, int fanout) {
+                     std::uint64_t nbits, int fanout, ChecksumKind checksum) {
   MLOC_CHECK(fanout >= 2);
   MLOC_CHECK(!leaves.empty());
 
@@ -162,8 +161,9 @@ HbxBuild build_index(const std::vector<WahBitmap>& leaves,
     out.bitmaps[i].serialize(payload);
     n.offset = start;
     n.length = payload.size() - start;
-    n.checksum = fnv1a64(std::span<const std::uint8_t>(
-        payload.bytes().data() + start, n.length));
+    n.checksum = segment_checksum(
+        checksum, std::span<const std::uint8_t>(
+                      payload.bytes().data() + start, n.length));
     n.popcount = out.bitmaps[i].count();
   }
 

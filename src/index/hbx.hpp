@@ -16,7 +16,8 @@
 //
 //   header:  magic "MHBX", version, fanout, num_bins, nbits, level table,
 //            node table (level-major, leaves first; each node records its
-//            bin span, payload extent, FNV-1a checksum and popcount)
+//            bin span, payload extent, checksum and popcount; the checksum
+//            is the variable's segment_checksum kind, core/layout.hpp)
 //   payload: concatenated serialized WahBitmaps in node order
 //   footer:  CRC-32 + "MLCF" (core/layout.hpp), like .meta/.idx/.dat
 //
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "bitmap/bitmap.hpp"
+#include "core/layout.hpp"
 #include "util/bytes.hpp"
 #include "util/status.hpp"
 
@@ -45,7 +47,10 @@ struct HbxNode {
   int bin_count = 0;           ///< Number of bins covered.
   std::uint64_t offset = 0;    ///< Payload-relative byte offset.
   std::uint64_t length = 0;    ///< Serialized WahBitmap length in bytes.
-  std::uint64_t checksum = 0;  ///< FNV-1a of the serialized payload.
+  /// segment_checksum of the serialized payload, under the variable's
+  /// ChecksumKind (core/layout.hpp): the meta records the kind, not the
+  /// .hbx, so the node table reads the same either way.
+  std::uint64_t checksum = 0;
   std::uint64_t popcount = 0;  ///< Set bits (exact selectivity for planning).
 
   [[nodiscard]] int last_bin() const noexcept {
@@ -87,9 +92,10 @@ struct HbxBuild {
 };
 
 /// Build the tree from per-bin leaf bitmaps (all spanning `nbits`
-/// positions). Precondition: fanout >= 2, leaves non-empty.
+/// positions), checksumming each node payload under `checksum`.
+/// Precondition: fanout >= 2, leaves non-empty.
 HbxBuild build_index(const std::vector<WahBitmap>& leaves,
-                     std::uint64_t nbits, int fanout);
+                     std::uint64_t nbits, int fanout, ChecksumKind checksum);
 
 /// Minimal top-down cover of the aligned bin span [first_bin, last_bin]
 /// (inclusive): node ids whose aggregate bitmaps OR to exactly the union

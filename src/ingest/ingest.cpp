@@ -9,7 +9,6 @@
 #include "core/store.hpp"
 #include "parallel/runtime.hpp"
 #include "plod/plod.hpp"
-#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace mloc::ingest {
@@ -105,13 +104,15 @@ struct EncodedFragment {
   double min_value = std::numeric_limits<double>::infinity();
   double max_value = -std::numeric_limits<double>::infinity();
   std::vector<Bytes> groups;  ///< one encoded payload per byte group
+  std::vector<std::uint64_t> group_checksums;  ///< parallel to `groups`
   double encode_s = 0.0;
 };
 
 /// Encode one staged fragment: positional index, zone map, PLoD shredding,
-/// and per-group codec encode. Pure function of the stage — encoded bytes
-/// are identical regardless of which thread runs it, which is what makes
-/// the fold stage's output byte-identical to a serial write.
+/// per-group codec encode, and every segment checksum (so the fold only
+/// concatenates). Pure function of the stage — encoded bytes are identical
+/// regardless of which thread runs it, which is what makes the fold
+/// stage's output byte-identical to a serial write.
 EncodedFragment encode_fragment(const VariableState& var,
                                 const FragStage& stage, int groups) {
   Stopwatch sw;
@@ -119,7 +120,7 @@ EncodedFragment encode_fragment(const VariableState& var,
   out.chunk = stage.chunk;
   out.count = stage.offsets.size();
   out.pos_blob = encode_positions(stage.offsets);
-  out.pos_checksum = fnv1a64(out.pos_blob);
+  out.pos_checksum = segment_checksum(var.checksum, out.pos_blob);
   // Zone map over the original values (NaNs excluded: they never satisfy
   // a VC, and an empty range reads as VC-disjoint).
   for (double v : stage.values) {
@@ -158,6 +159,10 @@ EncodedFragment encode_fragment(const VariableState& var,
     }
     out.groups[0] = std::move(enc).value();
   }
+  out.group_checksums.reserve(out.groups.size());
+  for (const Bytes& g : out.groups) {
+    out.group_checksums.push_back(segment_checksum(var.checksum, g));
+  }
   out.encode_s = sw.seconds();
   return out;
 }
@@ -182,6 +187,9 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
   stats.threads = std::max(1, opts.threads);
   stats.write_behind = opts.write_behind && opts.threads > 1;
   stats.cells_routed = grid.size();
+  // Ingest checksums with CRC-32 only; a re-ingest moves a variable read
+  // from an older meta off FNV-1a.
+  var.checksum = ChecksumKind::kCrc32;
 
   // --- Level V: equal-frequency binning boundaries from a sample.
   Stopwatch sw_sample;
@@ -334,27 +342,20 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
     // order decides whether byte groups or fragments are the outer loop.
     Bytes dat;
     dat.reserve(dat_total + kSubfileFooterSize);
-    auto append_segment = [&dat](Segment* seg, const Bytes& encoded_bytes) {
-      seg->offset = dat.size();
-      seg->length = encoded_bytes.size();
-      seg->checksum = fnv1a64(encoded_bytes);
+    auto append_segment = [&](std::size_t f, int g) {
+      const auto gi = static_cast<std::size_t>(g);
+      const Bytes& encoded_bytes = frags[f].groups[gi];
+      table.fragments[f].groups[gi] = {dat.size(), encoded_bytes.size(),
+                                       frags[f].group_checksums[gi]};
       dat.insert(dat.end(), encoded_bytes.begin(), encoded_bytes.end());
     };
     if (var.plod_capable() && layout.order == LevelOrder::kVMS) {
       for (int g = 0; g < groups; ++g) {
-        for (std::size_t f = 0; f < frags.size(); ++f) {
-          append_segment(
-              &table.fragments[f].groups[static_cast<std::size_t>(g)],
-              frags[f].groups[static_cast<std::size_t>(g)]);
-        }
+        for (std::size_t f = 0; f < frags.size(); ++f) append_segment(f, g);
       }
     } else {  // kVSM (fragments outer) and whole-value mode (one group)
       for (std::size_t f = 0; f < frags.size(); ++f) {
-        for (int g = 0; g < groups; ++g) {
-          append_segment(
-              &table.fragments[f].groups[static_cast<std::size_t>(g)],
-              frags[f].groups[static_cast<std::size_t>(g)]);
-        }
+        for (int g = 0; g < groups; ++g) append_segment(f, g);
       }
     }
     if (build_hbx) {
@@ -422,8 +423,8 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
   // needs the leaves), overlapping any write-behind bin flushes.
   if (build_hbx) {
     Stopwatch sw_hbx;
-    index::HbxBuild built =
-        index::build_index(hbx_leaves, grid.size(), layout.index_fanout);
+    index::HbxBuild built = index::build_index(
+        hbx_leaves, grid.size(), layout.index_fanout, var.checksum);
     hbx_leaves.clear();
     var.hbx->header_len = built.header.header_len;
     stats.fold_s += sw_hbx.seconds();

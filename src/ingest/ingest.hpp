@@ -8,10 +8,10 @@
 //      chunk's cells into per-(bin, fragment) staging buffers. Each chunk
 //      is an independent task; buffers are sized exactly from a first-pass
 //      bin histogram, so the routing hot loop never reallocates.
-//   2. encode    — position encoding, zone map, PLoD shredding, and codec
-//      encode of every byte group, one task per fragment. Encoding is a
-//      pure function of the fragment's values, so tasks run on a
-//      parallel::ThreadPool in any order.
+//   2. encode    — position encoding, zone map, PLoD shredding, codec
+//      encode of every byte group, and the CRC-32 segment checksums, one
+//      task per fragment. Encoding is a pure function of the fragment's
+//      values, so tasks run on a parallel::ThreadPool in any order.
 //   3. fold      — concatenate encoded segments into each bin's .idx/.dat
 //      images in the exact serial order (V-M-S group-major vs V-S-M
 //      fragment-major interleave preserved) with buffers pre-sized from
@@ -93,10 +93,11 @@ std::string hbx_name(const std::string& store, const std::string& var);
 
 /// Run the full layout pipeline for `var`, an unpublished record whose
 /// name, layout and layout-derived state the caller has set, and fill in
-/// its scheme, bins and index in place: each subfile is created (or reused
-/// on re-ingest), left flushed and footer-sealed, marked footer-checked,
-/// and given the header it was written with. The grid shape must already
-/// be validated against the config by the caller.
+/// its scheme, bins, index and checksum kind (always CRC-32) in place:
+/// each subfile is created (or reused on re-ingest), left flushed and
+/// footer-sealed, marked footer-checked, and given the header it was
+/// written with. The grid shape must already be validated against the
+/// config by the caller.
 [[nodiscard]] Result<IngestStats> ingest_variable(
     pfs::PfsStorage* fs, const std::string& store_name, VariableState& var,
     const Grid& grid, const WriteOptions& opts);

@@ -14,7 +14,6 @@
 #include "plod/plod.hpp"
 #include "sfc/hilbert.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 
 namespace mloc::fsck {
 namespace {
@@ -139,9 +138,9 @@ void check_fragment_payload(StoreContext& ctx, int bin,
     }
     const std::span<const std::uint8_t> raw =
         std::span<const std::uint8_t>(dat).subspan(seg.offset, seg.length);
-    if (fnv1a64(raw) != seg.checksum) {
+    if (segment_checksum(ctx.var->checksum, raw) != seg.checksum) {
       sink.add("planes", name,
-               "group " + u64str(g) + " segment failed FNV checksum");
+               "group " + u64str(g) + " segment failed checksum");
       return;
     }
     if (ctx.var->byte_codec != nullptr) {
@@ -390,8 +389,8 @@ void check_bin(StoreContext& ctx, int bin, const Options& opts,
     }
     const auto blob = std::span<const std::uint8_t>(idx.value())
                           .subspan(header_len + pos.offset, pos.length);
-    if (fnv1a64(blob) != pos.checksum) {
-      sink.add("positions", fname, "position blob failed FNV checksum");
+    if (segment_checksum(ctx.var->checksum, blob) != pos.checksum) {
+      sink.add("positions", fname, "position blob failed checksum");
       continue;
     }
     auto decoded = decode_positions(blob, frag.count);
@@ -548,9 +547,9 @@ void check_index(const StoreContext& ctx, VariableLayoutInfo& info,
     }
     const auto seg = std::span<const std::uint8_t>(raw.value())
                          .subspan(header_len + n.offset, n.length);
-    if (fnv1a64(seg) != n.checksum) {
+    if (segment_checksum(ctx.var->checksum, seg) != n.checksum) {
       sink.add("index", node_name(name, i, n),
-               "node bitmap failed FNV checksum");
+               "node bitmap failed checksum");
       continue;
     }
     ByteReader r(seg);
@@ -657,6 +656,7 @@ std::string Report::json() const {
     const VariableLayoutInfo& v = variable_layouts[i];
     if (i > 0) out += ",";
     out += "{\"name\":\"" + json_escape(v.name) + "\",";
+    out += "\"checksum\":\"" + json_escape(v.checksum) + "\",";
     out += "\"layout\":{";
     out += "\"order\":\"" + json_escape(v.order) + "\",";
     out += "\"curve\":\"" + json_escape(v.curve) + "\",";
@@ -741,6 +741,7 @@ Report LayoutVerifier::verify_store(const std::string& name) const {
     info.chunk_shape = layout.chunk_shape.to_string();
     info.num_bins = layout.num_bins;
     info.plod_capable = vs.plod_capable();
+    info.checksum = std::string(checksum_kind_name(vs.checksum));
     info.index_fanout = layout.index_fanout;
     report.variable_layouts.push_back(std::move(info));
 

@@ -17,14 +17,14 @@
 //   order       — fragments appear in strictly increasing curve rank, each
 //                 chunk at most once per bin, and the recomputed curve is a
 //                 valid permutation of the chunk lattice;
-//   positions   — every positional blob passes its FNV checksum, decodes
+//   positions   — every positional blob passes its checksum, decodes
 //                 to strictly ascending in-range offsets, and across bins
 //                 the positions of each chunk form a bijection onto the
 //                 chunk's cells;
 //   segments    — positional blobs tile the .idx blob section and payload
 //                 segments tile the .dat payload exactly (no gap, overlap,
 //                 or out-of-extent block);
-//   planes      — each payload segment passes its FNV checksum and decodes
+//   planes      — each payload segment passes its checksum and decodes
 //                 to the exact plane size (group_bytes(g) x count in PLoD
 //                 mode, 8 x count total; count doubles in whole-value
 //                 mode); for lossless codecs, decoded values must also lie
@@ -32,13 +32,18 @@
 //                 bin;
 //   index       — when the variable carries a hierarchical bitmap index
 //                 (.hbx): the node table decodes and matches the store
-//                 geometry, every node bitmap passes its FNV checksum and
+//                 geometry, every node bitmap passes its checksum and
 //                 decodes to the grid's bit width with the recorded
 //                 popcount, every level-k aggregate equals the OR of its
 //                 children, and every leaf equals the union of its bin's
 //                 positional-index entries mapped to global offsets. A
 //                 truncated or mis-sealed .hbx reports under "footer" on
 //                 the "<var>.hbx" object.
+//
+// Every checksum above is the variable's own kind (segment_checksum in
+// core/layout.hpp: CRC-32 for what ingest writes, FNV-1a for variables
+// carried over from a v2–v5 meta); the JSON report gives each variable's
+// kind as "checksum".
 //
 // Results come back as a Report: a list of structured issues plus a human
 // rendering and a machine-readable JSON document for CI.
@@ -80,6 +85,7 @@ struct VariableLayoutInfo {
   std::string chunk_shape;
   int num_bins = 0;
   bool plod_capable = false;
+  std::string checksum;    ///< segment checksum kind: "crc32" / "fnv1a64"
   // Hierarchical bitmap index, when the layout carries one.
   int index_fanout = 0;          ///< 0 = no .hbx
   bool hbx_present = false;

@@ -1,9 +1,11 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the subfile
-// footer checksum and the wire frame checksum. FNV-1a (hash.hpp) guards
-// individual segments; the CRC footer covers a subfile's entire payload so
-// truncation, extension, and damage to the fragment-table bytes themselves
-// are also caught (those bytes are not covered by any per-segment
-// checksum).
+// footer checksum, the wire frame checksum and, since meta v6, the
+// checksum of every segment and .hbx node ingest writes (zero-extended
+// into their 64-bit fields; segment_checksum in core/layout.hpp). The
+// per-segment checksum is verified before each segment is decoded; the
+// footer covers a subfile's entire payload, so truncation, extension, and
+// damage to the fragment-table bytes themselves (which no segment checksum
+// covers) are caught too.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
-// FNV-1a 64-bit hashing — the integrity checksum on every MLOC subfile
-// segment. Not cryptographic; catches the storage-corruption and
-// truncation faults the failure-injection tests exercise.
+// FNV-1a 64-bit hashing: FragmentCache's key hash, and the segment and
+// .hbx node checksum of variables written before meta v6 (ChecksumKind::
+// kFnv1a64 in core/layout.hpp), which stay readable. One multiply per
+// byte, so it runs well under 1 GB/s; new variables checksum with the
+// folded CRC-32 (crc32.hpp) instead. Not cryptographic.
 #pragma once
 
 #include <cstdint>

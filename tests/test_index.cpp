@@ -19,7 +19,6 @@
 #include "tools/fsck.hpp"
 #include "tune/trace.hpp"
 #include "tune/tuner.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace mloc {
@@ -61,11 +60,13 @@ WahBitmap leaf_union(const std::vector<WahBitmap>& leaves, int first,
 
 // ------------------------------------------------------------ tree build
 
-TEST(HbxBuild, HeaderRoundTripAndAggregates) {
+/// Build, round-trip and verify a 13-bin tree whose node checksums are
+/// of `kind`.
+void check_header_round_trip(ChecksumKind kind) {
   const std::uint64_t nbits = 1000;
   const int nbins = 13;  // non-power-of-fanout: ragged top levels
   const auto leaves = random_leaves(nbins, nbits, 7);
-  const HbxBuild built = index::build_index(leaves, nbits, 4);
+  const HbxBuild built = index::build_index(leaves, nbits, 4, kind);
 
   // Level structure: 13 -> 4 -> 1.
   ASSERT_EQ(built.header.num_levels(), 3);
@@ -114,7 +115,7 @@ TEST(HbxBuild, HeaderRoundTripAndAggregates) {
     const auto seg = std::span<const std::uint8_t>(built.file)
                          .subspan(built.header.header_len + n.offset,
                                   n.length);
-    EXPECT_EQ(fnv1a64(seg), n.checksum) << "node " << i;
+    EXPECT_EQ(segment_checksum(kind, seg), n.checksum) << "node " << i;
     ByteReader r(seg);
     auto bm = WahBitmap::deserialize(r);
     ASSERT_TRUE(bm.is_ok());
@@ -122,14 +123,26 @@ TEST(HbxBuild, HeaderRoundTripAndAggregates) {
   }
 }
 
+// Ingest writes CRC-32 node checksums; a variable carried over from a
+// v2–v5 meta reads FNV-1a ones. build_index writes either.
+TEST(HbxBuild, HeaderRoundTripAndAggregates) {
+  for (const ChecksumKind kind :
+       {ChecksumKind::kCrc32, ChecksumKind::kFnv1a64}) {
+    SCOPED_TRACE(std::string(checksum_kind_name(kind)));
+    check_header_round_trip(kind);
+  }
+}
+
 TEST(HbxBuild, SingleBinAndBinaryFanout) {
   const std::uint64_t nbits = 64;
-  const HbxBuild one = index::build_index(random_leaves(1, nbits, 3), nbits, 2);
+  const HbxBuild one = index::build_index(random_leaves(1, nbits, 3), nbits, 2,
+                                          ChecksumKind::kCrc32);
   EXPECT_EQ(one.header.num_levels(), 1);
   EXPECT_EQ(one.header.nodes.size(), 1u);
 
   const auto leaves = random_leaves(8, nbits, 4);
-  const HbxBuild bin = index::build_index(leaves, nbits, 2);
+  const HbxBuild bin =
+      index::build_index(leaves, nbits, 2, ChecksumKind::kCrc32);
   EXPECT_EQ(bin.header.num_levels(), 4);  // 8 -> 4 -> 2 -> 1
   EXPECT_EQ(bin.header.nodes.size(), 15u);
 }
@@ -138,7 +151,8 @@ TEST(HbxCover, RandomSpansMatchLeafUnion) {
   const std::uint64_t nbits = 500;
   const int nbins = 21;
   const auto leaves = random_leaves(nbins, nbits, 11);
-  const HbxBuild built = index::build_index(leaves, nbits, 3);
+  const HbxBuild built =
+      index::build_index(leaves, nbits, 3, ChecksumKind::kCrc32);
 
   Rng rng(99);
   for (int t = 0; t < 200; ++t) {
@@ -485,10 +499,14 @@ struct HbxImage {
   Bytes content;
   std::size_t payload_end = 0;  ///< bytes before the footer
   HbxHeader header;
+  ChecksumKind checksum = ChecksumKind::kCrc32;  ///< phi's, from the meta
 };
 
 HbxImage read_hbx(pfs::PfsStorage& fs) {
   HbxImage img;
+  auto store = MlocStore::open(&fs, "s");
+  EXPECT_TRUE(store.is_ok());
+  img.checksum = store.value().variable("phi").value()->checksum;
   auto fid = fs.open("s/phi.hbx");
   EXPECT_TRUE(fid.is_ok());
   img.fid = fid.value();
@@ -526,14 +544,15 @@ NodeWords node_words(const HbxImage& img, std::size_t id) {
   return out;
 }
 
-/// Recompute node `id`'s FNV checksum, write the header back, re-seal the
-/// footer and store the file. False (nothing stored) when the header's
-/// size changed, since the store's meta records it.
+/// Recompute node `id`'s checksum under the variable's kind, write the
+/// header back, re-seal the footer and store the file. False (nothing
+/// stored) when the header's size changed, since the store's meta records
+/// it.
 bool reseal_node(pfs::PfsStorage& fs, HbxImage& img, std::size_t id) {
   HbxNode& n = img.header.nodes[id];
-  n.checksum = fnv1a64(std::span<const std::uint8_t>(img.content)
-                           .subspan(img.header.header_len + n.offset,
-                                    n.length));
+  n.checksum = segment_checksum(
+      img.checksum, std::span<const std::uint8_t>(img.content)
+                        .subspan(img.header.header_len + n.offset, n.length));
   const Bytes head = img.header.serialize();
   if (head.size() != img.header.header_len) return false;
   std::memcpy(img.content.data(), head.data(), head.size());
@@ -544,7 +563,7 @@ bool reseal_node(pfs::PfsStorage& fs, HbxImage& img, std::size_t id) {
 }
 
 /// Swap one set and one clear payload bit inside a literal WAH word of
-/// node `id`'s serialized bitmap, recompute the node's FNV checksum in the
+/// node `id`'s serialized bitmap, recompute the node's checksum in the
 /// header, and re-seal the footer. Length, stream validity, bit width and
 /// popcount all survive, so only the semantic invariants (aggregate OR /
 /// leaf vs positional index) can trip. Returns false when the node has no
@@ -572,7 +591,7 @@ bool corrupt_node_bitmap(pfs::PfsStorage& fs, std::size_t id) {
 }
 
 /// Set the first padding bit (the grid's volume, one past its last point)
-/// in node `id`'s final WAH group, then re-seal the node's popcount, FNV
+/// in node `id`'s final WAH group, then re-seal the node's popcount,
 /// checksum and the footer, so the node passes the popcount check that a
 /// plain padding flip would trip. A final 0-fill of one group is rewritten
 /// as a literal in place. Returns false when `id` is past the node table,

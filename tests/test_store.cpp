@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -18,6 +20,7 @@
 #include "plod/plod.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
+#include "util/crc32.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -49,6 +52,15 @@ Truth brute_force(const Grid& grid, const Query& q) {
     if (q.values_needed) out.values.push_back(level_values[i]);
   }
   return out;
+}
+
+/// The version word of store `name`'s meta (after the "MLOC" magic).
+std::uint32_t meta_version(const pfs::PfsStorage& fs, const std::string& name) {
+  const pfs::FileId meta = fs.open(name + ".meta").value();
+  const Bytes head = fs.read(meta, 0, 8).value();
+  ByteReader r(head);
+  EXPECT_EQ(r.get_u32().value(), 0x4D4C4F43u);  // "MLOC"
+  return r.get_u32().value();
 }
 
 MlocConfig small_config(const NDShape& shape, const NDShape& chunk,
@@ -689,11 +701,12 @@ TEST(StorePersistence, OpenAfterCreateSeesIdenticalResults) {
   EXPECT_EQ(res.value().positions, truth.positions);
 }
 
-// New stores write meta v5: their mzip streams may take the stored form,
-// which a v4 reader would call corrupt, so such a reader refuses the store
-// as an unknown version instead. The store holds both stream forms, the
+// New stores write meta v6: their segment checksums are CRC-32, which a v5
+// reader would read as FNV-1a and call corrupt, so such a reader refuses
+// the store as an unknown version instead. Every stored checksum is a
+// zero-extended CRC-32, the store holds both mzip stream forms, the
 // reopened store answers as the raw grid does, and fsck finds it clean.
-TEST(StorePersistence, NewStoreWritesMetaV5AndHoldsBothStreamForms) {
+TEST(StorePersistence, NewStoreWritesMetaV6AndHoldsBothStreamForms) {
   pfs::PfsStorage fs;
   const Grid grid = test_grid_2d();
   int stored = 0;
@@ -703,15 +716,20 @@ TEST(StorePersistence, NewStoreWritesMetaV5AndHoldsBothStreamForms) {
     // groups code stored.
     MlocConfig cfg = small_config(grid.shape(), NDShape{32, 32}, "mzip");
     cfg.layout.num_bins = 2;
-    auto store = MlocStore::create(&fs, "v5", cfg);
+    auto store = MlocStore::create(&fs, "v6", cfg);
     ASSERT_TRUE(store.is_ok());
     ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
     const VariableState& var = *store.value().variable("phi").value();
+    EXPECT_EQ(var.checksum, ChecksumKind::kCrc32);
     for (const VariableState::Bin& bin : var.bins) {
       for (const FragmentInfo& f : bin.idx.header()->fragments) {
+        EXPECT_EQ(f.positions.checksum >> 32, 0u);
         for (const Segment& seg : f.groups) {
-          const Bytes head = fs.read(bin.dat.file, seg.offset, 1).value();
-          ++(head[0] == 0 ? stored : dynamic);
+          EXPECT_EQ(seg.checksum >> 32, 0u);
+          const Bytes bytes =
+              fs.read(bin.dat.file, seg.offset, seg.length).value();
+          EXPECT_EQ(seg.checksum, crc32(bytes));
+          ++(bytes[0] == 0 ? stored : dynamic);
         }
       }
     }
@@ -719,13 +737,9 @@ TEST(StorePersistence, NewStoreWritesMetaV5AndHoldsBothStreamForms) {
   EXPECT_GT(stored, 0);
   EXPECT_GT(dynamic, 0);
 
-  const pfs::FileId meta = fs.open("v5.meta").value();
-  const Bytes meta_head = fs.read(meta, 0, 8).value();
-  ByteReader r(meta_head);
-  EXPECT_EQ(r.get_u32().value(), 0x4D4C4F43u);  // "MLOC"
-  EXPECT_EQ(r.get_u32().value(), 5u);
+  EXPECT_EQ(meta_version(fs, "v6"), 6u);
 
-  auto reopened = MlocStore::open(&fs, "v5");
+  auto reopened = MlocStore::open(&fs, "v6");
   ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
   Query vc;
   vc.vc = ValueConstraint{-0.1, 0.3};
@@ -739,7 +753,7 @@ TEST(StorePersistence, NewStoreWritesMetaV5AndHoldsBothStreamForms) {
     EXPECT_EQ(res.value().values, truth.values);
   }
 
-  const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("v5");
+  const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("v6");
   EXPECT_TRUE(report.ok()) << report.human();
   EXPECT_GT(report.fragments_checked, 0u);
 }
@@ -1378,6 +1392,8 @@ TEST(BackCompat, V2StoreFixtureOpensAndQueries) {
   EXPECT_TRUE(layout.value()->interleave.empty());
   // The store-wide legacy layout doubles as the default layout.
   EXPECT_EQ(store.value().config().layout, *layout.value());
+  EXPECT_EQ(store.value().variable("temp").value()->checksum,
+            ChecksumKind::kFnv1a64);
 
   Query q;
   q.vc = ValueConstraint{0.2, 0.8};
@@ -1428,6 +1444,7 @@ TEST(BackCompat, V4StoreFixtureOpensAndQueries) {
   EXPECT_EQ(var.layout.codec, "mzip");
   EXPECT_EQ(var.layout.index_fanout, 2);
   EXPECT_TRUE(var.hbx.has_value());
+  EXPECT_EQ(var.checksum, ChecksumKind::kFnv1a64);
 
   // A value query with values: bins 3..6 aligned, 2 and 7 filtered.
   Query q;
@@ -1459,6 +1476,216 @@ TEST(BackCompat, V4StoreFixtureOpensAndQueries) {
   const fsck::Report report =
       fsck::LayoutVerifier(&fs.value()).verify_store("store");
   EXPECT_TRUE(report.ok()) << report.human();
+}
+
+
+/// tests/data/v5-store, loaded into memory: writes to it stay in the copy.
+pfs::PfsStorage load_v5_fixture() {
+  auto fs = pfs::PfsStorage::load_from_dir(std::string(MLOC_TEST_DATA_DIR) +
+                                           "/v5-store");
+  EXPECT_TRUE(fs.is_ok()) << fs.status().to_string();
+  return std::move(fs).value();
+}
+
+/// The grid mloc_cli wrote into tests/data/v5-store (`--dataset gts --edge
+/// 64 --seed 1`).
+Grid v5_fixture_grid() { return datagen::gts_like(64, 1); }
+
+/// Counts a query's .hbx node reads: every node a cold query decodes is
+/// offered to the provider under kHbxNodeChunk. Serves nothing.
+class NodeCounter : public FragmentProvider {
+ public:
+  std::shared_ptr<const FragmentData> lookup(const FragmentKey&) override {
+    return nullptr;
+  }
+  void insert(const FragmentKey& key,
+              std::shared_ptr<const FragmentData>) override {
+    if (key.chunk == kHbxNodeChunk) ++nodes;
+  }
+  std::atomic<int> nodes{0};
+};
+
+TEST(BackCompat, V5StoreFixtureOpensAndQueries) {
+  // tests/data/v5-store was written by the meta v5 code, whose segment and
+  // .hbx node checksums are FNV-1a: `mloc_cli build --dataset gts --edge 64
+  // --chunk 32 --bins 8 --codec mzip --index-fanout 2 --seed 1 --var temp`
+  // (fragments of about 128 values, so both mzip stream forms occur). Its
+  // answers below were recorded with that code.
+  pfs::PfsStorage fs = load_v5_fixture();
+  EXPECT_EQ(meta_version(fs, "store"), 5u);
+  auto store = MlocStore::open(&fs, "store");
+  ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+
+  EXPECT_EQ(store.value().variables(), std::vector<std::string>{"temp"});
+  const VariableState& var = *store.value().variable("temp").value();
+  EXPECT_EQ(var.layout.chunk_shape, (NDShape{32, 32}));
+  EXPECT_EQ(var.layout.num_bins, 8);
+  EXPECT_EQ(var.layout.codec, "mzip");
+  EXPECT_EQ(var.layout.index_fanout, 2);
+  EXPECT_TRUE(var.hbx.has_value());
+  EXPECT_EQ(var.checksum, ChecksumKind::kFnv1a64);
+
+  // A value query with values: 5 aligned bins, the boundary bins filtered.
+  Query q;
+  q.vc = ValueConstraint{-0.1, 0.5};
+  q.values_needed = true;
+  auto res = store.value().execute("temp", q, 2);
+  ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+  EXPECT_EQ(res.value().positions.size(), 3017u);
+  EXPECT_EQ(res.value().aligned_bins, 5u);
+  EXPECT_EQ(answer_hash(res.value().positions), 0x905cb85eae79aa09ull);
+  EXPECT_EQ(answer_hash(res.value().values), 0x30be73a9ac866195ull);
+
+  // A region-only query whose 2 aligned bins are answered from .hbx nodes
+  // (their FNV-1a checksums verified on the way); the flat per-bin path
+  // gives the same positions.
+  Query region;
+  region.vc = ValueConstraint{-0.2, 0.02};
+  region.values_needed = false;
+  NodeCounter counter;
+  store.value().set_fragment_provider(&counter);
+  auto hier = store.value().execute("temp", region, 2);
+  store.value().set_fragment_provider(nullptr);
+  ASSERT_TRUE(hier.is_ok()) << hier.status().to_string();
+  EXPECT_GT(counter.nodes.load(), 0);
+  EXPECT_EQ(hier.value().positions.size(), 1776u);
+  EXPECT_EQ(hier.value().aligned_bins, 2u);
+  EXPECT_EQ(answer_hash(hier.value().positions), 0xd810f081cb39736eull);
+  exec::ExecOptions flat;
+  flat.use_hbx = false;
+  auto flat_res = store.value().execute("temp", region, 2, flat);
+  ASSERT_TRUE(flat_res.is_ok()) << flat_res.status().to_string();
+  EXPECT_EQ(flat_res.value().positions, hier.value().positions);
+
+  const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("store");
+  EXPECT_TRUE(report.ok()) << report.human();
+  ASSERT_EQ(report.variable_layouts.size(), 1u);
+  EXPECT_EQ(report.variable_layouts[0].checksum, "fnv1a64");
+}
+
+/// True when every positional blob and payload segment of `var` verifies
+/// under `kind`, read straight from its subfiles.
+bool segments_verify_as(const pfs::PfsStorage& fs, const VariableState& var,
+                        ChecksumKind kind) {
+  for (const VariableState::Bin& bin : var.bins) {
+    const Bytes table = fs.read(bin.idx.file, 0, bin.idx.header_len).value();
+    ByteReader r(table);
+    const BinLayout layout = BinLayout::deserialize(r).value();
+    for (const FragmentInfo& f : layout.fragments) {
+      const Bytes blob = fs.read(bin.idx.file,
+                                 bin.idx.header_len + f.positions.offset,
+                                 f.positions.length)
+                             .value();
+      if (segment_checksum(kind, blob) != f.positions.checksum) return false;
+      for (const Segment& seg : f.groups) {
+        const Bytes bytes =
+            fs.read(bin.dat.file, seg.offset, seg.length).value();
+        if (segment_checksum(kind, bytes) != seg.checksum) return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// `var` of `store` answers a VC with values, an SC and a region-only VC
+/// exactly as a scan of `grid` does.
+void expect_answers_like_grid(const MlocStore& store, const std::string& var,
+                              const Grid& grid) {
+  Query vc;
+  vc.vc = ValueConstraint{-0.1, 0.5};
+  vc.values_needed = true;
+  Query sc;
+  sc.sc = Region(2, Coord{5, 9}, Coord{50, 33});
+  Query region;
+  region.vc = ValueConstraint{-0.2, 0.02};
+  region.values_needed = false;
+  for (const Query& q : {vc, sc, region}) {
+    auto res = store.execute(var, q, 2);
+    ASSERT_TRUE(res.is_ok()) << var << ": " << res.status().to_string();
+    const Truth truth = brute_force(grid, q);
+    EXPECT_EQ(res.value().positions, truth.positions) << var;
+    EXPECT_EQ(res.value().values, truth.values) << var;
+  }
+}
+
+// A v5 store that takes a new variable is rewritten at meta v6 and holds
+// both checksum kinds: the old variable keeps its FNV-1a checksums until it
+// is re-ingested, the new one is CRC-32, and both answer as the grid does.
+TEST(BackCompat, V5StoreMixesChecksumKindsUntilReingest) {
+  pfs::PfsStorage fs = load_v5_fixture();
+  const Grid temp = v5_fixture_grid();
+  const Grid pres = datagen::gts_like(64, 2);
+  {
+    auto store = MlocStore::open(&fs, "store");
+    ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+    ASSERT_TRUE(store.value().write_variable("pres", pres).is_ok());
+  }
+  EXPECT_EQ(meta_version(fs, "store"), 6u);
+
+  {
+    auto store = MlocStore::open(&fs, "store");
+    ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+    EXPECT_EQ(store.value().variables(),
+              (std::vector<std::string>{"temp", "pres"}));
+    const VariableState& t = *store.value().variable("temp").value();
+    const VariableState& p = *store.value().variable("pres").value();
+    EXPECT_EQ(t.checksum, ChecksumKind::kFnv1a64);
+    EXPECT_EQ(p.checksum, ChecksumKind::kCrc32);
+    EXPECT_TRUE(p.hbx.has_value());  // the store's default layout
+    EXPECT_TRUE(segments_verify_as(fs, t, ChecksumKind::kFnv1a64));
+    EXPECT_FALSE(segments_verify_as(fs, t, ChecksumKind::kCrc32));
+    EXPECT_TRUE(segments_verify_as(fs, p, ChecksumKind::kCrc32));
+    EXPECT_FALSE(segments_verify_as(fs, p, ChecksumKind::kFnv1a64));
+    expect_answers_like_grid(store.value(), "temp", temp);
+    expect_answers_like_grid(store.value(), "pres", pres);
+
+    const fsck::Report report =
+        fsck::LayoutVerifier(&fs).verify_store("store");
+    EXPECT_TRUE(report.ok()) << report.human();
+    ASSERT_EQ(report.variable_layouts.size(), 2u);
+    EXPECT_EQ(report.variable_layouts[0].checksum, "fnv1a64");
+    EXPECT_EQ(report.variable_layouts[1].checksum, "crc32");
+
+    // Re-ingesting temp moves it to CRC-32.
+    ASSERT_TRUE(store.value().write_variable("temp", temp).is_ok());
+    EXPECT_EQ(store.value().variable("temp").value()->checksum,
+              ChecksumKind::kCrc32);
+  }
+
+  auto store = MlocStore::open(&fs, "store");
+  ASSERT_TRUE(store.is_ok()) << store.status().to_string();
+  const VariableState& t = *store.value().variable("temp").value();
+  EXPECT_EQ(t.checksum, ChecksumKind::kCrc32);
+  EXPECT_TRUE(segments_verify_as(fs, t, ChecksumKind::kCrc32));
+  expect_answers_like_grid(store.value(), "temp", temp);
+  expect_answers_like_grid(store.value(), "pres", pres);
+  const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("store");
+  EXPECT_TRUE(report.ok()) << report.human();
+}
+
+// A v6 meta whose checksum-kind byte names no kind is refused on open.
+TEST(StorePersistence, UnknownChecksumKindIsCorruptData) {
+  pfs::PfsStorage fs;
+  const Grid grid = test_grid_2d();
+  {
+    auto store = MlocStore::create(
+        &fs, "k", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
+    ASSERT_TRUE(store.is_ok());
+    ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+  }
+  const pfs::FileId meta = fs.open("k.meta").value();
+  Bytes content = fs.read(meta, 0, fs.file_size(meta).value()).value();
+  const std::uint64_t payload = verify_subfile_footer(content).value();
+  content.resize(payload);
+  // The one variable's kind byte ends the meta payload.
+  ASSERT_EQ(content.back(), static_cast<std::uint8_t>(ChecksumKind::kCrc32));
+  content.back() = 2;
+  append_subfile_footer(content);
+  ASSERT_TRUE(fs.set_contents(meta, std::move(content)).is_ok());
+  auto reopened = MlocStore::open(&fs, "k");
+  ASSERT_FALSE(reopened.is_ok());
+  EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruptData);
+  EXPECT_EQ(reopened.status().message(), "meta: unknown checksum kind");
 }
 
 }  // namespace
