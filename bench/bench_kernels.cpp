@@ -4,7 +4,9 @@
 // byte-/bit-identical, and reports GB/s plus the fast/scalar speedup. Two
 // rows have another reference: mzip_decode_stored times the planes that
 // code stored against inflating their dynamic streams, and
-// segment_checksum times the folded CRC-32 against FNV-1a.
+// segment_checksum times the folded CRC-32 against FNV-1a. The
+// fragment_emit row times the engine's emit pass against the row walk it
+// replaced.
 // Results land in BENCH_kernels.json (`MLOC_BENCH_JSON` overrides the
 // path); the binary exits non-zero if any kernel's outputs differ or its
 // speedup drops below 1.0, and CI's bench-smoke job jq-asserts the same
@@ -25,6 +27,8 @@
 #include "common/bench_common.hpp"
 #include "compress/mzip.hpp"
 #include "core/layout.hpp"
+#include "datagen/datagen.hpp"
+#include "exec/decode_pipeline.hpp"
 #include "exec/gather.hpp"
 #include "plod/plod.hpp"
 #include "util/crc32.hpp"
@@ -363,6 +367,104 @@ KernelResult bench_gather(std::size_t n, const char* name) {
   return out;
 }
 
+/// The engine's emit pass over the V-M-S fragments of a 1024^2 GTS-like
+/// field in 256^2 chunks and 100 equal-frequency bins: per chunk and bin,
+/// the bin's ascending chunk-local offsets and their values. The query
+/// returns values at PLoD level 3 under an SC that clips the edge chunks
+/// and a VC whose bounds fall inside bins: the fragments of the two
+/// misaligned bins carry full-precision values and the VC test, those of
+/// aligned bins level-3 values and no test, and the rest are skipped as
+/// the planner skips them. Identical when both sides give equal positions
+/// and value bits.
+KernelResult bench_fragment_emit() {
+  constexpr std::uint32_t kEdge = 1024;
+  constexpr std::uint32_t kChunk = 256;
+  constexpr int kBins = 100;
+  constexpr int kLevel = 3;
+  const Grid grid = datagen::gts_like(kEdge, 20120910);
+  const NDShape& shape = grid.shape();
+  const BinningScheme scheme = BinningScheme::equal_frequency(grid.values(),
+                                                              kBins);
+  // Bounds a third of the way into bins 30 and 60.
+  const auto inside = [&](int bin) {
+    return scheme.lower(bin) + (scheme.upper(bin) - scheme.lower(bin)) / 3;
+  };
+  const ValueConstraint vc{inside(30), inside(60)};
+  const Region sc(2, {100, 60}, {900, 1000});
+
+  struct Fragment {
+    Region chunk;
+    bool misaligned = false;
+    std::vector<std::uint32_t> local;
+    std::vector<double> vals;  // at the fetch level
+  };
+  std::vector<Fragment> frags;
+  double bytes = 0;
+  for (std::uint32_t c0 = 0; c0 < kEdge; c0 += kChunk) {
+    for (std::uint32_t c1 = 0; c1 < kEdge; c1 += kChunk) {
+      const Region chunk(2, {c0, c1}, {c0 + kChunk, c1 + kChunk});
+      std::vector<Fragment> by_bin(kBins);
+      for (std::uint32_t i = 0; i < kChunk; ++i) {
+        for (std::uint32_t j = 0; j < kChunk; ++j) {
+          const double v = grid.at({c0 + i, c1 + j, 0, 0});
+          Fragment& f = by_bin[static_cast<std::size_t>(scheme.bin_of(v))];
+          f.local.push_back(i * kChunk + j);
+          f.vals.push_back(v);
+        }
+      }
+      for (int b = 0; b < kBins; ++b) {
+        Fragment& f = by_bin[static_cast<std::size_t>(b)];
+        const bool aligned = scheme.aligned(b, vc.lo, vc.hi);
+        if (f.local.empty() || (!aligned && (scheme.upper(b) <= vc.lo ||
+                                             scheme.lower(b) >= vc.hi))) {
+          continue;
+        }
+        f.chunk = chunk;
+        f.misaligned = !aligned;
+        if (aligned) plod::degrade_into(f.vals, kLevel, f.vals);
+        bytes += static_cast<double>(f.local.size()) *
+                 (sizeof(std::uint32_t) + sizeof(double));
+        frags.push_back(std::move(f));
+      }
+    }
+  }
+
+  const auto run = [&](auto emit, std::vector<std::uint64_t>& positions,
+                       std::vector<double>& values) {
+    positions.clear();
+    values.clear();
+    for (const Fragment& f : frags) {
+      exec::EmitSpec spec;
+      spec.shape = &shape;
+      spec.chunk = f.chunk;
+      spec.sc = &sc;
+      spec.vc = f.misaligned ? &vc : nullptr;
+      spec.values_needed = true;
+      spec.level = kLevel;
+      emit(spec, f.local, f.vals, positions, values);
+    }
+  };
+  std::vector<std::uint64_t> fast_pos;
+  std::vector<double> fast_vals;
+  std::vector<std::uint64_t> ref_pos;
+  std::vector<double> ref_vals;
+  KernelResult out;
+  out.name = "fragment_emit";
+  out.mb = bytes / 1e6;
+  out.fast_s = best_seconds([&] {
+    run([](auto&&... a) { exec::emit_fragment(a...); }, fast_pos, fast_vals);
+  });
+  out.scalar_s = best_seconds([&] {
+    run([](auto&&... a) { exec::detail::scalar::emit_fragment(a...); },
+        ref_pos, ref_vals);
+  });
+  out.identical = !fast_pos.empty() && fast_pos == ref_pos &&
+                  fast_vals.size() == ref_vals.size() &&
+                  std::memcmp(fast_vals.data(), ref_vals.data(),
+                              fast_vals.size() * sizeof(double)) == 0;
+  return out;
+}
+
 Bitmap random_bitmap(std::uint64_t nbits, double density, std::uint64_t seed) {
   Bitmap bm(nbits);
   Rng rng(seed);
@@ -475,6 +577,7 @@ int main() {
   results.push_back(bench_segment_checksum(planes));
   results.push_back(bench_gather(300000, "gather"));
   results.push_back(bench_gather(30000, "gather_sparse"));
+  results.push_back(bench_fragment_emit());
   const Bitmap dense = random_bitmap(1u << 26, 0.5, 11);
   const Bitmap sparse = random_bitmap(1u << 26, 0.01, 13);
   results.push_back(bench_bitmap_count(dense));

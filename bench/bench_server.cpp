@@ -24,7 +24,7 @@
 // excluded from percentile math: connection setup and cold caches
 // otherwise dominate the tail.
 //
-// Emits BENCH_server.json (clients, qps in-process / tcp / shm,
+// Emits BENCH_server.json (host_threads, clients, qps in-process / tcp / shm,
 // shm_vs_tcp, split percentiles, identical_ok, throughput_ok, shm_ok)
 // and exits non-zero when any gate fails — CI runs this as the server
 // smoke test.
@@ -534,6 +534,8 @@ int main() {
   MLOC_CHECK_MSG(f != nullptr, "cannot open BENCH_server.json for writing");
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"server\",\n");
+  std::fprintf(f, "  \"host_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"clients\": %d,\n", clients);
   std::fprintf(f, "  \"queries_per_client\": %d,\n", per_client);
   std::fprintf(f, "  \"total_queries\": %llu,\n",

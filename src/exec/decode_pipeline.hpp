@@ -3,13 +3,15 @@
 // decode_fragment() is the decode-only successor of the old
 // MlocStore::fetch_fragment_values: it is fed pre-fetched buffers (the
 // merged batch-read extents) and performs positional-index decode, codec
-// decode, PLoD reassembly/degrade, and the VC/SC/bitmap filter for one
-// fragment. The filter walks the fragment's ascending chunk-local offsets
-// one chunk row at a time, so a point costs a subtract, a window compare
-// and an add; coordinates are worked out once per row. Qualifying points
-// are appended straight to the query's arrival buffer; provider
-// candidates and CPU timings come back in a DecodedFragment, which the
-// rank folds in task order.
+// decode, PLoD reassembly, and the emit pass for one fragment. The emit
+// pass (emit_fragment) takes every point once: it splits the chunk-local
+// offset into coordinates by multiply-shift division, builds a keep mask
+// from the SC window, the position filter and the VC without a branch,
+// degrades the value to the requested PLoD level, writes the point at a
+// cursor into the arrival buffer's tail and advances the cursor by the
+// mask. Everything decoded fresh comes back as one provider candidate in
+// a DecodedFragment, with the CPU timings; the rank inserts it in task
+// order.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "bitmap/bitmap.hpp"
 #include "exec/engine.hpp"
 #include "exec/io_scheduler.hpp"
+#include "plod/plod.hpp"
 #include "query/query.hpp"
 #include "util/bytes.hpp"
 
@@ -29,7 +32,7 @@ namespace mloc::exec {
 struct DecodeInput {
   const VariableState* var = nullptr;
   const NDShape* shape = nullptr;  ///< the store's grid shape
-  /// Hand fresh decodes back as provider candidates (a provider is set).
+  /// Hand fresh decodes back as a provider candidate (a provider is set).
   bool for_provider = false;
   const Query* q = nullptr;
   const Bitmap* position_filter = nullptr;
@@ -40,23 +43,71 @@ struct DecodeInput {
   const std::vector<Bytes>* buffers = nullptr;
 };
 
-/// Status, timings and cache candidates of one fragment's decode+filter.
+/// Buffers a rank reuses across its fragments.
+struct DecodeScratch {
+  std::vector<std::uint32_t> positions;  ///< a blob no candidate keeps
+  std::vector<double> values;            ///< assembled PLoD values
+};
+
+/// Status, timings and the cache candidate of one fragment's decode.
 struct DecodedFragment {
   Status status = Status::ok();
   double decompress_s = 0.0;
   double reconstruct_s = 0.0;
-  /// Provider-insert candidates, published by the rank in task order.
-  std::shared_ptr<FragmentData> fresh_positions;
-  std::shared_ptr<FragmentData> fresh_payload;
+  /// Provider-insert candidate, inserted by the rank in task order: the
+  /// fragment's positions and every payload plane (or whole-value buffer)
+  /// the task holds, fresh or cached. Null when nothing was decoded fresh
+  /// or there is no provider. Positions served from the cache are copied
+  /// in, so a candidate always supersedes the entry it was planned from.
+  std::shared_ptr<FragmentData> candidate;
 };
 
-/// Decode and filter one fragment, appending its qualifying linear
-/// positions to `positions` and, when the query needs values, the values
-/// alongside to `values` (the query's arrival buffer). Every check runs
-/// before the first append, so nothing is appended when the status is an
-/// error.
-DecodedFragment decode_fragment(const DecodeInput& in,
+/// Decode one fragment and emit its qualifying points (emit_fragment) into
+/// `positions` and, when the query needs values, `values` (the query's
+/// arrival buffer). Every check runs before the first write, so the
+/// buffers are unchanged when the status is an error.
+DecodedFragment decode_fragment(const DecodeInput& in, DecodeScratch& scratch,
                                 std::vector<std::uint64_t>& positions,
                                 std::vector<double>& values);
+
+/// What the emit pass needs to know about one fragment, all owned
+/// elsewhere.
+struct EmitSpec {
+  const NDShape* shape = nullptr;  ///< the store's grid
+  Region chunk;                    ///< the fragment's chunk, grid coordinates
+  const Region* sc = nullptr;      ///< spatial constraint, if any
+  /// Tested against the fetched values; null when no point needs the test.
+  const ValueConstraint* vc = nullptr;
+  const Bitmap* position_filter = nullptr;  ///< over grid offsets, if any
+  bool values_needed = false;
+  /// PLoD level of the returned values. Each is degraded to it as
+  /// plod::degrade_into does; values already at `level` pass unchanged.
+  int level = plod::kNumGroups;
+};
+
+/// Append the grid offsets of the fragment's points that lie in the SC
+/// window, pass the position filter and match the VC to `positions`, in
+/// the order of `local`, and their values at `spec.level` to `values`
+/// when `spec.values_needed`. `local` holds strictly ascending chunk-local
+/// row-major offsets, each below the chunk's volume. `vals` holds one
+/// value a point at the fetch level (unread when neither values nor a VC
+/// are needed). The tail is sized once, to local.size() or one more than
+/// the SC window's volume if that is smaller, and trimmed to the kept
+/// count afterwards.
+void emit_fragment(const EmitSpec& spec, std::span<const std::uint32_t> local,
+                   std::span<const double> vals,
+                   std::vector<std::uint64_t>& positions,
+                   std::vector<double>& values);
+
+namespace detail::scalar {
+/// Reference: degrade into a scratch buffer, then walk the offsets one
+/// chunk row at a time (one division and a delinearize per row, a window
+/// compare, the filter and VC branches and two push_backs per point).
+/// Output is identical to exec::emit_fragment.
+void emit_fragment(const EmitSpec& spec, std::span<const std::uint32_t> local,
+                   std::span<const double> vals,
+                   std::vector<std::uint64_t>& positions,
+                   std::vector<double>& values);
+}  // namespace detail::scalar
 
 }  // namespace mloc::exec

@@ -4,9 +4,10 @@
 // into the rank's IoLog, then walk the rank's tasks in consecutive
 // same-bin runs. Each run's segments are merged by the IoScheduler into a
 // handful of batch extents, fetched with one vectorized read_batch call,
-// and each fragment is decoded and filtered by decode_fragment, which
-// appends its points to the query's arrival buffer in task order on the
-// rank's own thread. The engine starts no thread; concurrency comes from
+// and each fragment is decoded and emitted by decode_fragment, which
+// writes its points into the query's arrival buffer in task order on the
+// rank's own thread and hands back at most one cache candidate, inserted
+// right away. The engine starts no thread; concurrency comes from
 // the caller (the QueryService worker pool runs whole queries side by
 // side).
 #include <algorithm>
@@ -202,6 +203,7 @@ Result<QueryResult> execute_query(const MlocStore& store,
       }
     }
 
+    DecodeScratch scratch;
     std::size_t a = 0;
     while (a < rp.tasks.size()) {
       std::size_t b = a;
@@ -252,19 +254,14 @@ Result<QueryResult> execute_query(const MlocStore& store,
         in.slots = std::span<const SlotRef>(slots).subspan(
             task.seg_begin - seg_begin, task.seg_count);
         in.buffers = &buffers;
-        DecodedFragment d = decode_fragment(in, arrivals, arrival_values);
+        DecodedFragment d =
+            decode_fragment(in, scratch, arrivals, arrival_values);
         MLOC_RETURN_IF_ERROR(std::move(d.status));
         ctx.times.decompress += d.decompress_s;
         ctx.times.reconstruct += d.reconstruct_s;
-        if (provider != nullptr) {
-          const FragmentKey key{var.name, task.bin, task.frag->chunk,
-                                var.epoch};
-          if (d.fresh_positions != nullptr) {
-            provider->insert(key, std::move(d.fresh_positions));
-          }
-          if (d.fresh_payload != nullptr) {
-            provider->insert(key, std::move(d.fresh_payload));
-          }
+        if (d.candidate != nullptr) {
+          provider->insert({var.name, task.bin, task.frag->chunk, var.epoch},
+                           std::move(d.candidate));
         }
       }
       a = b;

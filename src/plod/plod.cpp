@@ -465,14 +465,18 @@ void degrade_into(std::span<const double> values, int level,
   }
   // Keeping the top level+1 bytes and OR-ing the midpoint fill is exactly
   // assemble(shred(values), level), skipping the byte planes entirely.
-  const std::uint64_t keep = ~0ull << (8 * (kNumGroups - level));
-  const std::uint64_t fill = fill_for_level(level);
+  const DegradeMasks m = degrade_masks(level);
   for (std::size_t i = 0; i < values.size(); ++i) {
     std::uint64_t bits;
     std::memcpy(&bits, &values[i], sizeof bits);
-    bits = (bits & keep) | fill;
+    bits = (bits & m.keep) | m.fill;
     std::memcpy(&out[i], &bits, sizeof bits);
   }
+}
+
+DegradeMasks degrade_masks(int level) noexcept {
+  MLOC_DCHECK(level >= 1 && level <= kNumGroups);
+  return {~0ull << (8 * (kNumGroups - level)), fill_for_level(level)};
 }
 
 }  // namespace mloc::plod

@@ -88,6 +88,15 @@ Result<std::vector<double>> assemble(const Shredded& shredded, int level);
 void degrade_into(std::span<const double> values, int level,
                   std::span<double> out);
 
+/// The two masks of degrade_into at `level`: a value's bits become
+/// (bits & keep) | fill, which keeps its top level+1 bytes and sets the
+/// midpoint fill below them. A value already at `level` is unchanged.
+struct DegradeMasks {
+  std::uint64_t keep = ~std::uint64_t{0};
+  std::uint64_t fill = 0;
+};
+DegradeMasks degrade_masks(int level) noexcept;
+
 }  // namespace mloc::plod
 
 namespace mloc::detail::scalar {

@@ -46,6 +46,25 @@ std::shared_ptr<const FragmentData> FragmentCache::lookup(
   return it->second->data;
 }
 
+namespace {
+
+/// True when `cand` holds everything `old` holds and adds something: the
+/// positions, the whole-value buffer and the node bitmap if `old` has
+/// them, and a byte-plane prefix at least as deep.
+bool supersedes(const FragmentData& cand, const FragmentData& old) {
+  const bool covers = (old.positions.empty() || !cand.positions.empty()) &&
+                      (old.values.empty() || !cand.values.empty()) &&
+                      (!old.has_node || cand.has_node) &&
+                      cand.depth() >= old.depth();
+  const bool adds = (old.positions.empty() && !cand.positions.empty()) ||
+                    (old.values.empty() && !cand.values.empty()) ||
+                    (!old.has_node && cand.has_node) ||
+                    cand.depth() > old.depth();
+  return covers && adds;
+}
+
+}  // namespace
+
 void FragmentCache::insert(const FragmentKey& key,
                            std::shared_ptr<const FragmentData> data) {
   if (data == nullptr) return;
@@ -54,30 +73,16 @@ void FragmentCache::insert(const FragmentKey& key,
   sync::MutexLock lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
+    // A candidate that supersedes the entry is adopted as it is: published
+    // FragmentData is immutable, so swapping the pointer is the whole
+    // upgrade. Anything else only counts as a use of the entry.
     Entry& existing = *it->second;
-    // Merge: an entry accumulates the union of what queries have decoded
-    // for this fragment — the deepest PLoD prefix (or the whole-value
-    // buffer, already full precision) plus the positional index. Published
-    // FragmentData is immutable, so a gain produces a fresh merged object.
-    const bool deeper = existing.data->values.empty() &&
-                        data->depth() > existing.data->depth();
-    const bool gains_values =
-        existing.data->values.empty() && !data->values.empty();
-    const bool gains_positions =
-        existing.data->positions.empty() && !data->positions.empty();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    if (!deeper && !gains_values && !gains_positions) return;
-    auto merged = std::make_shared<FragmentData>(*existing.data);
-    if (deeper) merged->planes = data->planes;
-    if (gains_values) merged->values = data->values;
-    if (gains_positions) merged->positions = data->positions;
-    merged->count = existing.data->count != 0 ? existing.data->count
-                                              : data->count;
-    const std::uint64_t merged_bytes = merged->byte_size();
+    if (!supersedes(*data, *existing.data)) return;
     shard.bytes -= existing.bytes;
-    shard.bytes += merged_bytes;
-    existing.data = std::move(merged);
-    existing.bytes = merged_bytes;
+    shard.bytes += bytes;
+    existing.data = std::move(data);
+    existing.bytes = bytes;
     ++shard.stats.upgrades;
   } else {
     shard.lru.push_front(Entry{key, std::move(data), bytes});

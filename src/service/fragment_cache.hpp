@@ -4,11 +4,14 @@
 //
 // Keyed by (variable, bin, chunk); the entry stores the deepest decoded
 // PLoD byte-group prefix seen so far (or the whole decoded buffer in
-// whole-value mode). Because a prefix at depth D answers any request at
-// level <= D, a level-3 entry serves a level-2 query outright, and a
-// level-7 query only fetches the missing planes 3..6 from the PFS
-// (MlocStore::fetch_fragment_values does the splice; this class only
-// stores and evicts).
+// whole-value mode) with the fragment's positions. Because a prefix at
+// depth D answers any request at level <= D, a level-3 entry serves a
+// level-2 query outright, and a level-7 query only fetches the missing
+// planes 3..6 from the PFS (exec::decode_fragment does the splice and
+// offers one candidate holding positions and planes together; this class
+// only stores and evicts). A candidate that supersedes the entry (holds
+// all it holds, and more) replaces it by pointer; any other only touches
+// it.
 //
 // Eviction is byte-budgeted LRU, independently per shard (shard budget =
 // total budget / shards). Sharding by key hash keeps lock contention flat
@@ -42,7 +45,8 @@ class FragmentCache final : public FragmentProvider {
     std::uint64_t hits = 0;        ///< lookup returned an entry
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;  ///< new keys admitted
-    std::uint64_t upgrades = 0;    ///< existing entry replaced by a deeper one
+    /// existing entries replaced by a candidate that supersedes them
+    std::uint64_t upgrades = 0;
     std::uint64_t evictions = 0;   ///< entries dropped to fit the budget
     std::uint64_t bytes_cached = 0;
     std::uint64_t entries = 0;

@@ -4,12 +4,18 @@
 // against execution on cold caches, header-cache reuse on reopened stores,
 // fsck cleanliness after engine queries, a threads x shared-cache
 // stress for TSan, the gather (bitmap placement and radix sort) against the
-// pair-sort reference, and region-only answers taken as a grid bitmap.
+// pair-sort reference, region-only answers taken as a grid bitmap, and the
+// emit pass and its multiply-shift divider against the row-walk reference
+// and hardware division.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -20,12 +26,14 @@
 
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
+#include "exec/decode_pipeline.hpp"
 #include "exec/engine.hpp"
 #include "exec/gather.hpp"
 #include "exec/io_scheduler.hpp"
 #include "tune/tuner.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
+#include "util/divider.hpp"
 #include "util/rng.hpp"
 
 namespace mloc {
@@ -591,6 +599,186 @@ TEST(Engine, RegionBitsMatchPositions) {
     }
   }
   EXPECT_TRUE(hbx_engaged);
+}
+
+// ------------------------------------------------------------ emit pass
+
+// Multiply-shift division against `/` and `%` at the divisors around
+// powers of two and the 32-bit edges, at the numerators around each
+// divisor and the top of the range, plus random ones.
+TEST(Divider, MatchesHardwareDivision) {
+  const std::uint32_t divisors[] = {1,     2,     3,           7,
+                                    255,   256,   257,         65535,
+                                    65537, (1u << 31) + 1, 0xFFFFFFFFu};
+  Rng rng(31);
+  for (const std::uint32_t d : divisors) {
+    const Divider div(d);
+    std::vector<std::uint32_t> ns = {0, 1, d - 1, d, d + 1, 0xFFFFFFFFu};
+    for (int i = 0; i < 2000; ++i) {
+      ns.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+    }
+    for (const std::uint32_t n : ns) {
+      ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div.remainder(n), n % d) << n << " % " << d;
+    }
+  }
+}
+
+/// One random grid, chunk and fragment of the differential test.
+struct EmitCase {
+  NDShape shape;
+  Region chunk;
+  std::vector<std::uint32_t> local;
+  std::vector<double> raw;  ///< full-precision values, one a point
+};
+
+EmitCase random_emit_case(int ndims, Rng& rng) {
+  // Grid edges of 1, odd values and one above a power of two; chunk edges
+  // that leave partial chunks at the grid's far edges.
+  const std::uint32_t grid_edges[] = {1, 5, 7, 9, 17};
+  const std::uint32_t chunk_edges[] = {1, 2, 3, 4, 8};
+  Coord extents{};
+  Coord lo{};
+  Coord hi{};
+  for (int d = 0; d < ndims; ++d) {
+    extents[d] = grid_edges[rng.next_below(std::size(grid_edges))];
+    const std::uint32_t edge = chunk_edges[rng.next_below(std::size(chunk_edges))];
+    const std::uint32_t chunks = (extents[d] + edge - 1) / edge;
+    lo[d] = static_cast<std::uint32_t>(rng.next_below(chunks)) * edge;
+    hi[d] = std::min(lo[d] + edge, extents[d]);
+  }
+  EmitCase c{NDShape(ndims, extents), Region(ndims, lo, hi), {}, {}};
+  const double density = rng.next_double();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), 0.0,
+                             -0.0};
+  for (std::uint64_t off = 0; off < c.chunk.volume(); ++off) {
+    if (rng.next_double() >= density) continue;
+    c.local.push_back(static_cast<std::uint32_t>(off));
+    c.raw.push_back(rng.next_below(8) == 0
+                        ? specials[rng.next_below(std::size(specials))]
+                        : rng.next_double(-100.0, 100.0));
+  }
+  return c;
+}
+
+/// An SC that clips each dimension of `chunk` one of five ways: to nothing
+/// (an empty window inside the chunk), to one row, to the whole chunk, to
+/// a random part of it, or past the chunk on both sides.
+Region random_window(const NDShape& shape, const Region& chunk, Rng& rng) {
+  Coord lo{};
+  Coord hi{};
+  for (int d = 0; d < shape.ndims(); ++d) {
+    const std::uint32_t clo = chunk.lo(d);
+    const std::uint32_t ext = chunk.extent(d);
+    switch (rng.next_below(5)) {
+      case 0:  // empty
+        lo[d] = hi[d] = clo + static_cast<std::uint32_t>(rng.next_below(ext));
+        break;
+      case 1:  // one row
+        lo[d] = clo + static_cast<std::uint32_t>(rng.next_below(ext));
+        hi[d] = lo[d] + 1;
+        break;
+      case 2:  // the whole chunk
+        lo[d] = clo;
+        hi[d] = chunk.hi(d);
+        break;
+      case 3: {  // part of it
+        const auto a = static_cast<std::uint32_t>(rng.next_below(ext + 1));
+        const auto b = static_cast<std::uint32_t>(rng.next_below(ext + 1));
+        lo[d] = clo + std::min(a, b);
+        hi[d] = clo + std::max(a, b);
+        break;
+      }
+      default:  // past both sides
+        lo[d] = clo > 0 ? clo - 1 : 0;
+        hi[d] = std::min(chunk.hi(d) + 1, shape.extent(d));
+        break;
+    }
+  }
+  return Region(shape.ndims(), lo, hi);
+}
+
+std::vector<std::uint64_t> value_bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits(v.size());
+  if (!v.empty()) std::memcpy(bits.data(), v.data(), v.size() * sizeof(double));
+  return bits;
+}
+
+// The emit pass against the retained row walk (detail::scalar) over
+// random fragments of 1-D to 4-D grids: random SC windows (or none), VCs
+// whose bounds are stored values or infinite over values holding NaN and
+// ±inf, with and without a position filter, region-only and with values,
+// at every (fetch level, requested level) pair. Both append behind the
+// same non-empty prefix; positions and value bits must be identical.
+TEST(EmitPass, MatchesRowWalkReference) {
+  Rng rng(2027);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t kept_points = 0;
+  std::size_t dropped_points = 0;
+  for (int ndims = 1; ndims <= 4; ++ndims) {
+    for (int trial = 0; trial < 150; ++trial) {
+      const EmitCase c = random_emit_case(ndims, rng);
+      Bitmap filter(c.shape.volume());
+      for (std::uint64_t p = 0; p < c.shape.volume(); ++p) {
+        if (rng.next_below(2) == 0) filter.set(p);
+      }
+      std::optional<Region> sc;
+      if (rng.next_below(4) != 0) sc = random_window(c.shape, c.chunk, rng);
+      std::optional<ValueConstraint> vc;
+      const std::uint64_t vc_kind = rng.next_below(4);
+      if (vc_kind != 0 && !c.raw.empty()) {
+        // Bounds equal to stored values where they are finite.
+        double a = c.raw[rng.next_below(c.raw.size())];
+        double b = c.raw[rng.next_below(c.raw.size())];
+        if (std::isnan(a) || std::isinf(a)) a = 0.0;
+        if (std::isnan(b) || std::isinf(b)) b = 50.0;
+        if (a > b) std::swap(a, b);
+        if (a == b) b = a + 1.0;
+        if (vc_kind == 1) vc = ValueConstraint{a, b};
+        if (vc_kind == 2) vc = ValueConstraint{-kInf, b};
+        if (vc_kind == 3) vc = ValueConstraint{a, kInf};
+      }
+      for (int fetch = 1; fetch <= plod::kNumGroups; ++fetch) {
+        std::vector<double> vals(c.raw.size());
+        plod::degrade_into(c.raw, fetch, vals);
+        for (int level = 1; level <= fetch; ++level) {
+          for (const bool with_filter : {false, true}) {
+            for (const bool values_needed : {true, false}) {
+              exec::EmitSpec spec;
+              spec.shape = &c.shape;
+              spec.chunk = c.chunk;
+              spec.sc = sc.has_value() ? &*sc : nullptr;
+              spec.vc = vc.has_value() ? &*vc : nullptr;
+              spec.position_filter = with_filter ? &filter : nullptr;
+              spec.values_needed = values_needed;
+              spec.level = level;
+              std::vector<std::uint64_t> pos = {7, 3};
+              std::vector<double> out_vals;
+              std::vector<std::uint64_t> ref_pos = pos;
+              std::vector<double> ref_vals;
+              if (values_needed) out_vals = ref_vals = {-1.0, 2.5};
+              exec::emit_fragment(spec, c.local, vals, pos, out_vals);
+              exec::detail::scalar::emit_fragment(spec, c.local, vals,
+                                                  ref_pos, ref_vals);
+              ASSERT_EQ(pos, ref_pos)
+                  << ndims << "-D trial " << trial << " fetch " << fetch
+                  << " level " << level << " filter " << with_filter;
+              ASSERT_EQ(value_bits(out_vals), value_bits(ref_vals))
+                  << ndims << "-D trial " << trial << " fetch " << fetch
+                  << " level " << level << " filter " << with_filter;
+              kept_points += pos.size() - 2;
+              dropped_points += c.local.size() - (pos.size() - 2);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(kept_points, 1000u);
+  EXPECT_GT(dropped_points, 1000u);
 }
 
 }  // namespace

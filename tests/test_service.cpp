@@ -97,6 +97,40 @@ TEST(FragmentCache, KeepsDeepestPrefix) {
   EXPECT_EQ(cache.stats().upgrades, 1u);
 }
 
+// A superseding insert is adopted as the entry itself, not merged into a
+// copy.
+TEST(FragmentCache, AdoptsSupersedingCandidateByPointer) {
+  FragmentCache cache({1 << 20, 1});
+  const FragmentKey k{"phi", 3, 7};
+  const auto shallow = make_data(64, 2);
+  const auto deep = make_data(64, 5);
+  cache.insert(k, shallow);
+  cache.insert(k, deep);
+  EXPECT_EQ(cache.lookup(k).get(), deep.get());
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.stats().upgrades, 1u);
+  EXPECT_EQ(cache.stats().bytes_cached, deep->byte_size());
+}
+
+// A deeper candidate that lacks the entry's positions does not supersede
+// it: the entry stays as it was.
+TEST(FragmentCache, DeeperCandidateWithoutPositionsLeavesEntry) {
+  FragmentCache cache({1 << 20, 1});
+  const FragmentKey k{"phi", 3, 7};
+  auto with_positions = std::make_shared<FragmentData>(*make_data(64, 2));
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    with_positions->positions.push_back(2 * i);
+  }
+  cache.insert(k, with_positions);
+  cache.insert(k, make_data(64, 5));
+  const auto got = cache.lookup(k);
+  EXPECT_EQ(got.get(), with_positions.get());
+  EXPECT_EQ(got->depth(), 2);
+  EXPECT_EQ(got->positions.size(), 64u);
+  EXPECT_EQ(cache.stats().upgrades, 0u);
+  EXPECT_EQ(cache.stats().bytes_cached, with_positions->byte_size());
+}
+
 TEST(FragmentCache, ZeroBudgetAdmitsNothing) {
   FragmentCache cache({0, 1});
   const FragmentKey k{"phi", 0, 0};
@@ -134,6 +168,35 @@ TEST(ServiceCache, HitMissAccountingAndIdenticalResults) {
   // Cached fragments must not change the answer in any way.
   EXPECT_EQ(warm.value().positions, cold.value().positions);
   EXPECT_EQ(warm.value().values, cold.value().values);
+}
+
+// Every fetched fragment of a cold query is offered once, positions and
+// planes together: one insertion each and no upgrade. A deeper query over
+// the same region then supersedes each entry once, with no new key.
+TEST(ServiceCache, OneInsertionPerFetchedFragment) {
+  pfs::PfsStorage fs;
+  auto store = make_store(&fs);
+  ASSERT_TRUE(store.is_ok());
+  FragmentCache cache({32 << 20, 4});
+  store.value().set_fragment_provider(&cache);
+
+  Query q;
+  q.sc = Region(2, {8, 8}, {40, 48});
+  q.plod_level = 3;
+  auto cold = store.value().execute("phi", q);
+  ASSERT_TRUE(cold.is_ok());
+  const std::uint64_t fetched = cold.value().fragments_read;
+  EXPECT_GT(fetched, 0u);
+  EXPECT_EQ(cold.value().cache.misses, fetched);
+  EXPECT_EQ(cache.stats().insertions, fetched);
+  EXPECT_EQ(cache.stats().upgrades, 0u);
+
+  q.plod_level = 7;
+  auto deeper = store.value().execute("phi", q);
+  ASSERT_TRUE(deeper.is_ok());
+  EXPECT_EQ(deeper.value().cache.partial_hits, fetched);
+  EXPECT_EQ(cache.stats().insertions, fetched);
+  EXPECT_EQ(cache.stats().upgrades, fetched);
 }
 
 TEST(ServiceCache, PlodPrefixReuse) {
