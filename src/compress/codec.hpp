@@ -2,10 +2,11 @@
 // plugged into the framework").
 //
 // Two shapes of codec exist in MLOC:
-//  * ByteCodec — lossless bytes->bytes (mzip/Zlib-style, RLE, ISOBAR-like);
-//    used on byte-columns (MLOC-COL) and whole-chunk buffers (MLOC-ISO).
-//  * DoubleCodec — operates on double buffers and may be lossy within a
-//    guaranteed point-wise relative error bound (ISABELA-like).
+//  * ByteCodec — lossless bytes->bytes (mzip, the Zlib-style codec, and
+//    raw); used on PLoD byte-columns (MLOC-COL).
+//  * DoubleCodec — operates on whole double buffers: lossless ISOBAR-like
+//    (MLOC-ISO), or lossy within a guaranteed point-wise relative error
+//    bound (ISABELA-like, MLOC-ISA).
 // ByteCodecAdapter lifts any ByteCodec to a (lossless) DoubleCodec so the
 // MLOC pipeline deals in one interface.
 #pragma once

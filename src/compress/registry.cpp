@@ -5,8 +5,6 @@
 #include "compress/isabela.hpp"
 #include "compress/isobar.hpp"
 #include "compress/mzip.hpp"
-#include "compress/rle.hpp"
-#include "compress/xor_delta.hpp"
 
 namespace mloc {
 
@@ -25,16 +23,8 @@ Result<std::shared_ptr<const DoubleCodec>> make_double_codec(
     return std::shared_ptr<const DoubleCodec>(
         std::make_shared<ByteCodecAdapter>(std::make_shared<MzipCodec>()));
   }
-  if (base == "rle") {
-    return std::shared_ptr<const DoubleCodec>(
-        std::make_shared<ByteCodecAdapter>(std::make_shared<RleCodec>()));
-  }
   if (base == "isobar") {
     return std::shared_ptr<const DoubleCodec>(std::make_shared<IsobarCodec>());
-  }
-  if (base == "xor-delta") {
-    return std::shared_ptr<const DoubleCodec>(
-        std::make_shared<XorDeltaCodec>());
   }
   if (base == "isabela") {
     IsabelaCodec::Options opts;
@@ -59,18 +49,15 @@ Result<std::shared_ptr<const ByteCodec>> make_byte_codec(
   if (name == "mzip") {
     return std::shared_ptr<const ByteCodec>(std::make_shared<MzipCodec>());
   }
-  if (name == "rle") {
-    return std::shared_ptr<const ByteCodec>(std::make_shared<RleCodec>());
-  }
   return not_found("not a byte codec: " + name);
 }
 
 bool is_byte_codec(const std::string& name) {
-  return name == "raw" || name == "mzip" || name == "rle";
+  return name == "raw" || name == "mzip";
 }
 
 std::vector<std::string> registered_codec_names() {
-  return {"raw", "mzip", "rle", "isobar", "xor-delta", "isabela"};
+  return {"raw", "mzip", "isobar", "isabela"};
 }
 
 }  // namespace mloc

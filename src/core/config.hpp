@@ -12,10 +12,10 @@
 //     reads scatter (Table VII row 2).
 //
 // The codec name selects the compression mode:
-//   * byte codecs ("mzip", "rle", "raw") enable PLoD byte-column storage —
-//     the MLOC-COL configuration;
-//   * double codecs ("isobar", "isabela[:eps]", "xor-delta") compress whole
-//     fragment value buffers — MLOC-ISO / MLOC-ISA; PLoD is unavailable
+//   * byte codecs ("mzip", "raw") enable PLoD byte-column storage — the
+//     MLOC-COL configuration;
+//   * double codecs ("isobar", "isabela[:eps]") compress whole fragment
+//     value buffers — MLOC-ISO / MLOC-ISA; PLoD is unavailable
 //     because values are not stored byte-planar (paper §III-B-4).
 //
 // Layout choices are *per variable*: a store shares one grid shape across

@@ -236,10 +236,10 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
   if (build_hbx) hbx_leaves.resize(static_cast<std::size_t>(nbins));
 
   // The data all stages share. Declared before the pool so an early error
-  // return destroys the pool (joining every in-flight task) first.
+  // return destroys the pool (running and joining every queued task) first.
   const std::uint32_t num_chunks = chunk_grid.num_chunks();
   std::vector<ChunkRouting> routing(num_chunks);
-  std::vector<parallel::TaskHandle> route_handles;
+  std::vector<parallel::TaskHandle> route_handles(num_chunks);
   // Per-bin encoded fragments in chunk-rank order. deque: push_back keeps
   // references to earlier elements stable while workers fill them.
   std::vector<std::deque<EncodedFragment>> encoded(
@@ -249,35 +249,35 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
   std::vector<FlushSlot> flush_slots(static_cast<std::size_t>(nbins));
   std::vector<parallel::TaskHandle> flush_handles;
 
-  std::unique_ptr<parallel::ThreadPool> pool;
-  if (opts.threads > 1) {
-    pool = std::make_unique<parallel::ThreadPool>(opts.threads);
-  }
+  // One executor for every stage. threads <= 1 gives it no workers: each
+  // task then runs inline where it is submitted, which is the serial order.
+  const int workers = opts.threads > 1 ? opts.threads : 0;
+  parallel::ThreadPool pool(workers);
 
   // --- Stage 1 (partition): route each Hilbert-ordered chunk's cells to
-  // bins, one independent task per chunk.
-  if (pool != nullptr) {
-    route_handles.reserve(num_chunks);
-    for (std::uint32_t rank = 0; rank < num_chunks; ++rank) {
+  // bins, one independent task per chunk, at most `workers` chunks ahead of
+  // the one being handed to encode. Without workers a chunk is routed just
+  // before its fragments encode, so only one chunk is ever staged.
+  std::uint32_t next_route = 0;
+  auto route_through = [&](std::uint64_t end) {
+    for (; next_route < std::min<std::uint64_t>(end, num_chunks);
+         ++next_route) {
+      const std::uint32_t rank = next_route;
       const ChunkId chunk = var.curve_order.chunk_at(rank);
-      route_handles.push_back(pool->submit_waitable([&, rank, chunk] {
+      route_handles[rank] = pool.submit_waitable([&, rank, chunk] {
         routing[rank] =
             route_chunk(grid, chunk_grid, var.scheme, chunk, nbins);
-      }));
+      });
     }
-  }
+  };
 
   // --- Stage 2 (encode): as each chunk's routing lands (in rank order, so
   // fragment order inside every bin matches a serial write), hand its
   // fragments to encode tasks.
   for (std::uint32_t rank = 0; rank < num_chunks; ++rank) {
-    if (pool != nullptr) {
-      route_handles[rank].wait();
-    } else {
-      const ChunkId chunk = var.curve_order.chunk_at(rank);
-      routing[rank] =
-          route_chunk(grid, chunk_grid, var.scheme, chunk, nbins);
-    }
+    route_through(std::uint64_t{rank} + 1 +
+                  static_cast<std::uint64_t>(workers));
+    route_handles[rank].wait();
     ChunkRouting& routed = routing[rank];
     stats.partition_s += routed.route_s;
     for (std::size_t k = 0; k < routed.bins.size(); ++k) {
@@ -285,18 +285,11 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
       encoded[b].emplace_back();
       EncodedFragment* slot = &encoded[b].back();
       ++stats.fragments_encoded;
-      if (pool != nullptr) {
-        auto stage =
-            std::make_shared<FragStage>(std::move(routed.frags[k]));
-        encode_handles[b].push_back(pool->submit_waitable(
-            [slot, stage, &var, groups] {
-              *slot = encode_fragment(var, *stage, groups);
-            }));
-      } else {
-        *slot = encode_fragment(var, routed.frags[k], groups);
-        stats.encode_s += slot->encode_s;
-        routed.frags[k] = FragStage{};  // release staged cells eagerly
-      }
+      auto stage = std::make_shared<FragStage>(std::move(routed.frags[k]));
+      encode_handles[b].push_back(
+          pool.submit_waitable([slot, stage, &var, groups] {
+            *slot = encode_fragment(var, *stage, groups);
+          }));
     }
     routed = ChunkRouting{};  // routing for this chunk is consumed
   }
@@ -307,9 +300,9 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
     const auto bi = static_cast<std::size_t>(b);
     for (auto& handle : encode_handles[bi]) handle.wait();
     std::deque<EncodedFragment>& frags = encoded[bi];
-    for (EncodedFragment& f : frags) {
+    for (const EncodedFragment& f : frags) {
       MLOC_RETURN_IF_ERROR(f.status);
-      if (pool != nullptr) stats.encode_s += f.encode_s;
+      stats.encode_s += f.encode_s;
     }
 
     Stopwatch sw_fold;
@@ -407,10 +400,10 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
       }
       slot->flush_s = sw_flush.seconds();
     };
-    if (pool != nullptr && opts.write_behind) {
+    if (opts.write_behind) {
       auto idx_ptr = std::make_shared<Bytes>(std::move(idx));
       auto dat_ptr = std::make_shared<Bytes>(std::move(dat));
-      flush_handles.push_back(pool->submit_waitable([flush, idx_ptr, dat_ptr] {
+      flush_handles.push_back(pool.submit_waitable([flush, idx_ptr, dat_ptr] {
         flush(std::move(*idx_ptr), std::move(*dat_ptr));
       }));
     } else {

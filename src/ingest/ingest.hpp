@@ -11,7 +11,7 @@
 //   2. encode    — position encoding, zone map, PLoD shredding, codec
 //      encode of every byte group, and the CRC-32 segment checksums, one
 //      task per fragment. Encoding is a pure function of the fragment's
-//      values, so tasks run on a parallel::ThreadPool in any order.
+//      values, so tasks run on the pool's workers in any order.
 //   3. fold      — concatenate encoded segments into each bin's .idx/.dat
 //      images in the exact serial order (V-M-S group-major vs V-S-M
 //      fragment-major interleave preserved) with buffers pre-sized from
@@ -22,10 +22,14 @@
 //      With WriteOptions::write_behind the flush of bin b overlaps the
 //      encode/fold of bins > b (pool tasks joined before return).
 //
+// Every stage submits its tasks to one parallel::ThreadPool. threads <= 1
+// builds it with zero workers, which runs each task inline as it is
+// submitted: the serial path is the same code, routing and encoding one
+// chunk at a time.
+//
 // Determinism: every encoded segment is a pure function of its input and
 // the fold order is fixed, so stores written at any thread count are
-// byte-identical — the serial path (threads <= 1) is the same code with
-// every stage run inline.
+// byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +47,9 @@ namespace mloc::ingest {
 /// Write-path tuning knobs (MlocStore::write_variable overload, service
 /// config, and mloc_cli --threads/--write-behind plumb these through).
 struct WriteOptions {
-  /// Worker threads for the partition and encode stages. <= 1 runs every
-  /// stage inline on the calling thread (the reference serial order).
+  /// Pool workers for the partition, encode and write-behind flush
+  /// stages. <= 1 gives the pool none, so every task runs inline on the
+  /// calling thread (the reference serial order).
   int threads = 1;
   /// Flush completed bin subfiles on pool workers while later bins are
   /// still encoding. No effect when threads <= 1.

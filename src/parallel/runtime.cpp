@@ -1,5 +1,8 @@
 #include "parallel/runtime.hpp"
 
+#include <exception>
+#include <memory>
+
 #include "util/assert.hpp"
 
 namespace mloc::parallel {
@@ -43,7 +46,7 @@ std::vector<std::pair<std::size_t, std::size_t>> split_even(std::size_t n,
 }
 
 ThreadPool::ThreadPool(int num_threads) {
-  MLOC_CHECK(num_threads >= 1);
+  MLOC_CHECK(num_threads >= 0);
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -60,28 +63,34 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     sync::MutexLock lock(mutex_);
     MLOC_CHECK_MSG(!stopping_, "submit on stopping pool");
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
 }
 
 TaskHandle ThreadPool::submit_waitable(std::function<void()> task) {
-  // packaged_task is move-only; std::function requires copyable targets, so
-  // the queue entry holds it through a shared_ptr.
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  TaskHandle handle(packaged->get_future());
-  submit([packaged] { (*packaged)(); });
+  // The promise carries only the outcome: the task lives in the queue entry
+  // and dies with it once run (a packaged_task would keep it, and its
+  // captures, in the shared state until wait()). std::function requires
+  // copyable targets, so the entry holds the promise through a shared_ptr.
+  auto done = std::make_shared<std::promise<void>>();
+  TaskHandle handle(done->get_future());
+  submit([task = std::move(task), done] {
+    try {
+      task();
+      done->set_value();
+    } catch (...) {
+      done->set_exception(std::current_exception());
+    }
+  });
   return handle;
-}
-
-void ThreadPool::wait_idle() {
-  sync::MutexLock lock(mutex_);
-  while (in_flight_ != 0) cv_idle_.wait(lock);
 }
 
 void ThreadPool::worker_loop() {
@@ -95,11 +104,6 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     task();
-    {
-      sync::MutexLock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 

@@ -11,7 +11,10 @@
 //     rank-parallel query path (engine, baselines, multires) is charged
 //     through it.
 //   * A ThreadPool is provided for genuinely concurrent work where wall
-//     time is not being attributed per rank.
+//     time is not being attributed per rank: QueryService's workers, and
+//     the one executor behind every write (ingest's stages, the staging
+//     writer). A pool of zero workers runs each task inline on the
+//     caller, so a serial write is the same code as a parallel one.
 //
 // Block-to-rank assignment follows the paper's column order: equal block
 // counts per rank, blocks of one bin kept on as few ranks as possible so
@@ -21,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -81,37 +83,33 @@ class TaskHandle {
   std::future<void> future_;
 };
 
-/// Minimal fixed-size thread pool (used where per-rank attribution is not
-/// needed, e.g. speculative codec trials in the ablation bench).
+/// Minimal fixed-size thread pool: FIFO queue, `num_threads` workers. With
+/// zero workers every task runs inline on the submitting thread before
+/// submit returns, in submission order.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
-  ~ThreadPool();
+  ~ThreadPool();  ///< runs every queued task, then joins the workers
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task; runs on some worker thread.
+  /// Enqueue a task; runs on some worker thread (inline without workers).
   void submit(std::function<void()> task) MLOC_EXCLUDES(mutex_);
 
   /// Enqueue a task and get a handle that joins it individually, with
-  /// exception propagation. Used by the ingest pipeline to fold encoded
-  /// fragments per bin while later bins are still encoding (wait_idle
-  /// would serialize on the whole queue).
+  /// exception propagation. The task object itself (and whatever it
+  /// captured) is destroyed as soon as it has run, not when the handle is
+  /// waited on.
   TaskHandle submit_waitable(std::function<void()> task) MLOC_EXCLUDES(mutex_);
-
-  /// Block until every submitted task has finished.
-  void wait_idle() MLOC_EXCLUDES(mutex_);
 
  private:
   void worker_loop() MLOC_EXCLUDES(mutex_);
 
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< fixed at construction
   sync::Mutex mutex_;
   sync::CondVar cv_task_;
-  sync::CondVar cv_idle_;
   std::queue<std::function<void()>> queue_ MLOC_GUARDED_BY(mutex_);
-  int in_flight_ MLOC_GUARDED_BY(mutex_) = 0;
   bool stopping_ MLOC_GUARDED_BY(mutex_) = false;
 };
 

@@ -9,77 +9,76 @@ std::string step_variable(const std::string& var, std::uint64_t step) {
 }
 
 StagingPipeline::StagingPipeline(MlocStore* store, Options opts)
-    : store_(store), opts_(opts) {
+    : store_(store),
+      backlog_(static_cast<std::ptrdiff_t>(opts.queue_capacity) + 1),
+      slots_(backlog_) {
   MLOC_CHECK(store != nullptr);
-  MLOC_CHECK(opts_.queue_capacity >= 1);
-  worker_ = std::thread([this] { staging_loop(); });
+  MLOC_CHECK(opts.queue_capacity >= 1);
 }
 
 StagingPipeline::~StagingPipeline() { (void)finish(); }
 
 Status StagingPipeline::submit(const std::string& var, std::uint64_t step,
                                Grid grid) {
-  const std::string name = step_variable(var, step);
-  Stopwatch wait;
-  sync::MutexLock lock(mutex_);
-  if (stopping_) return failed_precondition("staging: pipeline finished");
-  while (queue_.size() >= opts_.queue_capacity && first_error_.is_ok() &&
-         !stopping_) {
-    cv_space_.wait(lock);
+  std::string name = step_variable(var, step);
+  {
+    sync::MutexLock lock(mutex_);
+    if (finished_) return failed_precondition("staging: pipeline finished");
+    if (!first_error_.is_ok()) return first_error_;
   }
-  if (!first_error_.is_ok()) return first_error_;
-  if (stopping_) return failed_precondition("staging: pipeline finished");
+  Stopwatch wait;
+  slots_.acquire();
+  sync::MutexLock lock(mutex_);
+  if (!first_error_.is_ok() || finished_) {
+    // Not enqueued: hand the slot on, so a producer blocked behind this one
+    // wakes to the same answer.
+    slots_.release();
+    if (!first_error_.is_ok()) return first_error_;
+    return failed_precondition("staging: pipeline finished");
+  }
   stats_.producer_wait_seconds += wait.seconds();
   stats_.bytes_in += grid.size() * sizeof(double);
   ++stats_.steps_submitted;
-  queue_.push_back({name, std::move(grid)});
-  cv_work_.notify_one();
+  // Under the lock, so the worker's order is the order submits succeed in.
+  writer_.submit([this, name = std::move(name), grid = std::move(grid)] {
+    write_step(name, grid);
+  });
   return Status::ok();
 }
 
-void StagingPipeline::staging_loop() {
-  while (true) {
-    Item item;
-    {
-      sync::MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) cv_work_.wait(lock);
-      if (queue_.empty()) return;  // stopping and drained
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      cv_space_.notify_all();
-    }
-    Stopwatch sw;
-    bool duplicate = false;
-    {
-      sync::MutexLock lock(mutex_);
-      duplicate = !staged_names_.insert(item.var).second;
-    }
-    Status status =
-        duplicate ? invalid_argument("staging: duplicate step " + item.var)
-                  : store_->write_variable(item.var, item.grid);
-    const double elapsed = sw.seconds();
-    {
-      sync::MutexLock lock(mutex_);
-      stats_.staging_seconds += elapsed;
-      if (status.is_ok()) {
-        ++stats_.steps_staged;
-      } else if (first_error_.is_ok()) {
-        first_error_ = status;
-        cv_space_.notify_all();  // unblock a waiting producer
-      }
+void StagingPipeline::write_step(const std::string& name, const Grid& grid) {
+  Stopwatch sw;
+  bool duplicate = false;
+  {
+    sync::MutexLock lock(mutex_);
+    duplicate = !staged_names_.insert(name).second;
+  }
+  const Status status =
+      duplicate ? invalid_argument("staging: duplicate step " + name)
+                : store_->write_variable(name, grid);
+  const double elapsed = sw.seconds();
+  {
+    sync::MutexLock lock(mutex_);
+    stats_.staging_seconds += elapsed;
+    if (status.is_ok()) {
+      ++stats_.steps_staged;
+    } else if (first_error_.is_ok()) {
+      first_error_ = status;
     }
   }
+  slots_.release();  // after the error is recorded: a woken producer sees it
 }
 
 Status StagingPipeline::finish() {
   {
     sync::MutexLock lock(mutex_);
-    if (stopping_ && !worker_.joinable()) return first_error_;
-    stopping_ = true;
+    if (finished_) return first_error_;
+    finished_ = true;
   }
-  cv_work_.notify_all();
-  cv_space_.notify_all();
-  if (worker_.joinable()) worker_.join();
+  // Holding every slot means no write is queued or running. Then give them
+  // back: a producer still blocked in submit wakes to "finished".
+  for (std::ptrdiff_t i = 0; i < backlog_; ++i) slots_.acquire();
+  slots_.release(backlog_);
   sync::MutexLock lock(mutex_);
   return first_error_;
 }

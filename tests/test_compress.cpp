@@ -1,6 +1,6 @@
-// Tests for src/compress: bit I/O, Huffman, mzip, RLE, ISOBAR-like,
-// B-spline fitting, ISABELA-like (error-bound property sweeps), xor-delta,
-// registry, and corrupt-stream failure injection for every codec.
+// Tests for src/compress: bit I/O, Huffman, mzip, ISOBAR-like, B-spline
+// fitting, ISABELA-like (error-bound property sweeps), registry, and
+// corrupt-stream failure injection for every codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,6 @@
 #include "compress/isobar.hpp"
 #include "compress/mzip.hpp"
 #include "compress/registry.hpp"
-#include "compress/rle.hpp"
-#include "compress/xor_delta.hpp"
 #include "datagen/datagen.hpp"
 #include "plod/plod.hpp"
 #include "util/rng.hpp"
@@ -738,51 +736,6 @@ TEST(MzipStored, MalformedHeadersRejected) {
   expect_rejected_as({0x00, 0x80}, "varint truncated");
 }
 
-// ------------------------------------------------------------------- RLE
-
-TEST(Rle, RoundTripAndRatio) {
-  const RleCodec codec;
-  Bytes raw(100000, 7);
-  for (int i = 0; i < 100; ++i) raw[i * 997] = 9;
-  auto enc = codec.encode(raw);
-  ASSERT_TRUE(enc.is_ok());
-  EXPECT_LT(enc.value().size(), 2000u);
-  EXPECT_EQ(codec.decode(enc.value()).value(), raw);
-}
-
-TEST(Rle, RoundTripEmpty) {
-  const RleCodec codec;
-  auto enc = codec.encode({});
-  ASSERT_TRUE(enc.is_ok());
-  EXPECT_EQ(codec.decode(enc.value()).value(), Bytes{});
-}
-
-TEST(Rle, RoundTripNoRuns) {
-  const RleCodec codec;
-  Bytes raw;
-  for (int i = 0; i < 256; ++i) raw.push_back(static_cast<std::uint8_t>(i));
-  EXPECT_EQ(codec.decode(codec.encode(raw).value()).value(), raw);
-}
-
-TEST(Rle, DecodeRejectsRunOverflow) {
-  const RleCodec codec;
-  ByteWriter w;
-  w.put_varint(10);  // declared size 10
-  w.put_u8(5);
-  w.put_varint(100);  // run of 100 overflows
-  EXPECT_FALSE(codec.decode(w.bytes()).is_ok());
-}
-
-TEST(Rle, DecodeRejectsTrailingBytes) {
-  const RleCodec codec;
-  ByteWriter w;
-  w.put_varint(2);
-  w.put_u8(5);
-  w.put_varint(2);
-  w.put_u8(99);  // trailing garbage
-  EXPECT_FALSE(codec.decode(w.bytes()).is_ok());
-}
-
 // ---------------------------------------------------------------- ISOBAR
 
 TEST(Isobar, ByteEntropyBounds) {
@@ -991,50 +944,28 @@ TEST(Isabela, DecodeRejectsCorruption) {
   EXPECT_FALSE(codec.decode(tiny).is_ok());
 }
 
-// ------------------------------------------------------------- xor-delta
-
-TEST(XorDelta, LosslessRoundTripSmoothAndRandom) {
-  const XorDeltaCodec codec;
-  for (std::uint64_t seed : {1ull, 2ull}) {
-    auto field = smooth_field(20000, seed);
-    auto dec = codec.decode(codec.encode(field).value());
-    ASSERT_TRUE(dec.is_ok());
-    EXPECT_EQ(dec.value(), field);
-  }
-  // Random doubles (bit patterns from RNG).
-  Rng rng(3);
-  std::vector<double> vals(5000);
-  for (auto& v : vals) {
-    const std::uint64_t bits = rng.next_u64();
-    std::memcpy(&v, &bits, 8);
-    if (std::isnan(v)) v = 0.0;
-  }
-  auto dec = codec.decode(codec.encode(vals).value());
-  ASSERT_TRUE(dec.is_ok());
-  EXPECT_EQ(dec.value(), vals);
-}
-
-TEST(XorDelta, SmoothDataCompresses) {
-  const XorDeltaCodec codec;
-  // Slowly varying values share exponent and high mantissa bytes.
-  std::vector<double> vals(50000);
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    vals[i] = 1000.0 + static_cast<double>(i) * 1e-7;
-  }
-  auto enc = codec.encode(vals);
-  ASSERT_TRUE(enc.is_ok());
-  EXPECT_LT(enc.value().size(), vals.size() * 8 / 2);
-}
-
-TEST(XorDelta, DecodeRejectsTruncation) {
-  const XorDeltaCodec codec;
-  auto field = smooth_field(1000, 91);
-  Bytes enc = codec.encode(field).value();
-  Bytes truncated(enc.begin(), enc.begin() + enc.size() / 3);
-  EXPECT_FALSE(codec.decode(truncated).is_ok());
-}
-
 // -------------------------------------------------------------- registry
+
+TEST(Registry, NamesThePaperCodecsOnly) {
+  // raw and mzip are the byte codecs (MLOC-COL), isobar and isabela the
+  // whole-value ones (MLOC-ISO, MLOC-ISA); nothing else is registered.
+  EXPECT_EQ(registered_codec_names(),
+            (std::vector<std::string>{"raw", "mzip", "isobar", "isabela"}));
+  for (const char* name : {"raw", "mzip"}) {
+    EXPECT_TRUE(is_byte_codec(name)) << name;
+    EXPECT_TRUE(make_byte_codec(name).is_ok()) << name;
+  }
+  for (const char* name : {"isobar", "isabela"}) {
+    EXPECT_FALSE(is_byte_codec(name)) << name;
+    EXPECT_EQ(make_byte_codec(name).status().code(), ErrorCode::kNotFound)
+        << name;
+  }
+  for (const char* name : {"rle", "xor-delta", ""}) {
+    EXPECT_FALSE(is_byte_codec(name)) << name;
+    EXPECT_EQ(make_double_codec(name).status().code(), ErrorCode::kNotFound)
+        << name;
+  }
+}
 
 TEST(Registry, ConstructsEveryRegisteredCodec) {
   for (const auto& name : registered_codec_names()) {

@@ -195,8 +195,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple("mzip", LevelOrder::kVMS),
         std::make_tuple("mzip", LevelOrder::kVSM),
-        std::make_tuple("rle", LevelOrder::kVMS),
-        std::make_tuple("xor-delta", LevelOrder::kVMS),
+        std::make_tuple("raw", LevelOrder::kVMS),
+        std::make_tuple("isobar", LevelOrder::kVMS),
         std::make_tuple("isabela:0.01", LevelOrder::kVMS)));
 
 TEST(Engine, CoalescingReducesExtentsAndModeledSeeks) {

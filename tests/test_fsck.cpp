@@ -102,8 +102,8 @@ TEST(Fsck, CleanStorePassesEveryConfig) {
   const std::vector<Case> cases = {
       {"mzip", LevelOrder::kVMS},       // PLoD byte columns, groups outer
       {"mzip", LevelOrder::kVSM},       // PLoD byte columns, fragments outer
-      {"rle", LevelOrder::kVMS},        // alternate byte codec
-      {"xor-delta", LevelOrder::kVMS},  // whole-value lossless
+      {"raw", LevelOrder::kVMS},        // byte columns stored as-is
+      {"isobar", LevelOrder::kVMS},     // whole-value lossless
       {"isabela:0.01", LevelOrder::kVMS},  // whole-value lossy
   };
   for (const auto& c : cases) {

@@ -71,7 +71,8 @@ TEST_P(IngestConfigs, ParallelOutputByteIdenticalToSerial) {
   const auto want = snapshot(fs_serial);
   ASSERT_FALSE(want.empty());
 
-  for (const int threads : {2, 8}) {
+  // threads = 1 with write-behind runs the flush as an inline pool task.
+  for (const int threads : {1, 2, 8}) {
     for (const bool write_behind : {false, true}) {
       pfs::PfsStorage fs;
       auto store = build_store(fs, codec, order,
@@ -110,8 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple("mzip", LevelOrder::kVMS),
         std::make_tuple("mzip", LevelOrder::kVSM),
-        std::make_tuple("rle", LevelOrder::kVMS),
-        std::make_tuple("xor-delta", LevelOrder::kVMS),
+        std::make_tuple("raw", LevelOrder::kVMS),
+        std::make_tuple("isobar", LevelOrder::kVMS),
         std::make_tuple("isabela:0.01", LevelOrder::kVMS)));
 
 // ------------------------------------------------------- stats and reuse
@@ -131,13 +132,18 @@ TEST(Ingest, StatsAccountForTheWrite) {
   EXPECT_EQ(stats.bins_written, 16u);
   EXPECT_GT(stats.bytes_written, 0u);
   EXPECT_GT(stats.wall_s, 0.0);
+  EXPECT_GT(stats.partition_s, 0.0);
+  EXPECT_GT(stats.encode_s, 0.0);
   EXPECT_EQ(stats.threads, 2);
 
-  // A second write accumulates.
+  // A second, serial write accumulates, its encode time included.
   ASSERT_TRUE(store.value().write_variable("psi", grid).is_ok());
   const ingest::IngestStats two = store.value().ingest_stats();
   EXPECT_EQ(two.cells_routed, 2 * grid.size());
+  EXPECT_EQ(two.fragments_encoded, 2 * stats.fragments_encoded);
   EXPECT_EQ(two.bins_written, 32u);
+  EXPECT_GT(two.partition_s, stats.partition_s);
+  EXPECT_GT(two.encode_s, stats.encode_s);
   EXPECT_EQ(two.threads, 1);  // last write's configuration
 }
 

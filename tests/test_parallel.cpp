@@ -1,10 +1,12 @@
 // Tests for src/parallel: rank execution and query charging, even
-// splitting, thread pool correctness under load.
+// splitting, thread pool correctness under load and without workers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/runtime.hpp"
@@ -117,38 +119,72 @@ TEST(SplitEven, CoversWithoutOverlap) {
   }
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
+// Every pool case also runs with zero workers, where each task runs inline
+// on the submitting thread before submit returns.
+class ThreadPoolWorkers : public ::testing::TestWithParam<int> {};
+
+TEST_P(ThreadPoolWorkers, RunsAllTasks) {
+  ThreadPool pool(GetParam());
   std::atomic<int> counter{0};
+  std::vector<TaskHandle> handles;
+  handles.reserve(1000);
   for (int i = 0; i < 1000; ++i) {
-    pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+    handles.push_back(pool.submit_waitable(
+        [&] { counter.fetch_add(1, std::memory_order_relaxed); }));
   }
-  pool.wait_idle();
+  for (auto& h : handles) h.wait();
   EXPECT_EQ(counter.load(), 1000);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
+TEST_P(ThreadPoolWorkers, DestructorRunsEveryQueuedTask) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool idle(GetParam());  // nothing submitted: must not deadlock
+    ThreadPool pool(GetParam());
+    for (int i = 0; i < 200; ++i) {
+      pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
+  EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPool, TasksCanAccumulateResults) {
-  ThreadPool pool(3);
+TEST_P(ThreadPoolWorkers, TasksCanAccumulateResults) {
+  ThreadPool pool(GetParam());
   std::vector<std::uint64_t> partial(16, 0);
+  std::vector<TaskHandle> handles;
   for (int t = 0; t < 16; ++t) {
-    pool.submit([&partial, t] {
+    handles.push_back(pool.submit_waitable([&partial, t] {
       std::uint64_t sum = 0;
       for (int i = 0; i <= 1000; ++i) sum += static_cast<std::uint64_t>(i);
       partial[t] = sum;
-    });
+    }));
   }
-  pool.wait_idle();
+  for (auto& h : handles) h.wait();
   for (auto v : partial) EXPECT_EQ(v, 500500u);
 }
 
-TEST(ThreadPool, SubmitWaitableCompletesBeforeWaitReturns) {
-  ThreadPool pool(3);
+TEST_P(ThreadPoolWorkers, TasksRunOnWorkersOrInlineWithoutThem) {
+  const int workers = GetParam();
+  ThreadPool pool(workers);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  std::vector<TaskHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(pool.submit_waitable([&] {
+      EXPECT_EQ(std::this_thread::get_id() == caller, workers == 0);
+      ran.fetch_add(1);
+    }));
+    // Without workers the task has already run when submit returns.
+    if (workers == 0) {
+      EXPECT_EQ(ran.load(), i + 1);
+    }
+  }
+  for (auto& h : handles) h.wait();
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST_P(ThreadPoolWorkers, SubmitWaitableCompletesBeforeWaitReturns) {
+  ThreadPool pool(GetParam());
   std::atomic<int> done{0};
   std::vector<TaskHandle> handles;
   handles.reserve(32);
@@ -159,34 +195,55 @@ TEST(ThreadPool, SubmitWaitableCompletesBeforeWaitReturns) {
   for (auto& h : handles) {
     EXPECT_TRUE(h.valid());
     h.wait();
+    EXPECT_FALSE(h.valid());
   }
   EXPECT_EQ(done.load(), 32);
 }
 
-TEST(ThreadPool, SubmitWaitablePropagatesExceptions) {
-  ThreadPool pool(2);
+TEST_P(ThreadPoolWorkers, SubmitWaitablePropagatesExceptions) {
+  ThreadPool pool(GetParam());
   TaskHandle ok = pool.submit_waitable([] {});
+  // Without workers the throw happens inside submit_waitable: it must be
+  // captured for wait(), not escape to the submitter.
   TaskHandle bad = pool.submit_waitable(
       [] { throw std::runtime_error("task failed"); });
   ok.wait();  // unaffected sibling completes normally
   EXPECT_THROW(bad.wait(), std::runtime_error);
 }
 
+TEST_P(ThreadPoolWorkers, TaskIsReleasedOnceRunNotAtWait) {
+  auto token = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = token;
+  TaskHandle handle;
+  {
+    ThreadPool pool(GetParam());
+    handle = pool.submit_waitable(
+        [token = std::move(token)] { EXPECT_EQ(*token, 7); });
+  }  // destroying the pool runs the task and joins the workers
+  // The handle holds the outcome only, so what the task captured is gone.
+  EXPECT_TRUE(watch.expired());
+  handle.wait();
+}
+
+TEST_P(ThreadPoolWorkers, ReusableAcrossBatches) {
+  ThreadPool pool(GetParam());
+  std::atomic<int> counter{0};
+  for (int batch = 0; batch < 5; ++batch) {
+    std::vector<TaskHandle> handles;
+    for (int i = 0; i < 50; ++i) {
+      handles.push_back(pool.submit_waitable([&] { counter.fetch_add(1); }));
+    }
+    for (auto& h : handles) h.wait();
+    EXPECT_EQ(counter.load(), (batch + 1) * 50);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, ThreadPoolWorkers,
+                         ::testing::Values(0, 1, 2, 3, 4));
+
 TEST(ThreadPool, DefaultTaskHandleIsInvalid) {
   TaskHandle h;
   EXPECT_FALSE(h.valid());
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), (batch + 1) * 50);
-  }
 }
 
 }  // namespace

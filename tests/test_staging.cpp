@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "datagen/datagen.hpp"
@@ -84,6 +85,38 @@ TEST(Staging, DuplicateStepErrorSurfacesAtFinish) {
   EXPECT_FALSE(status.is_ok());
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(pipeline.stats().steps_staged, 1u);
+}
+
+TEST(Staging, BlockedProducerGetsTheFirstErrorFromSubmit) {
+  // Capacity 1: one step waits behind the one being written. Step 0 is
+  // slow to write; the second "step 0" waits behind it and fails as soon as
+  // its turn comes. The producer then keeps submitting into the full
+  // backlog: it blocks, and once the duplicate has failed, submit returns
+  // that error instead of waiting for space. At most one step slips in
+  // between step 0 landing and the duplicate failing.
+  pfs::PfsStorage fs;
+  Grid grid = datagen::gts_like(256, 7);  // big enough that writes take time
+  auto store = MlocStore::create(&fs, "s", cfg_for(grid.shape()));
+  ASSERT_TRUE(store.is_ok());
+  StagingPipeline pipeline(&store.value(), {.queue_capacity = 1});
+  ASSERT_TRUE(pipeline.submit("phi", 0, grid).is_ok());
+  ASSERT_TRUE(pipeline.submit("phi", 0, grid).is_ok());  // fails when written
+  Status status;
+  std::uint64_t accepted = 0;
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    status = pipeline.submit("phi", t, grid);
+    if (!status.is_ok()) break;
+    ++accepted;
+  }
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("duplicate step phi@0"), std::string::npos)
+      << status.to_string();
+  EXPECT_LE(accepted, 1u);
+  const Status finished = pipeline.finish();
+  EXPECT_EQ(finished.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(finished.message(), status.message());
+  EXPECT_EQ(pipeline.stats().steps_submitted, 2 + accepted);
+  EXPECT_EQ(pipeline.stats().steps_staged, 1 + accepted);
 }
 
 TEST(Staging, BackpressureBoundsTheQueue) {

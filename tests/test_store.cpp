@@ -201,9 +201,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{"mzip", LevelOrder::kVMS},
                       std::tuple{"mzip", LevelOrder::kVSM},
                       std::tuple{"raw", LevelOrder::kVMS},
-                      std::tuple{"rle", LevelOrder::kVSM},
+                      std::tuple{"raw", LevelOrder::kVSM},
                       std::tuple{"isobar", LevelOrder::kVMS},
-                      std::tuple{"xor-delta", LevelOrder::kVMS},
+                      std::tuple{"isobar", LevelOrder::kVSM},
                       std::tuple{"isabela:0.001", LevelOrder::kVMS}));
 
 // ------------------------------------------------------- rank invariance
@@ -1686,6 +1686,57 @@ TEST(StorePersistence, UnknownChecksumKindIsCorruptData) {
   ASSERT_FALSE(reopened.is_ok());
   EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruptData);
   EXPECT_EQ(reopened.status().message(), "meta: unknown checksum kind");
+}
+
+TEST(StorePersistence, MetaNamingAnUnregisteredCodecFailsToOpen) {
+  // A store written by a build that still registered the RLE codec names
+  // "rle" in its meta. Whether the default layout or the variable's layout
+  // names it, open must fail with a status, and fsck must report the store
+  // rather than crash.
+  for (const int occurrence : {0, 1}) {  // 0: default layout, 1: variable's
+    SCOPED_TRACE(occurrence == 0 ? "default layout" : "variable layout");
+    pfs::PfsStorage fs;
+    const Grid grid = test_grid_2d();
+    {
+      auto store = MlocStore::create(
+          &fs, "c", small_config(grid.shape(), NDShape{16, 16}, "raw"));
+      ASSERT_TRUE(store.is_ok());
+      ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+    }
+    const pfs::FileId meta = fs.open("c.meta").value();
+    Bytes content = fs.read(meta, 0, fs.file_size(meta).value()).value();
+    content.resize(verify_subfile_footer(content).value());
+    // Codec names are length-prefixed strings: "raw" appears once in the
+    // default layout and once in the variable's, and "rle" has its length.
+    const Bytes needle = {3, 'r', 'a', 'w'};
+    std::vector<std::size_t> at;
+    for (auto it = content.begin();
+         (it = std::search(it, content.end(), needle.begin(), needle.end())) !=
+         content.end();
+         ++it) {
+      at.push_back(static_cast<std::size_t>(it - content.begin()));
+    }
+    ASSERT_EQ(at.size(), 2u);
+    const std::string patched = "rle";
+    std::copy(patched.begin(), patched.end(),
+              content.begin() + static_cast<std::ptrdiff_t>(at[occurrence]) +
+                  1);
+    append_subfile_footer(content);
+    ASSERT_TRUE(fs.set_contents(meta, std::move(content)).is_ok());
+
+    auto reopened = MlocStore::open(&fs, "c");
+    ASSERT_FALSE(reopened.is_ok());
+    EXPECT_EQ(reopened.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(reopened.status().message(), "layout: unknown codec 'rle'");
+
+    const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("c");
+    EXPECT_FALSE(report.ok());
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].check, "meta");
+    EXPECT_NE(report.issues[0].detail.find("unknown codec 'rle'"),
+              std::string::npos)
+        << report.human();
+  }
 }
 
 }  // namespace

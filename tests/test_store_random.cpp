@@ -136,7 +136,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple{std::string("raw"), LevelOrder::kVSM, 3, 20u},
         std::tuple{std::string("isobar"), LevelOrder::kVMS, 2, 96u},
         std::tuple{std::string("isobar"), LevelOrder::kVMS, 3, 20u},
-        std::tuple{std::string("xor-delta"), LevelOrder::kVMS, 2, 96u},
         std::tuple{std::string("isabela:0.001"), LevelOrder::kVMS, 2, 96u},
         std::tuple{std::string("mzip"), LevelOrder::kVMS, 2, 100u}));
 
@@ -192,8 +191,7 @@ TEST_P(DecoderFuzz, RandomGarbageInputsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, DecoderFuzz,
-                         ::testing::Values("mzip", "rle", "isobar",
-                                           "xor-delta", "isabela"));
+                         ::testing::Values("mzip", "isobar", "isabela"));
 
 }  // namespace
 }  // namespace mloc
