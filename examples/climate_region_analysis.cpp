@@ -43,7 +43,7 @@ int main() {
     const auto stats = analytics::compute_stats(res.value().values);
     std::printf(
         "  region %-28s %8llu pts  mean %7.1f K  sd %6.1f  [%6.1f, %6.1f]"
-        "  %.4fs\n",
+        "  modeled I/O + CPU %.4fs\n",
         roi.to_string().c_str(), static_cast<unsigned long long>(stats.count),
         stats.mean, std::sqrt(stats.variance), stats.min, stats.max,
         res.value().times.total());
@@ -55,7 +55,8 @@ int main() {
   q.vc = ValueConstraint{2000.0, 1e9};
   auto res = store.value().execute("temperature", q, 8);
   MLOC_CHECK(res.is_ok());
-  std::printf("  burning cells (T>2000K) in mid-slab: %zu (%.4fs)\n",
+  std::printf(
+      "  burning cells (T>2000K) in mid-slab: %zu (modeled I/O + CPU %.4fs)\n",
               res.value().positions.size(), res.value().times.total());
   return 0;
 }

@@ -51,8 +51,8 @@ int main() {
     MLOC_CHECK(scan_res.value().positions == mloc_res.value().positions);
 
     std::printf(
-        "  T > %+.4f (top %4.1f%%): %7zu points | MLOC %.4fs (%5.2f MB read,"
-        " %llu bins) | scan %.4fs (%5.2f MB)\n",
+        "  T > %+.4f (top %4.1f%%): %7zu points | modeled I/O + CPU: MLOC"
+        " %.4fs (%5.2f MB read, %llu bins), scan %.4fs (%5.2f MB)\n",
         threshold, 100 * (1 - quantile), mloc_res.value().positions.size(),
         mloc_res.value().times.total(),
         static_cast<double>(mloc_res.value().exec.bytes_read) / 1e6,

@@ -3,7 +3,8 @@
 //
 //   mloc_cli build --out DIR [--dataset gts|s3d|velocity] [--edge N]
 //            [--chunk C] [--bins B] [--codec NAME] [--order vms|vsm]
-//            [--seed S] [--var NAME] [--threads T] [--write-behind]
+//            [--index-fanout F] [--seed S] [--var NAME] [--threads T]
+//            [--write-behind]
 //   mloc_cli info  --store DIR
 //   mloc_cli query --store DIR [--var NAME] [--vc LO:HI]
 //            [--sc LO:HI[,LO:HI...]] [--plod L] [--ranks R] [--region-only]

@@ -37,8 +37,8 @@ int main() {
   MLOC_CHECK(reference.is_ok());
   const auto ref_stats = analytics::compute_stats(reference.value().values);
 
-  std::printf("  %-12s %12s %14s %16s %14s\n", "PLoD", "bytes read",
-              "modeled time", "max rel error", "mean error");
+  std::printf("  %-12s %12s %18s %16s %14s\n", "PLoD", "bytes read",
+              "modeled I/O + CPU", "max rel error", "mean error");
   for (int level = 1; level <= 7; ++level) {
     Query q;
     q.sc = roi;
@@ -50,7 +50,7 @@ int main() {
     const auto stats = analytics::compute_stats(res.value().values);
     const double mean_err =
         std::abs(stats.mean - ref_stats.mean) / std::abs(ref_stats.mean);
-    std::printf("  %d (%d bytes) %10.2f MB %12.4fs %15.3g %15.3g\n", level,
+    std::printf("  %d (%d bytes) %10.2f MB %16.4fs %15.3g %15.3g\n", level,
                 plod::level_bytes(level),
                 static_cast<double>(res.value().exec.bytes_read) / 1e6,
                 res.value().times.total(), max_err, mean_err);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "array/region.hpp"
@@ -45,6 +46,23 @@ class ChunkGrid {
 
   /// Chunk containing an element coordinate.
   [[nodiscard]] ChunkId chunk_of(const Coord& element) const noexcept;
+
+  /// Call f(offset) with the array row-major offset of each chunk-local
+  /// row-major offset in `locals`, in order. Every local offset must lie
+  /// below the chunk region's volume.
+  template <class F>
+  void for_each_array_offset(ChunkId id, std::span<const std::uint32_t> locals,
+                             F&& f) const {
+    const Region region = chunk_region(id);
+    Coord extents{};
+    for (int d = 0; d < region.ndims(); ++d) extents[d] = region.extent(d);
+    const NDShape local_shape(region.ndims(), extents);
+    for (const std::uint32_t local : locals) {
+      Coord c = local_shape.delinearize(local);
+      for (int d = 0; d < region.ndims(); ++d) c[d] += region.lo(d);
+      f(array_.linearize(c));
+    }
+  }
 
   /// Ids of all chunks whose region intersects `query`, ascending id order.
   [[nodiscard]] std::vector<ChunkId> chunks_overlapping(const Region& query) const;

@@ -31,7 +31,6 @@ HuffmanCode HuffmanCode::from_frequencies(
   if (used.size() == 1) {
     hc.len_[used[0]] = 1;
     hc.assign_canonical_codes();
-    hc.build_decode_table();
     return hc;
   }
 
@@ -111,7 +110,6 @@ HuffmanCode HuffmanCode::from_frequencies(
   }
 
   hc.assign_canonical_codes();
-  hc.build_decode_table();
   return hc;
 }
 

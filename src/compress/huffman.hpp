@@ -22,13 +22,15 @@ class HuffmanCode {
  public:
   static constexpr int kMaxCodeLen = 15;
 
-  /// Build from symbol frequencies (size = alphabet size, <= 512).
-  /// Symbols with zero frequency get no code. At least one symbol must
-  /// have nonzero frequency.
+  /// Build an encoder's code from symbol frequencies (size = alphabet
+  /// size, <= 512). Symbols with zero frequency get no code. At least one
+  /// symbol must have nonzero frequency. Builds no decode table: decode
+  /// through from_lengths(lengths()).
   static HuffmanCode from_frequencies(std::span<const std::uint64_t> freqs);
 
-  /// Rebuild from transmitted code lengths. Fails on over-subscribed or
-  /// invalid length tables (the Kraft sum must not exceed 1).
+  /// Rebuild a decoder's code from transmitted code lengths, decode table
+  /// included. Fails on over-subscribed or invalid length tables (the
+  /// Kraft sum must not exceed 1).
   static Result<HuffmanCode> from_lengths(std::span<const std::uint8_t> lengths);
 
   /// Per-symbol code lengths (0 = symbol unused) — what gets transmitted.
@@ -53,8 +55,10 @@ class HuffmanCode {
     return len_[symbol];
   }
 
-  /// Decode one symbol; -1 on invalid/corrupt bit pattern.
+  /// Decode one symbol; -1 on invalid/corrupt bit pattern. Only a code
+  /// built by from_lengths has the table this reads.
   [[nodiscard]] int decode_symbol(BitReader& r) const {
+    MLOC_DCHECK(!decode_table_.empty());
     const auto window = static_cast<std::uint32_t>(r.peek_bits(max_len_));
     const std::int16_t sym = decode_table_[window];
     if (sym < 0) return -1;
@@ -73,7 +77,7 @@ class HuffmanCode {
 
   std::vector<std::uint8_t> len_;     // per-symbol code length
   std::vector<std::uint32_t> code_;   // per-symbol code bits (LSB-first order)
-  std::vector<std::int16_t> decode_table_;  // window -> symbol (or -1)
+  std::vector<std::int16_t> decode_table_;  // from_lengths: window -> symbol
   int max_len_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "compress/registry.hpp"
 #include "exec/engine.hpp"
@@ -202,10 +203,11 @@ std::vector<std::string> MlocStore::variables() const {
   return out;
 }
 
-Result<const VariableLayout*> MlocStore::variable_layout(
+Result<std::shared_ptr<const VariableLayout>> MlocStore::variable_layout(
     const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
-  return &vs->layout;
+  MLOC_ASSIGN_OR_RETURN(auto vs, variable(var));
+  const VariableLayout* layout = &vs->layout;
+  return std::shared_ptr<const VariableLayout>(std::move(vs), layout);
 }
 
 namespace {
@@ -216,7 +218,7 @@ MlocStore::VariableDesc desc_of(const VariableState& vs) {
 
 Result<MlocStore::VariableDesc> MlocStore::describe(
     const std::string& var) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
+  MLOC_ASSIGN_OR_RETURN(const auto vs, variable(var));
   return desc_of(*vs);
 }
 
@@ -228,11 +230,11 @@ std::vector<MlocStore::VariableDesc> MlocStore::describe_all() const {
   return out;
 }
 
-Result<const VariableState*> MlocStore::variable(
+Result<std::shared_ptr<const VariableState>> MlocStore::variable(
     const std::string& var) const {
   sync::ReaderLock lock(vars_mu_);
   for (const auto& v : vars_) {
-    if (v->name == var) return v.get();
+    if (v->name == var) return v;
   }
   return not_found("store: no variable named " + var);
 }
@@ -288,24 +290,19 @@ Status MlocStore::write_variable(const std::string& var, const Grid& grid,
   MLOC_ASSIGN_OR_RETURN(const ingest::IngestStats stats,
                         ingest::ingest_variable(fs_, name_, *vs, grid, opts));
 
+  // On re-ingest, the store's reference to the old record: dropped on
+  // return, outside vars_mu_. Queries still reading it hold their own.
+  std::shared_ptr<const VariableState> replaced;
   {
     sync::WriterLock lock(vars_mu_);
     vs->epoch = next_epoch_++;
-    bool replaced = false;
-    for (auto& existing : vars_) {
-      if (existing->name == var) {
-        // Re-ingest: swap the fresh state in place (meta order preserved)
-        // and retire the old one, keeping every raw pointer ever handed
-        // out by variable() valid. In-flight queries on the old
-        // state fail cleanly on checksum mismatch against the reused
-        // subfiles rather than reading mixed generations.
-        retired_.push_back(std::move(existing));
-        existing = vs;
-        replaced = true;
-        break;
-      }
+    auto same = std::find_if(vars_.begin(), vars_.end(),
+                             [&](const auto& v) { return v->name == var; });
+    if (same != vars_.end()) {
+      replaced = std::exchange(*same, std::move(vs));  // meta order kept
+    } else {
+      vars_.push_back(std::move(vs));
     }
-    if (!replaced) vars_.push_back(std::move(vs));
     ingest_stats_ += stats;
   }
   // The epoch bump already hides the replaced variable's cached fragments;
@@ -329,14 +326,14 @@ Result<QueryResult> MlocStore::execute(const std::string& var, const Query& q,
 Result<QueryResult> MlocStore::execute(const std::string& var, const Query& q,
                                        int num_ranks,
                                        const exec::ExecOptions& opts) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
+  MLOC_ASSIGN_OR_RETURN(const auto vs, variable(var));
   return exec::execute_query(*this, *vs, q, num_ranks, nullptr, opts);
 }
 
 Result<exec::PlanSummary> MlocStore::plan(const std::string& var,
                                           const Query& q, int num_ranks,
                                           const exec::ExecOptions& opts) const {
-  MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(var));
+  MLOC_ASSIGN_OR_RETURN(const auto vs, variable(var));
   return exec::plan_query(*this, *vs, q, num_ranks, opts);
 }
 
@@ -366,18 +363,18 @@ Result<QueryResult> MlocStore::multivar_select(
   Query region_q;
   region_q.values_needed = false;
   struct RegionPass {
-    const VariableState* var;
+    std::shared_ptr<const VariableState> var;
     ValueConstraint vc;
   };
   std::vector<RegionPass> pass1;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (i == fused) continue;
-    MLOC_ASSIGN_OR_RETURN(const VariableState* vs, variable(preds[i].var));
-    pass1.push_back({vs, preds[i].vc});
+    MLOC_ASSIGN_OR_RETURN(auto vs, variable(preds[i].var));
     region_q.vc = preds[i].vc;
     MLOC_RETURN_IF_ERROR(exec::validate_query(*this, *vs, region_q, num_ranks));
+    pass1.push_back({std::move(vs), preds[i].vc});
   }
-  const VariableState* fetch_state = nullptr;
+  std::shared_ptr<const VariableState> fetch_state;
   Query fetch_q;
   if (fetch) {
     MLOC_ASSIGN_OR_RETURN(fetch_state, variable(fetch_var));

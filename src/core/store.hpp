@@ -217,8 +217,9 @@ class MlocStore {
   /// store config. Writing a name that already exists replaces it: the
   /// fresh layout is published atomically, the fragment-provider entries of
   /// the old generation are dropped, and in-flight queries against the old
-  /// state fail cleanly (checksum mismatch) rather than reading mixed
-  /// generations.
+  /// state complete or fail cleanly (a checksum mismatch, or a read past
+  /// the end of a shortened subfile) rather than reading mixed
+  /// generations; the old record is freed when the last of them ends.
   [[nodiscard]] Status write_variable(const std::string& var, const Grid& grid)
       MLOC_EXCLUDES(ingest_mu_, vars_mu_);
 
@@ -302,13 +303,13 @@ class MlocStore {
   [[nodiscard]] std::vector<std::string> variables() const
       MLOC_EXCLUDES(vars_mu_);
 
-  /// The record of `var`, or NotFound. The pointer stays valid for the
-  /// store's lifetime: a re-ingest publishes a fresh record and retires
-  /// this one rather than destroying it.
-  [[nodiscard]] Result<const VariableState*> variable(
+  /// The record of `var`, or NotFound. The caller shares it: a re-ingest
+  /// publishes a fresh record and drops the store's reference to this one,
+  /// which then lives exactly as long as some caller still holds it.
+  [[nodiscard]] Result<std::shared_ptr<const VariableState>> variable(
       const std::string& var) const MLOC_EXCLUDES(vars_mu_);
-  /// `&variable(var)->layout`.
-  [[nodiscard]] Result<const VariableLayout*> variable_layout(
+  /// `variable(var)->layout`, through a pointer that shares the record.
+  [[nodiscard]] Result<std::shared_ptr<const VariableLayout>> variable_layout(
       const std::string& var) const;
   [[nodiscard]] const pfs::PfsStorage& storage() const noexcept {
     return *fs_;
@@ -365,13 +366,11 @@ class MlocStore {
   /// Handle types keep the mutex storage behind shared_ptr so the store
   /// stays movable (moves happen only at setup).
   sync::MutexHandle ingest_mu_ MLOC_ACQUIRED_BEFORE(vars_mu_);
-  /// Published variable states. Reader/writer gated by vars_mu_; states
-  /// are handed out as raw pointers (variable()), so a replaced
-  /// state is moved to retired_ instead of destroyed — every pointer ever
-  /// returned stays valid for the store's lifetime.
+  /// Published variable records. Reader/writer gated by vars_mu_; each is
+  /// shared with whoever variable() handed it to, so a query keeps the
+  /// record it started on alive across a re-ingest that replaces it.
   sync::SharedMutexHandle vars_mu_;
-  std::vector<std::shared_ptr<VariableState>> vars_ MLOC_GUARDED_BY(vars_mu_);
-  std::vector<std::shared_ptr<VariableState>> retired_
+  std::vector<std::shared_ptr<const VariableState>> vars_
       MLOC_GUARDED_BY(vars_mu_);
   /// Ingest generation counter; 0 = opened state.
   std::uint64_t next_epoch_ MLOC_GUARDED_BY(vars_mu_) = 1;

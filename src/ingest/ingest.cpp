@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <utility>
 
@@ -39,28 +38,20 @@ Result<pfs::FileId> open_or_create(pfs::PfsStorage* fs,
 /// One fragment's staged cells: the points of one chunk that fall into one
 /// bin, in chunk-local row-major order.
 struct FragStage {
+  int bin = 0;
   ChunkId chunk = 0;
   std::vector<std::uint32_t> offsets;  ///< local, ascending
   std::vector<double> values;          ///< parallel to offsets
 };
 
-/// Partition-task output for one chunk: its non-empty bins (ascending) and
-/// the staged fragment for each.
-struct ChunkRouting {
-  std::vector<int> bins;
-  std::vector<FragStage> frags;
-  double route_s = 0.0;
-};
-
-/// Route one chunk's cells to bins. Two passes: a bin histogram first, so
-/// every staging buffer is reserved to its exact final size (no realloc in
-/// the push loop); bin ids are memoized so bin_of runs once per cell.
-ChunkRouting route_chunk(const Grid& grid, const ChunkGrid& chunk_grid,
-                         const BinningScheme& scheme, ChunkId chunk,
-                         int nbins) {
-  Stopwatch sw;
-  ChunkRouting out;
-  out.frags.clear();
+/// Route one chunk's cells to bins: one staged fragment per non-empty bin,
+/// bins ascending. Two passes: a bin histogram first, so every staging
+/// buffer is reserved to its exact final size (no realloc in the push
+/// loop); bin ids are memoized so bin_of runs once per cell.
+std::vector<FragStage> route_chunk(const Grid& grid,
+                                   const ChunkGrid& chunk_grid,
+                                   const BinningScheme& scheme, ChunkId chunk,
+                                   int nbins) {
   const Region region = chunk_grid.chunk_region(chunk);
   const std::vector<double> vals = grid.extract(region);
 
@@ -71,32 +62,33 @@ ChunkRouting route_chunk(const Grid& grid, const ChunkGrid& chunk_grid,
     ++histogram[static_cast<std::size_t>(b)];
   }
 
+  std::vector<FragStage> out;
   std::vector<int> slot_of(static_cast<std::size_t>(nbins), -1);
   for (int b = 0; b < nbins; ++b) {
     const std::uint32_t n = histogram[static_cast<std::size_t>(b)];
     if (n == 0) continue;
-    slot_of[static_cast<std::size_t>(b)] = static_cast<int>(out.bins.size());
-    out.bins.push_back(b);
+    slot_of[static_cast<std::size_t>(b)] = static_cast<int>(out.size());
     FragStage frag;
+    frag.bin = b;
     frag.chunk = chunk;
     frag.offsets.reserve(n);
     frag.values.reserve(n);
-    out.frags.push_back(std::move(frag));
+    out.push_back(std::move(frag));
   }
   for (std::size_t i = 0; i < vals.size(); ++i) {
-    FragStage& frag = out.frags[static_cast<std::size_t>(
+    FragStage& frag = out[static_cast<std::size_t>(
         slot_of[static_cast<std::size_t>(bin_ids[i])])];
     frag.offsets.push_back(static_cast<std::uint32_t>(i));
     frag.values.push_back(vals[i]);
   }
-  out.route_s = sw.seconds();
   return out;
 }
 
-/// Encode-task output: everything the fold stage needs to lay the fragment
-/// into the bin images, plus its private error and timing slots.
+/// One encoded fragment: everything the fold stage needs to lay it into
+/// its bin's images, plus its private error and timing slots.
 struct EncodedFragment {
   Status status = Status::ok();
+  int bin = 0;
   ChunkId chunk = 0;
   std::uint64_t count = 0;
   Bytes pos_blob;
@@ -114,9 +106,11 @@ struct EncodedFragment {
 /// regardless of which thread runs it, which is what makes the fold
 /// stage's output byte-identical to a serial write.
 EncodedFragment encode_fragment(const VariableState& var,
-                                const FragStage& stage, int groups) {
+                                const FragStage& stage) {
   Stopwatch sw;
+  const int groups = var.num_groups();
   EncodedFragment out;
+  out.bin = stage.bin;
   out.chunk = stage.chunk;
   out.count = stage.offsets.size();
   out.pos_blob = encode_positions(stage.offsets);
@@ -164,6 +158,31 @@ EncodedFragment encode_fragment(const VariableState& var,
     out.group_checksums.push_back(segment_checksum(var.checksum, g));
   }
   out.encode_s = sw.seconds();
+  return out;
+}
+
+/// Chunk-task output: one encoded fragment per non-empty bin, bins
+/// ascending, and the seconds spent routing the chunk's cells.
+struct EncodedChunk {
+  std::vector<EncodedFragment> frags;
+  double route_s = 0.0;
+};
+
+/// The chunk task: route one chunk's cells to bins, then encode each bin's
+/// fragment and release its staged cells. The cells live only inside this
+/// call, so a serial ingest stages one chunk at a time.
+EncodedChunk encode_chunk(const VariableState& var, const Grid& grid,
+                          ChunkId chunk, int nbins) {
+  Stopwatch sw;
+  std::vector<FragStage> stages =
+      route_chunk(grid, var.chunk_grid, var.scheme, chunk, nbins);
+  EncodedChunk out;
+  out.route_s = sw.seconds();
+  out.frags.reserve(stages.size());
+  for (FragStage& stage : stages) {
+    out.frags.push_back(encode_fragment(var, stage));
+    stage = FragStage{};
+  }
   return out;
 }
 
@@ -235,71 +254,47 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
   std::vector<WahBitmap> hbx_leaves;
   if (build_hbx) hbx_leaves.resize(static_cast<std::size_t>(nbins));
 
-  // The data all stages share. Declared before the pool so an early error
-  // return destroys the pool (running and joining every queued task) first.
+  // The chunk tasks' results, in chunk-rank order. Declared before the pool
+  // so an early return destroys the pool (running and joining every queued
+  // task) first.
   const std::uint32_t num_chunks = chunk_grid.num_chunks();
-  std::vector<ChunkRouting> routing(num_chunks);
-  std::vector<parallel::TaskHandle> route_handles(num_chunks);
-  // Per-bin encoded fragments in chunk-rank order. deque: push_back keeps
-  // references to earlier elements stable while workers fill them.
-  std::vector<std::deque<EncodedFragment>> encoded(
-      static_cast<std::size_t>(nbins));
-  std::vector<std::vector<parallel::TaskHandle>> encode_handles(
-      static_cast<std::size_t>(nbins));
+  std::vector<EncodedChunk> chunks(num_chunks);
+  std::vector<parallel::TaskHandle> chunk_handles;
+  chunk_handles.reserve(num_chunks);
   std::vector<FlushSlot> flush_slots(static_cast<std::size_t>(nbins));
   std::vector<parallel::TaskHandle> flush_handles;
 
   // One executor for every stage. threads <= 1 gives it no workers: each
   // task then runs inline where it is submitted, which is the serial order.
-  const int workers = opts.threads > 1 ? opts.threads : 0;
-  parallel::ThreadPool pool(workers);
+  parallel::ThreadPool pool(opts.threads > 1 ? opts.threads : 0);
 
-  // --- Stage 1 (partition): route each Hilbert-ordered chunk's cells to
-  // bins, one independent task per chunk, at most `workers` chunks ahead of
-  // the one being handed to encode. Without workers a chunk is routed just
-  // before its fragments encode, so only one chunk is ever staged.
-  std::uint32_t next_route = 0;
-  auto route_through = [&](std::uint64_t end) {
-    for (; next_route < std::min<std::uint64_t>(end, num_chunks);
-         ++next_route) {
-      const std::uint32_t rank = next_route;
-      const ChunkId chunk = var.curve_order.chunk_at(rank);
-      route_handles[rank] = pool.submit_waitable([&, rank, chunk] {
-        routing[rank] =
-            route_chunk(grid, chunk_grid, var.scheme, chunk, nbins);
-      });
-    }
-  };
-
-  // --- Stage 2 (encode): as each chunk's routing lands (in rank order, so
-  // fragment order inside every bin matches a serial write), hand its
-  // fragments to encode tasks.
+  // --- Stages 1+2 (partition + encode): one task per Hilbert-ordered
+  // chunk routes its cells to bins and encodes every fragment they form.
   for (std::uint32_t rank = 0; rank < num_chunks; ++rank) {
-    route_through(std::uint64_t{rank} + 1 +
-                  static_cast<std::uint64_t>(workers));
-    route_handles[rank].wait();
-    ChunkRouting& routed = routing[rank];
-    stats.partition_s += routed.route_s;
-    for (std::size_t k = 0; k < routed.bins.size(); ++k) {
-      const auto b = static_cast<std::size_t>(routed.bins[k]);
-      encoded[b].emplace_back();
-      EncodedFragment* slot = &encoded[b].back();
-      ++stats.fragments_encoded;
-      auto stage = std::make_shared<FragStage>(std::move(routed.frags[k]));
-      encode_handles[b].push_back(
-          pool.submit_waitable([slot, stage, &var, groups] {
-            *slot = encode_fragment(var, *stage, groups);
-          }));
+    const ChunkId chunk = var.curve_order.chunk_at(rank);
+    chunk_handles.push_back(pool.submit_waitable([&, rank, chunk] {
+      chunks[rank] = encode_chunk(var, grid, chunk, nbins);
+    }));
+  }
+  // Fragments move into their bins in chunk-rank order, so every bin lists
+  // them as a serial write does.
+  std::vector<std::vector<EncodedFragment>> encoded(
+      static_cast<std::size_t>(nbins));
+  for (std::uint32_t rank = 0; rank < num_chunks; ++rank) {
+    chunk_handles[rank].wait();
+    EncodedChunk done = std::move(chunks[rank]);
+    stats.partition_s += done.route_s;
+    stats.fragments_encoded += done.frags.size();
+    for (EncodedFragment& f : done.frags) {
+      encoded[static_cast<std::size_t>(f.bin)].push_back(std::move(f));
     }
-    routed = ChunkRouting{};  // routing for this chunk is consumed
   }
 
-  // --- Stages 3+4 (fold + flush): bins in order; each bin folds once its
-  // fragments are encoded and flushes while later bins still encode.
+  // --- Stages 3+4 (fold + flush): bins in order; each bin's images flush
+  // while later bins fold.
   for (int b = 0; b < nbins; ++b) {
     const auto bi = static_cast<std::size_t>(b);
-    for (auto& handle : encode_handles[bi]) handle.wait();
-    std::deque<EncodedFragment>& frags = encoded[bi];
+    std::vector<EncodedFragment> frags = std::move(encoded[bi]);
     for (const EncodedFragment& f : frags) {
       MLOC_RETURN_IF_ERROR(f.status);
       stats.encode_s += f.encode_s;
@@ -354,20 +349,13 @@ Result<IngestStats> ingest_variable(pfs::PfsStorage* fs,
     if (build_hbx) {
       // Leaf bitmap: this bin's global grid positions. Chunk-local offsets
       // are re-decoded from the positional blobs (encode dropped the staged
-      // offsets) and mapped through each fragment's chunk region.
+      // offsets).
       Bitmap leaf(grid.size());
       for (const EncodedFragment& f : frags) {
         MLOC_ASSIGN_OR_RETURN(const std::vector<std::uint32_t> locals,
                               decode_positions(f.pos_blob, f.count));
-        const Region region = chunk_grid.chunk_region(f.chunk);
-        Coord extents{};
-        for (int d = 0; d < region.ndims(); ++d) extents[d] = region.extent(d);
-        const NDShape local_shape(region.ndims(), extents);
-        for (const std::uint32_t local : locals) {
-          Coord c = local_shape.delinearize(local);
-          for (int d = 0; d < region.ndims(); ++d) c[d] += region.lo(d);
-          leaf.set(grid.shape().linearize(c));
-        }
+        chunk_grid.for_each_array_offset(
+            f.chunk, locals, [&](std::uint64_t p) { leaf.set(p); });
       }
       hbx_leaves[bi] = WahBitmap::compress(leaf);
     }

@@ -5,27 +5,29 @@
 // shredding → C codec, §III) in four explicit stages:
 //
 //   1. partition — sample quantiles, then route each Hilbert-ordered
-//      chunk's cells into per-(bin, fragment) staging buffers. Each chunk
-//      is an independent task; buffers are sized exactly from a first-pass
-//      bin histogram, so the routing hot loop never reallocates.
+//      chunk's cells into per-bin staging buffers, sized exactly from a
+//      first-pass bin histogram, so the routing hot loop never reallocates.
 //   2. encode    — position encoding, zone map, PLoD shredding, codec
-//      encode of every byte group, and the CRC-32 segment checksums, one
-//      task per fragment. Encoding is a pure function of the fragment's
-//      values, so tasks run on the pool's workers in any order.
-//   3. fold      — concatenate encoded segments into each bin's .idx/.dat
-//      images in the exact serial order (V-M-S group-major vs V-S-M
+//      encode of every byte group, and the CRC-32 segment checksums, for
+//      each fragment the chunk's cells form, releasing its staged cells
+//      once encoded. Stages 1 and 2 of one chunk are one pool task, so a
+//      chunk's cells live only inside its task; encoding is a pure
+//      function of the fragment's values, so tasks run in any order.
+//   3. fold      — once every chunk task is done, concatenate encoded
+//      segments into each bin's .idx/.dat images in the exact serial order
+//      (fragments in chunk-rank order, V-M-S group-major vs V-S-M
 //      fragment-major interleave preserved) with buffers pre-sized from
 //      the encoded totals. Folding runs on the caller's thread in bin
 //      order, so parallel output is byte-identical to a serial run, CRC
 //      "MLCF" footers included.
 //   4. flush     — write finished bin subfiles through pfs::PfsStorage.
 //      With WriteOptions::write_behind the flush of bin b overlaps the
-//      encode/fold of bins > b (pool tasks joined before return).
+//      fold of bins > b (pool tasks joined before return).
 //
 // Every stage submits its tasks to one parallel::ThreadPool. threads <= 1
 // builds it with zero workers, which runs each task inline as it is
-// submitted: the serial path is the same code, routing and encoding one
-// chunk at a time.
+// submitted: the serial path is the same code, staging one chunk at a
+// time.
 //
 // Determinism: every encoded segment is a pure function of its input and
 // the fold order is fixed, so stores written at any thread count are
@@ -47,12 +49,12 @@ namespace mloc::ingest {
 /// Write-path tuning knobs (MlocStore::write_variable overload, service
 /// config, and mloc_cli --threads/--write-behind plumb these through).
 struct WriteOptions {
-  /// Pool workers for the partition, encode and write-behind flush
-  /// stages. <= 1 gives the pool none, so every task runs inline on the
-  /// calling thread (the reference serial order).
+  /// Pool workers for the chunk tasks and write-behind flushes. <= 1 gives
+  /// the pool none, so every task runs inline on the calling thread (the
+  /// reference serial order).
   int threads = 1;
   /// Flush completed bin subfiles on pool workers while later bins are
-  /// still encoding. No effect when threads <= 1.
+  /// still folding. No effect when threads <= 1.
   bool write_behind = false;
 };
 
@@ -62,7 +64,7 @@ struct IngestStats {
   std::uint64_t fragments_encoded = 0;  ///< (bin, chunk) cells produced
   std::uint64_t bins_written = 0;       ///< bin subfile pairs flushed
   std::uint64_t bytes_written = 0;      ///< .idx + .dat bytes (with footers)
-  double partition_s = 0.0;  ///< wall: sample + route + stage
+  double partition_s = 0.0;  ///< sampling wall + summed per-chunk routing
   double encode_s = 0.0;     ///< summed per-fragment encode CPU
   double fold_s = 0.0;       ///< wall: segment concatenation + headers
   double flush_s = 0.0;      ///< summed subfile write seconds

@@ -1,8 +1,10 @@
 #include "tools/fsck.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -81,6 +83,10 @@ struct StoreContext {
   bool lossless = false;
   /// Per-chunk occupancy marks for the cross-bin bijectivity check.
   std::vector<std::vector<bool>> chunk_marks;
+  /// Per bin, when the variable has a .hbx: the global position bitmap its
+  /// positional index decodes to, the truth its leaf must equal. check_bin
+  /// builds it; it stays empty for a bin whose blobs did not all read clean.
+  std::vector<std::optional<WahBitmap>> leaf_truth;
 };
 
 std::string bin_name(const StoreContext& ctx, int bin) {
@@ -374,7 +380,11 @@ void check_bin(StoreContext& ctx, int bin, const Options& opts,
              u64str(dat_payload.value()) + "-byte .dat payload");
   }
 
-  // --- positions: checksum, decode, range, and cross-bin occupancy.
+  // --- positions: checksum, decode, range, and cross-bin occupancy. With
+  // a .hbx, every clean blob also goes into the bin's leaf truth.
+  std::optional<Bitmap> truth;
+  if (ctx.var->hbx) truth.emplace(ctx.var->chunk_grid.array_shape().volume());
+  std::size_t clean_blobs = 0;
   for (std::size_t f = 0; f < frags.size(); ++f) {
     const FragmentInfo& frag = frags[f];
     const std::string fname = frag_name(ctx, bin, f, frag.chunk);
@@ -420,6 +430,19 @@ void check_bin(StoreContext& ctx, int bin, const Options& opts,
       }
       marks[off] = true;
     }
+    // Offsets ascend strictly, so the last one bounds them all.
+    if (!decoded.value().empty() && decoded.value().back() >= chunk_volume) {
+      continue;
+    }
+    ++clean_blobs;
+    if (truth) {
+      ctx.var->chunk_grid.for_each_array_offset(
+          frag.chunk, decoded.value(),
+          [&](std::uint64_t p) { truth->set(p); });
+    }
+  }
+  if (truth && clean_blobs == frags.size()) {
+    ctx.leaf_truth[static_cast<std::size_t>(bin)] = WahBitmap::compress(*truth);
   }
 
   // --- planes: decode payloads (the expensive, optional pass).
@@ -436,49 +459,6 @@ std::string node_name(const std::string& hbx, std::size_t i,
   return hbx + " node " + std::to_string(i) + " (level " +
          std::to_string(n.level) + ", bins [" + std::to_string(n.first_bin) +
          ".." + std::to_string(n.last_bin()) + "])";
-}
-
-/// Rebuild one bin's global position bitmap from its positional index —
-/// the ground truth every .hbx leaf must reproduce. Returns false when the
-/// bin's table or blobs are unreadable (already reported by check_bin).
-bool rebuild_bin_bitmap(const StoreContext& ctx, const NDShape& shape,
-                        const VariableState::Bin& files, Bitmap& out) {
-  const std::uint64_t header_len = files.idx.header_len;
-  auto idx = read_all(*ctx.fs, files.idx.file);
-  if (!idx.is_ok()) return false;
-  auto payload = verify_subfile_footer(idx.value());
-  if (!payload.is_ok() || header_len > payload.value()) return false;
-  ByteReader header_reader(
-      std::span<const std::uint8_t>(idx.value()).first(header_len));
-  auto layout = BinLayout::deserialize(header_reader);
-  if (!layout.is_ok()) return false;
-  const std::uint64_t blob_section = payload.value() - header_len;
-  for (const FragmentInfo& frag : layout.value().fragments) {
-    const Segment& pos = frag.positions;
-    if (pos.offset + pos.length > blob_section ||
-        pos.offset + pos.length < pos.offset ||
-        frag.chunk >= ctx.var->chunk_grid.num_chunks()) {
-      return false;
-    }
-    auto decoded = decode_positions(
-        std::span<const std::uint8_t>(idx.value())
-            .subspan(header_len + pos.offset, pos.length),
-        frag.count);
-    if (!decoded.is_ok()) return false;
-    const Region region = ctx.var->chunk_grid.chunk_region(frag.chunk);
-    Coord extents{};
-    for (int d = 0; d < shape.ndims(); ++d) {
-      extents[d] = region.hi(d) - region.lo(d);
-    }
-    const NDShape local(shape.ndims(), extents);
-    for (std::uint32_t off : decoded.value()) {
-      if (off >= local.volume()) return false;
-      Coord c = local.delinearize(off);
-      for (int d = 0; d < shape.ndims(); ++d) c[d] += region.lo(d);
-      out.set(shape.linearize(c));
-    }
-  }
-  return true;
 }
 
 /// The "index" family: hierarchical bitmap index consistency (.hbx).
@@ -607,16 +587,15 @@ void check_index(const StoreContext& ctx, VariableLayoutInfo& info,
   }
 
   // --- leaves: leaf b must equal the union of bin b's positional-index
-  // entries mapped to global grid offsets (ground truth from .idx).
-  const std::vector<VariableState::Bin>& bins = ctx.var->bins;
-  for (int b = 0; b < h.num_bins && b < static_cast<int>(bins.size()); ++b) {
-    const std::size_t i = static_cast<std::size_t>(b);  // leaf node id == bin
-    if (!node_ok[i]) continue;
-    Bitmap truth(shape.volume());
-    if (!rebuild_bin_bitmap(ctx, shape, bins[i], truth)) continue;
-    if (!(WahBitmap::compress(truth) == node_bm[i])) {
+  // entries mapped to global grid offsets (ground truth check_bin built
+  // from .idx; none for a bin whose blobs it could not read clean).
+  const std::size_t leaves =
+      std::min(static_cast<std::size_t>(h.num_bins), ctx.leaf_truth.size());
+  for (std::size_t i = 0; i < leaves; ++i) {  // leaf node id == bin
+    if (!node_ok[i] || !ctx.leaf_truth[i]) continue;
+    if (!(*ctx.leaf_truth[i] == node_bm[i])) {
       sink.add("index", node_name(name, i, h.nodes[i]),
-               "leaf bitmap disagrees with bin " + std::to_string(b) +
+               "leaf bitmap disagrees with bin " + std::to_string(i) +
                "'s positional index");
     }
   }
@@ -756,6 +735,7 @@ Report LayoutVerifier::verify_store(const std::string& name) const {
     // Byte-plane storage is exact by construction.
     ctx.lossless = vs.plod_capable() || vs.double_codec->lossless();
     ctx.chunk_marks.resize(vs.chunk_grid.num_chunks());
+    if (vs.hbx) ctx.leaf_truth.resize(vs.bins.size());
 
     check_curve_permutation(ctx, sink);
 

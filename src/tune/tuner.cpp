@@ -184,7 +184,7 @@ Result<TuneResult> tune_variable(const MlocStore& source,
                                  const std::string& var,
                                  const QueryTrace& trace,
                                  const SearchSpace& space) {
-  MLOC_ASSIGN_OR_RETURN(const VariableLayout* baseline,
+  MLOC_ASSIGN_OR_RETURN(const std::shared_ptr<const VariableLayout> baseline,
                         source.variable_layout(var));
 
   std::vector<const TracedQuery*> queries;

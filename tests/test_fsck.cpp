@@ -634,6 +634,39 @@ TEST(Fsck, CrcSegmentFlipRejectedInEveryFamily) {
   }
 }
 
+// positions, in a .hbx store: a flipped position-blob byte (footer
+// re-sealed) that still decodes to ascending, in-chunk offsets, so only the
+// blob's checksum catches it. fsck reports it under "positions" and does not
+// compare that bin's .hbx leaf with offsets it could not read clean.
+TEST(Fsck, FlippedPositionBlobSkipsItsBinsLeaf) {
+  pfs::PfsStorage fs;
+  build_v6_store(fs, "mzip", /*fanout=*/4);
+  tamper_resealed(fs, file_named(fs, ".idx"), [](Bytes& payload) {
+    ByteReader r{std::span<const std::uint8_t>(payload)};
+    auto layout = BinLayout::deserialize(r);
+    ASSERT_TRUE(layout.is_ok());
+    const auto& frags = layout.value().fragments;
+    const FragmentInfo& last = *std::max_element(
+        frags.begin(), frags.end(), [](const auto& a, const auto& b) {
+          return a.positions.offset < b.positions.offset;
+        });
+    const std::size_t at = r.position() + last.positions.offset;
+    ASSERT_EQ(at + last.positions.length, payload.size());
+    payload.back() ^= 0x01;  // the low bit of the blob's last delta
+    const auto offsets = decode_positions(
+        std::span<const std::uint8_t>(payload).subspan(at), last.count);
+    ASSERT_TRUE(offsets.is_ok()) << offsets.status().to_string();
+    const ChunkGrid chunks(NDShape{64, 64}, NDShape{16, 16});
+    ASSERT_LT(offsets.value().back(),
+              chunks.chunk_region(last.chunk).volume());
+  });
+
+  const fsck::Report report = fsck::LayoutVerifier(&fs).verify_store("s");
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_check(report, "positions")) << checks_of(report);
+  EXPECT_FALSE(has_check(report, "index")) << checks_of(report);
+}
+
 // A CRC-32 checksum is stored zero-extended in the 64-bit field, so one
 // whose low 32 bits are still right but whose high bits are set fails:
 // one payload segment's and one position blob's, in turn.

@@ -702,7 +702,8 @@ TEST(HbxFsck, DetectsPaddingBitPastGrid) {
   ASSERT_TRUE(store.is_ok()) << store.status().to_string();
   auto fid = fs.open("s/phi.hbx");
   ASSERT_TRUE(fid.is_ok());
-  const VariableState* var = store.value().variable("phi").value();
+  const std::shared_ptr<const VariableState> var =
+      store.value().variable("phi").value();
   const std::uint64_t header_len = var->hbx->header_len;
   auto header =
       HbxHeader::deserialize(fs.read(fid.value(), 0, header_len).value());

@@ -7,9 +7,9 @@
 
 #include <atomic>
 #include <map>
+#include <ostream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/store.hpp"
@@ -34,12 +34,34 @@ MlocConfig small_config(const NDShape& shape, const NDShape& chunk,
   return cfg;
 }
 
-Result<MlocStore> build_store(pfs::PfsStorage& fs, const std::string& codec,
-                              LevelOrder order,
+/// One layout over one grid: a GTS-like 2-D field, or an S3D-like 3-D one
+/// when `dims` is 3, `edge` cells a side, cut into cubes of `chunk` cells a
+/// side (the edge chunks are ragged where `chunk` does not divide `edge`).
+struct IngestCase {
+  std::string codec;
+  LevelOrder order = LevelOrder::kVMS;
+  int index_fanout = 0;
+  int dims = 2;
+  std::uint32_t edge = 64;
+  std::uint32_t chunk = 16;
+};
+
+void PrintTo(const IngestCase& c, std::ostream* os) {
+  *os << c.codec << (c.order == LevelOrder::kVMS ? " V-M-S" : " V-S-M")
+      << " fanout " << c.index_fanout << ", " << c.dims << "-D edge "
+      << c.edge << " in " << c.chunk << "-cell chunks";
+}
+
+Result<MlocStore> build_store(pfs::PfsStorage& fs, const IngestCase& c,
                               const ingest::WriteOptions& opts) {
-  Grid grid = datagen::gts_like(64, 42);
-  auto store = MlocStore::create(
-      &fs, "s", small_config(grid.shape(), NDShape{16, 16}, codec, order));
+  const Grid grid = c.dims == 3 ? datagen::s3d_like(c.edge, 42)
+                                : datagen::gts_like(c.edge, 42);
+  Coord chunk{};
+  chunk.fill(c.chunk);
+  MlocConfig cfg = small_config(grid.shape(), NDShape(c.dims, chunk),
+                                c.codec, c.order);
+  cfg.layout.index_fanout = c.index_fanout;
+  auto store = MlocStore::create(&fs, "s", cfg);
   if (!store.is_ok()) return store;
   MLOC_RETURN_IF_ERROR(store.value().write_variable("phi", grid, opts));
   return store;
@@ -60,13 +82,11 @@ std::map<std::string, Bytes> snapshot(const pfs::PfsStorage& fs) {
 
 // -------------------------------------------------- byte-identity sweeps
 
-class IngestConfigs
-    : public ::testing::TestWithParam<std::tuple<std::string, LevelOrder>> {};
+class IngestConfigs : public ::testing::TestWithParam<IngestCase> {};
 
 TEST_P(IngestConfigs, ParallelOutputByteIdenticalToSerial) {
-  const auto& [codec, order] = GetParam();
   pfs::PfsStorage fs_serial;
-  auto serial = build_store(fs_serial, codec, order, {});
+  auto serial = build_store(fs_serial, GetParam(), {});
   ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
   const auto want = snapshot(fs_serial);
   ASSERT_FALSE(want.empty());
@@ -75,9 +95,8 @@ TEST_P(IngestConfigs, ParallelOutputByteIdenticalToSerial) {
   for (const int threads : {1, 2, 8}) {
     for (const bool write_behind : {false, true}) {
       pfs::PfsStorage fs;
-      auto store = build_store(fs, codec, order,
-                               {.threads = threads,
-                                .write_behind = write_behind});
+      auto store = build_store(
+          fs, GetParam(), {.threads = threads, .write_behind = write_behind});
       ASSERT_TRUE(store.is_ok()) << store.status().to_string();
       const auto got = snapshot(fs);
       ASSERT_EQ(got.size(), want.size());
@@ -93,12 +112,10 @@ TEST_P(IngestConfigs, ParallelOutputByteIdenticalToSerial) {
 }
 
 TEST_P(IngestConfigs, FsckCleanOnPipelineStores) {
-  const auto& [codec, order] = GetParam();
   for (const bool write_behind : {false, true}) {
     pfs::PfsStorage fs;
-    auto store =
-        build_store(fs, codec, order,
-                    {.threads = 4, .write_behind = write_behind});
+    auto store = build_store(fs, GetParam(),
+                             {.threads = 4, .write_behind = write_behind});
     ASSERT_TRUE(store.is_ok()) << store.status().to_string();
     fsck::LayoutVerifier verifier(&fs);
     const fsck::Report report = verifier.verify_store("s");
@@ -109,11 +126,18 @@ TEST_P(IngestConfigs, FsckCleanOnPipelineStores) {
 INSTANTIATE_TEST_SUITE_P(
     AllLayouts, IngestConfigs,
     ::testing::Values(
-        std::make_tuple("mzip", LevelOrder::kVMS),
-        std::make_tuple("mzip", LevelOrder::kVSM),
-        std::make_tuple("raw", LevelOrder::kVMS),
-        std::make_tuple("isobar", LevelOrder::kVMS),
-        std::make_tuple("isabela:0.01", LevelOrder::kVMS)));
+        IngestCase{"mzip", LevelOrder::kVMS},
+        IngestCase{"mzip", LevelOrder::kVSM},
+        IngestCase{"raw", LevelOrder::kVMS},
+        IngestCase{"isobar", LevelOrder::kVMS},
+        IngestCase{"isabela:0.01", LevelOrder::kVMS},
+        // A .hbx whose leaves the fold builds from every chunk's blobs.
+        IngestCase{"mzip", LevelOrder::kVMS, /*index_fanout=*/4},
+        // 3-D, 40 = 16 + 16 + 8 cells a side: 27 chunks, 19 of them ragged.
+        IngestCase{"mzip", LevelOrder::kVMS, 0, /*dims=*/3, /*edge=*/40},
+        // 2 x 2 chunks, three of them ragged: fewer chunk tasks than the
+        // sweep's 8 workers.
+        IngestCase{"mzip", LevelOrder::kVSM, 0, 2, 64, /*chunk=*/48}));
 
 // ------------------------------------------------------- stats and reuse
 

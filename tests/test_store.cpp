@@ -11,12 +11,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "compress/registry.hpp"
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
+#include "exec/engine.hpp"
 #include "plod/plod.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
@@ -1103,6 +1105,95 @@ TEST(Store, RewriteReplacesVariable) {
   ASSERT_TRUE(res.is_ok()) << res.status().to_string();
   const Truth want = brute_force(fresh, q);
   EXPECT_EQ(res.value().values, want.values);
+}
+
+TEST(Store, ReingestFreesTheRecordItReplaces) {
+  pfs::PfsStorage fs;
+  Grid grid = test_grid_2d();
+  auto store = MlocStore::create(
+      &fs, "t", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("t", grid).is_ok());
+  const std::weak_ptr<const VariableState> first =
+      store.value().variable("t").value();
+  ASSERT_FALSE(first.expired());  // the store holds it
+
+  ASSERT_TRUE(store.value().write_variable("t", grid).is_ok());
+  EXPECT_TRUE(first.expired());
+
+  // A holder keeps the replaced record alive exactly until it lets go.
+  std::shared_ptr<const VariableState> held =
+      store.value().variable("t").value();
+  const std::weak_ptr<const VariableState> second = held;
+  ASSERT_TRUE(store.value()
+                  .write_variable("t", datagen::gts_like(64, 77),
+                                  {.threads = 2, .write_behind = true})
+                  .is_ok());
+  EXPECT_FALSE(second.expired());
+  EXPECT_NE(store.value().variable("t").value(), held);
+  held.reset();
+  EXPECT_TRUE(second.expired());
+  EXPECT_EQ(store.value().variables().size(), 1u);
+}
+
+// A reader that holds the record it started on across re-ingests of its
+// variable either completes with that record's answer or fails with
+// CorruptData. `raw` segments and position blobs keep their sizes when
+// every value doubles (the bins keep their cells), so the re-ingested
+// subfiles keep the old offsets in range: the reader meets the other
+// generation's bytes, never a short file. Run under ASan and TSan, it also
+// checks that the record is freed by its last holder and nowhere else.
+TEST(Store, ReaderHoldingTheOldRecordCompletesOrFailsClean) {
+  pfs::PfsStorage fs;
+  const Grid grid = test_grid_2d();
+  std::vector<double> doubled(grid.values().begin(), grid.values().end());
+  for (double& v : doubled) v *= 2.0;
+  const Grid twice(grid.shape(), std::move(doubled));
+  auto store = MlocStore::create(
+      &fs, "t", small_config(grid.shape(), NDShape{16, 16}, "raw"));
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("phi", grid).is_ok());
+
+  Query q;
+  q.vc = ValueConstraint{-0.5, 0.75};
+  q.values_needed = true;
+  const Truth want = brute_force(grid, q);
+  std::shared_ptr<const VariableState> old =
+      store.value().variable("phi").value();
+  const std::weak_ptr<const VariableState> watch = old;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> completed{0};
+  std::atomic<int> corrupt{0};
+  std::atomic<int> wrong{0};
+  std::thread reader([&, held = std::move(old)]() mutable {
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto res = exec::execute_query(store.value(), *held, q, 2, nullptr,
+                                     exec::ExecOptions{});
+      if (res.is_ok() && res.value().positions == want.positions &&
+          res.value().values == want.values) {
+        completed.fetch_add(1);
+      } else if (!res.is_ok() &&
+                 res.status().code() == ErrorCode::kCorruptData) {
+        corrupt.fetch_add(1);
+      } else {
+        wrong.fetch_add(1);
+      }
+    }
+    held.reset();
+  });
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_TRUE(store.value()
+                    .write_variable("phi", round % 2 == 0 ? twice : grid,
+                                    {.threads = 2, .write_behind = true})
+                    .is_ok())
+        << round;
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(completed.load() + corrupt.load(), 0);
+  EXPECT_TRUE(watch.expired());  // its last holder, the reader, let go
 }
 
 TEST(Store, ShapeMismatchRejected) {
