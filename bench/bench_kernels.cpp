@@ -6,11 +6,14 @@
 // code stored against inflating their dynamic streams, and
 // segment_checksum times the folded CRC-32 against FNV-1a. The
 // fragment_emit row times the engine's emit pass against the row walk it
-// replaced.
+// replaced, and the gather rows the engine's gather, writing into its
+// reused buffers, against the pair sort. bitmap_count and wah_count time
+// the dispatched popcount paths.
 // Results land in BENCH_kernels.json (`MLOC_BENCH_JSON` overrides the
 // path); the binary exits non-zero if any kernel's outputs differ or its
 // speedup drops below 1.0, and CI's bench-smoke job jq-asserts the same
 // two claims from the JSON.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -333,10 +336,13 @@ KernelResult bench_segment_checksum(const std::array<PlaneStreams, 2>& forms) {
 }
 
 /// The engine's gather: `n` distinct (position, value) pairs over a 2048^2
-/// grid, scattered by an odd multiplier (a bijection mod 2^22), sorted into
-/// grid order. Both sides start each rep from the same unsorted copy. The
-/// `gather` row (300,000 pairs) is dense (n * 64 >= 2^22) and runs the
-/// bitmap placement; `gather_sparse` (30,000 pairs) runs the radix sort.
+/// grid, scattered by an odd multiplier (a bijection mod 2^22), written
+/// into grid order. The fast side copies the pairs into a reused arrival
+/// buffer and gathers them into reused output vectors, as the engine does
+/// with its per-thread scratch; the reference copies them into the vectors
+/// it sorts in place. The `gather` row (300,000 pairs) is dense
+/// (n * 64 >= 2^22) and runs the bitmap placement; `gather_sparse` (30,000
+/// pairs) runs the radix sort.
 KernelResult bench_gather(std::size_t n, const char* name) {
   constexpr std::uint64_t kVolume = 1ull << 22;
   std::vector<std::uint64_t> positions(n);
@@ -349,14 +355,20 @@ KernelResult bench_gather(std::size_t n, const char* name) {
   out.name = name;
   out.mb = static_cast<double>(n * (sizeof(std::uint64_t) + sizeof(double))) /
            1e6;
+  exec::ArrivalBuffer arrivals;
+  exec::GatherScratch scratch;
   std::vector<std::uint64_t> fast_pos;
   std::vector<double> fast_vals;
   std::vector<std::uint64_t> ref_pos;
   std::vector<double> ref_vals;
   out.fast_s = best_seconds([&] {
-    fast_pos = positions;
-    fast_vals = values;
-    exec::sort_by_position(fast_pos, fast_vals, kVolume);
+    arrivals.clear();
+    std::copy(positions.begin(), positions.end(),
+              arrivals.positions.grow_tail(n));
+    arrivals.positions.commit(n);
+    std::copy(values.begin(), values.end(), arrivals.values.grow_tail(n));
+    arrivals.values.commit(n);
+    exec::gather(arrivals, kVolume, scratch, fast_pos, fast_vals);
   });
   out.scalar_s = best_seconds([&] {
     ref_pos = positions;
@@ -429,36 +441,43 @@ KernelResult bench_fragment_emit() {
     }
   }
 
-  const auto run = [&](auto emit, std::vector<std::uint64_t>& positions,
-                       std::vector<double>& values) {
-    positions.clear();
-    values.clear();
-    for (const Fragment& f : frags) {
-      exec::EmitSpec spec;
-      spec.shape = &shape;
-      spec.chunk = f.chunk;
-      spec.sc = &sc;
-      spec.vc = f.misaligned ? &vc : nullptr;
-      spec.values_needed = true;
-      spec.level = kLevel;
-      emit(spec, f.local, f.vals, positions, values);
-    }
+  const auto spec_of = [&](const Fragment& f) {
+    exec::EmitSpec spec;
+    spec.shape = &shape;
+    spec.chunk = f.chunk;
+    spec.sc = &sc;
+    spec.vc = f.misaligned ? &vc : nullptr;
+    spec.values_needed = true;
+    spec.level = kLevel;
+    return spec;
   };
-  std::vector<std::uint64_t> fast_pos;
-  std::vector<double> fast_vals;
+  // The fast side appends to one arrival buffer reused across reps, as a
+  // query-running thread does; the reference to vectors it clears.
+  exec::ArrivalBuffer arrivals;
   std::vector<std::uint64_t> ref_pos;
   std::vector<double> ref_vals;
   KernelResult out;
   out.name = "fragment_emit";
   out.mb = bytes / 1e6;
   out.fast_s = best_seconds([&] {
-    run([](auto&&... a) { exec::emit_fragment(a...); }, fast_pos, fast_vals);
+    arrivals.clear();
+    for (const Fragment& f : frags) {
+      exec::emit_fragment(spec_of(f), f.local, f.vals, arrivals);
+    }
   });
   out.scalar_s = best_seconds([&] {
-    run([](auto&&... a) { exec::detail::scalar::emit_fragment(a...); },
-        ref_pos, ref_vals);
+    ref_pos.clear();
+    ref_vals.clear();
+    for (const Fragment& f : frags) {
+      exec::detail::scalar::emit_fragment(spec_of(f), f.local, f.vals,
+                                          ref_pos, ref_vals);
+    }
   });
-  out.identical = !fast_pos.empty() && fast_pos == ref_pos &&
+  const std::span<const std::uint64_t> fast_pos = arrivals.positions.span();
+  const std::span<const double> fast_vals = arrivals.values.span();
+  out.identical = !fast_pos.empty() &&
+                  std::equal(fast_pos.begin(), fast_pos.end(),
+                             ref_pos.begin(), ref_pos.end()) &&
                   fast_vals.size() == ref_vals.size() &&
                   std::memcmp(fast_vals.data(), ref_vals.data(),
                               fast_vals.size() * sizeof(double)) == 0;
@@ -476,6 +495,8 @@ Bitmap random_bitmap(std::uint64_t nbits, double density, std::uint64_t seed) {
   return bm;
 }
 
+/// Bitmap::count as the engine calls it (POPCNT where the CPU has it)
+/// against the bit-at-a-time reference.
 KernelResult bench_bitmap_count(const Bitmap& bm) {
   KernelResult out;
   out.name = "bitmap_count";
@@ -485,6 +506,21 @@ KernelResult bench_bitmap_count(const Bitmap& bm) {
   out.fast_s = best_seconds([&] { fast_n = bm.count(); });
   out.scalar_s = best_seconds([&] { ref_n = detail::scalar::bitmap_count(bm); });
   out.identical = fast_n == ref_n;
+  return out;
+}
+
+/// WahBitmap::count as the engine calls it (POPCNT where the CPU has it)
+/// against the group-at-a-time reference.
+KernelResult bench_wah_count(const Bitmap& plain) {
+  const WahBitmap bm = WahBitmap::compress(plain);
+  KernelResult out;
+  out.name = "wah_count";
+  out.mb = static_cast<double>(bm.byte_size()) / 1e6;
+  std::uint64_t fast_n = 0;
+  std::uint64_t ref_n = 0;
+  out.fast_s = best_seconds([&] { fast_n = bm.count(); });
+  out.scalar_s = best_seconds([&] { ref_n = detail::scalar::wah_count(bm); });
+  out.identical = fast_n == ref_n && fast_n == plain.count();
   return out;
 }
 
@@ -581,6 +617,7 @@ int main() {
   const Bitmap dense = random_bitmap(1u << 26, 0.5, 11);
   const Bitmap sparse = random_bitmap(1u << 26, 0.01, 13);
   results.push_back(bench_bitmap_count(dense));
+  results.push_back(bench_wah_count(sparse));
   results.push_back(bench_bitmap_for_each(sparse));
   results.push_back(bench_wah_and(1u << 26));
 

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "util/cpu.hpp"
+
 namespace mloc {
 namespace {
 
@@ -87,13 +89,10 @@ class GroupCursor {
   std::uint32_t literal_ = 0;
 };
 
-}  // namespace
-
-std::uint64_t Bitmap::count() const noexcept {
-  // 8-way unrolled with 4 accumulators: breaks the add dependency chain so
-  // the popcounts pipeline (DESIGN.md §11).
-  const std::uint64_t* w = words_.data();
-  const std::size_t nw = words_.size();
+/// Set bits in w[0, nw): 8-way unrolled with 4 accumulators, which breaks
+/// the add dependency chain so the popcounts pipeline (DESIGN.md §11).
+[[gnu::always_inline]] inline std::uint64_t count_words(
+    const std::uint64_t* w, std::size_t nw) noexcept {
   std::uint64_t c0 = 0;
   std::uint64_t c1 = 0;
   std::uint64_t c2 = 0;
@@ -113,6 +112,40 @@ std::uint64_t Bitmap::count() const noexcept {
     c0 += static_cast<std::uint64_t>(std::popcount(w[i]));
   }
   return c0 + c1 + c2 + c3;
+}
+
+MLOC_TARGET_POPCNT std::uint64_t count_words_popcnt(const std::uint64_t* w,
+                                                    std::size_t nw) noexcept {
+  return count_words(w, nw);
+}
+
+/// Set bits of a WAH word stream, straight off the compressed words. The
+/// final group's padding bits are never set: compress() only writes bits
+/// below the bit count and deserialize() rejects streams that set one.
+[[gnu::always_inline]] inline std::uint64_t count_wah(
+    const std::uint32_t* words, std::size_t n) noexcept {
+  std::uint64_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t w = words[i];
+    if (is_fill(w)) {
+      if (fill_value(w)) c += 31ull * fill_len(w);
+    } else {
+      c += static_cast<std::uint64_t>(std::popcount(w & kPayloadMask));
+    }
+  }
+  return c;
+}
+
+MLOC_TARGET_POPCNT std::uint64_t count_wah_popcnt(const std::uint32_t* words,
+                                                  std::size_t n) noexcept {
+  return count_wah(words, n);
+}
+
+}  // namespace
+
+std::uint64_t Bitmap::count() const noexcept {
+  return cpu::has_popcnt() ? count_words_popcnt(words_.data(), words_.size())
+                           : count_words(words_.data(), words_.size());
 }
 
 Bitmap& Bitmap::operator&=(const Bitmap& o) noexcept {
@@ -226,18 +259,8 @@ void WahBitmap::or_into(Bitmap& dst) const {
 }
 
 std::uint64_t WahBitmap::count() const noexcept {
-  // Popcount on compressed words; the final group's padding bits are never
-  // set: compress() only writes bits < nbits_ and deserialize() rejects
-  // streams that set one.
-  std::uint64_t c = 0;
-  for (auto w : words_) {
-    if (is_fill(w)) {
-      if (fill_value(w)) c += 31ull * fill_len(w);
-    } else {
-      c += static_cast<std::uint64_t>(std::popcount(w & kPayloadMask));
-    }
-  }
-  return c;
+  return cpu::has_popcnt() ? count_wah_popcnt(words_.data(), words_.size())
+                           : count_wah(words_.data(), words_.size());
 }
 
 template <typename Op>
@@ -376,6 +399,16 @@ std::uint64_t bitmap_count(const Bitmap& bm) {
   std::uint64_t c = 0;
   for (std::uint64_t i = 0; i < bm.size(); ++i) {
     c += bm.get(i) ? 1 : 0;
+  }
+  return c;
+}
+
+std::uint64_t wah_count(const WahBitmap& bm) {
+  std::uint64_t c = 0;
+  for (GroupCursor cur(bm.words_); !cur.done();) {
+    const std::uint32_t run = cur.run_remaining();
+    c += static_cast<std::uint64_t>(std::popcount(cur.payload())) * run;
+    cur.consume(run);
   }
   return c;
 }

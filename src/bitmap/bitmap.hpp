@@ -30,6 +30,8 @@ namespace detail::scalar {
 /// Retained bit-at-a-time / group-at-a-time references for differential
 /// tests and bench_kernels A/B runs against the word-level fast paths.
 std::uint64_t bitmap_count(const Bitmap& bm);
+/// Group at a time: each run's 31-bit payload popcount times its length.
+std::uint64_t wah_count(const WahBitmap& bm);
 std::uint64_t bitmap_collect_set(const Bitmap& bm,
                                  std::vector<std::uint64_t>& out);
 WahBitmap wah_logical_and(const WahBitmap& a, const WahBitmap& b);
@@ -57,7 +59,8 @@ class Bitmap {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
-  /// Number of set bits (8-way unrolled word popcount; see DESIGN.md §11).
+  /// Number of set bits: an 8-way unrolled word popcount, with the POPCNT
+  /// instruction where the CPU has it (DESIGN.md §11).
   [[nodiscard]] std::uint64_t count() const noexcept;
 
   /// True when a bit in [begin, end) is set (false for an empty range).
@@ -134,7 +137,8 @@ class WahBitmap {
     return words_.size() * sizeof(std::uint32_t) + sizeof(std::uint64_t);
   }
 
-  /// Population count straight off the compressed words.
+  /// Population count straight off the compressed words, with the POPCNT
+  /// instruction where the CPU has it (DESIGN.md §11).
   [[nodiscard]] std::uint64_t count() const noexcept;
 
   /// Compressed-domain logical ops. Preconditions: equal size_bits().
@@ -156,6 +160,7 @@ class WahBitmap {
   }
 
  private:
+  friend std::uint64_t detail::scalar::wah_count(const WahBitmap& bm);
   friend WahBitmap detail::scalar::wah_logical_and(const WahBitmap& a,
                                                    const WahBitmap& b);
   friend WahBitmap detail::scalar::wah_logical_or(const WahBitmap& a,

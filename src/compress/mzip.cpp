@@ -398,7 +398,21 @@ class InflateTable {
  public:
   Status build(const std::array<std::uint8_t, kSyms>& lens) {
     constexpr int kMaxLen = HuffmanCode::kMaxCodeLen;
-    for (const std::uint8_t l : lens) ++count_[l];
+    // Four partial histograms: most lengths are 0, and one histogram would
+    // chain each increment of count_[0] through a store and a reload.
+    std::array<std::array<std::uint16_t, kMaxLen + 1>, 4> part{};
+    std::size_t i = 0;
+    for (; i + 4 <= kSyms; i += 4) {
+      ++part[0][lens[i]];
+      ++part[1][lens[i + 1]];
+      ++part[2][lens[i + 2]];
+      ++part[3][lens[i + 3]];
+    }
+    for (; i < kSyms; ++i) ++part[0][lens[i]];
+    for (int l = 0; l <= kMaxLen; ++l) {
+      count_[l] = static_cast<std::uint16_t>(part[0][l] + part[1][l] +
+                                             part[2][l] + part[3][l]);
+    }
     if (count_[0] == kSyms) {
       return corrupt_data("Huffman table has no symbols");
     }
@@ -483,11 +497,12 @@ class InflateTable {
 
  private:
   // Left uninitialized: zeroing them would add ~2.6 KB of stores per
-  // table to every stream. build() writes root_[0, 2^root_bits_) and
-  // sorted_[0, symbols with a code), the only entries decode() reads.
+  // table to every stream. build() writes root_[0, 2^root_bits_),
+  // sorted_[0, symbols with a code) and all of count_, the only entries
+  // decode() reads.
   std::array<std::uint16_t, 1u << kRootBits> root_;  // sym << 4 | len; 0: none
   std::array<std::uint16_t, kSyms> sorted_;  // symbols in canonical order
-  std::array<std::uint16_t, HuffmanCode::kMaxCodeLen + 1> count_{};
+  std::array<std::uint16_t, HuffmanCode::kMaxCodeLen + 1> count_;
   int root_bits_ = 0;
   int max_len_ = 0;
 };
@@ -642,10 +657,19 @@ Result<Bytes> MzipCodec::decode(std::span<const std::uint8_t> stream) const {
     const std::uint8_t* from = op - d;
     if (d >= len) {
       std::memcpy(op, from, len);
+    } else if (d == 1) {
+      // A run of the last byte.
+      std::memset(op, *from, len);
     } else {
-      // Overlapping match (d < len): a forward byte copy replicates the
-      // last d bytes, as DEFLATE defines it.
-      for (std::size_t k = 0; k < len; ++k) op[k] = from[k];
+      // Overlapping match (d < len): a forward copy replicates the last d
+      // bytes, as DEFLATE defines it. At d >= 8 an 8-byte step reads only
+      // bytes already written (from + k + 8 <= op + k), so whole words
+      // copy; shorter distances and the tail go byte by byte.
+      std::size_t k = 0;
+      if (d >= 8) {
+        for (; k + 8 <= len; k += 8) std::memcpy(op + k, from + k, 8);
+      }
+      for (; k < len; ++k) op[k] = from[k];
     }
     op += len;
   }

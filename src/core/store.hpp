@@ -217,9 +217,10 @@ class MlocStore {
   /// store config. Writing a name that already exists replaces it: the
   /// fresh layout is published atomically, the fragment-provider entries of
   /// the old generation are dropped, and in-flight queries against the old
-  /// state complete or fail cleanly (a checksum mismatch, or a read past
-  /// the end of a shortened subfile) rather than reading mixed
-  /// generations; the old record is freed when the last of them ends.
+  /// state either complete with the old answer or fail with CorruptData (a
+  /// checksum mismatch, or a read past the end of a subfile the re-ingest
+  /// shortened) rather than reading mixed generations; the old record is
+  /// freed when the last of them ends.
   [[nodiscard]] Status write_variable(const std::string& var, const Grid& grid)
       MLOC_EXCLUDES(ingest_mu_, vars_mu_);
 

@@ -11,8 +11,7 @@
 namespace mloc::exec {
 
 DecodedFragment decode_fragment(const DecodeInput& in, DecodeScratch& scratch,
-                                std::vector<std::uint64_t>& positions,
-                                std::vector<double>& values) {
+                                ArrivalBuffer& arrivals) {
   DecodedFragment out;
   const VariableState& var = *in.var;
   const Query& q = *in.q;
@@ -155,7 +154,7 @@ DecodedFragment decode_fragment(const DecodeInput& in, DecodeScratch& scratch,
   spec.position_filter = in.position_filter;
   spec.values_needed = q.values_needed;
   spec.level = q.plod_level;
-  emit_fragment(spec, local, vals, positions, values);
+  emit_fragment(spec, local, vals, arrivals);
   out.reconstruct_s += sw.seconds();
 
   if (in.for_provider && fresh != nullptr) {
@@ -240,9 +239,7 @@ constexpr std::array<EmitLoop, 8> kEmitLoops = {
 }  // namespace
 
 void emit_fragment(const EmitSpec& spec, std::span<const std::uint32_t> local,
-                   std::span<const double> vals,
-                   std::vector<std::uint64_t>& positions,
-                   std::vector<double>& values) {
+                   std::span<const double> vals, ArrivalBuffer& arrivals) {
   if (local.empty()) return;
   const NDShape& shape = *spec.shape;
   const int n = shape.ndims();
@@ -281,15 +278,12 @@ void emit_fragment(const EmitSpec& spec, std::span<const std::uint32_t> local,
   // many slots plus one.
   const auto tail = static_cast<std::size_t>(
       std::min<std::uint64_t>(local.size(), win.volume() + 1));
-  const std::size_t pos_at = positions.size();
-  const std::size_t val_at = values.size();
-  positions.resize(pos_at + tail);
-  if (spec.values_needed) values.resize(val_at + tail);
-  const std::size_t kept =
-      loop(f, local, vals.data(), positions.data() + pos_at,
-           spec.values_needed ? values.data() + val_at : nullptr);
-  positions.resize(pos_at + kept);
-  if (spec.values_needed) values.resize(val_at + kept);
+  std::uint64_t* const pos_out = arrivals.positions.grow_tail(tail);
+  double* const val_out =
+      spec.values_needed ? arrivals.values.grow_tail(tail) : nullptr;
+  const std::size_t kept = loop(f, local, vals.data(), pos_out, val_out);
+  arrivals.positions.commit(kept);
+  if (spec.values_needed) arrivals.values.commit(kept);
 }
 
 namespace detail::scalar {

@@ -8,10 +8,10 @@
 // offset into coordinates by multiply-shift division, builds a keep mask
 // from the SC window, the position filter and the VC without a branch,
 // degrades the value to the requested PLoD level, writes the point at a
-// cursor into the arrival buffer's tail and advances the cursor by the
-// mask. Everything decoded fresh comes back as one provider candidate in
-// a DecodedFragment, with the CPU timings; the rank inserts it in task
-// order.
+// cursor into the arrival buffer's tail (the calling thread's, from
+// exec/scratch.hpp) and advances the cursor by the mask. Everything
+// decoded fresh comes back as one provider candidate in a DecodedFragment,
+// with the CPU timings; the rank inserts it in task order.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "bitmap/bitmap.hpp"
 #include "exec/engine.hpp"
 #include "exec/io_scheduler.hpp"
+#include "exec/scratch.hpp"
 #include "plod/plod.hpp"
 #include "query/query.hpp"
 #include "util/bytes.hpp"
@@ -43,12 +44,6 @@ struct DecodeInput {
   const std::vector<Bytes>* buffers = nullptr;
 };
 
-/// Buffers a rank reuses across its fragments.
-struct DecodeScratch {
-  std::vector<std::uint32_t> positions;  ///< a blob no candidate keeps
-  std::vector<double> values;            ///< assembled PLoD values
-};
-
 /// Status, timings and the cache candidate of one fragment's decode.
 struct DecodedFragment {
   Status status = Status::ok();
@@ -63,12 +58,11 @@ struct DecodedFragment {
 };
 
 /// Decode one fragment and emit its qualifying points (emit_fragment) into
-/// `positions` and, when the query needs values, `values` (the query's
-/// arrival buffer). Every check runs before the first write, so the
-/// buffers are unchanged when the status is an error.
+/// the query's arrival buffer, with values when the query needs them.
+/// Every check runs before the first write, so the buffer is unchanged
+/// when the status is an error.
 DecodedFragment decode_fragment(const DecodeInput& in, DecodeScratch& scratch,
-                                std::vector<std::uint64_t>& positions,
-                                std::vector<double>& values);
+                                ArrivalBuffer& arrivals);
 
 /// What the emit pass needs to know about one fragment, all owned
 /// elsewhere.
@@ -86,24 +80,23 @@ struct EmitSpec {
 };
 
 /// Append the grid offsets of the fragment's points that lie in the SC
-/// window, pass the position filter and match the VC to `positions`, in
-/// the order of `local`, and their values at `spec.level` to `values`
-/// when `spec.values_needed`. `local` holds strictly ascending chunk-local
-/// row-major offsets, each below the chunk's volume. `vals` holds one
-/// value a point at the fetch level (unread when neither values nor a VC
-/// are needed). The tail is sized once, to local.size() or one more than
-/// the SC window's volume if that is smaller, and trimmed to the kept
-/// count afterwards.
+/// window, pass the position filter and match the VC to
+/// `arrivals.positions`, in the order of `local`, and their values at
+/// `spec.level` to `arrivals.values` when `spec.values_needed`. `local`
+/// holds strictly ascending chunk-local row-major offsets, each below the
+/// chunk's volume. `vals` holds one value a point at the fetch level
+/// (unread when neither values nor a VC are needed). The pass writes into
+/// a tail reserved once, local.size() slots or one more than the SC
+/// window's volume if that is smaller, and commits the kept count; the
+/// tail is never zeroed, and a warm buffer does not allocate.
 void emit_fragment(const EmitSpec& spec, std::span<const std::uint32_t> local,
-                   std::span<const double> vals,
-                   std::vector<std::uint64_t>& positions,
-                   std::vector<double>& values);
+                   std::span<const double> vals, ArrivalBuffer& arrivals);
 
 namespace detail::scalar {
 /// Reference: degrade into a scratch buffer, then walk the offsets one
 /// chunk row at a time (one division and a delinearize per row, a window
 /// compare, the filter and VC branches and two push_backs per point).
-/// Output is identical to exec::emit_fragment.
+/// Appends what exec::emit_fragment appends to an ArrivalBuffer.
 void emit_fragment(const EmitSpec& spec, std::span<const std::uint32_t> local,
                    std::span<const double> vals,
                    std::vector<std::uint64_t>& positions,

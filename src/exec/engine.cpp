@@ -5,11 +5,13 @@
 // same-bin runs. Each run's segments are merged by the IoScheduler into a
 // handful of batch extents, fetched with one vectorized read_batch call,
 // and each fragment is decoded and emitted by decode_fragment, which
-// writes its points into the query's arrival buffer in task order on the
-// rank's own thread and hands back at most one cache candidate, inserted
-// right away. The engine starts no thread; concurrency comes from
-// the caller (the QueryService worker pool runs whole queries side by
-// side).
+// writes its points into the arrival buffer in task order and hands back
+// at most one cache candidate, inserted right away. The gather then
+// writes the arrivals into the result in grid order. The arrival buffer
+// and every other decode and gather buffer are the calling thread's
+// QueryScratch (exec/scratch.hpp), reused from query to query. The engine
+// starts no thread; concurrency comes from the caller (the QueryService
+// worker pool runs whole queries side by side).
 #include <algorithm>
 #include <memory>
 #include <optional>
@@ -28,6 +30,34 @@
 namespace mloc::exec {
 
 namespace {
+
+/// The calling thread's QueryScratch. A query has it from start to end:
+/// queries on one thread run one after another, never nested.
+thread_local QueryScratch t_scratch;
+
+/// Readies the thread's scratch for the next query when a query ends,
+/// however it ends.
+struct ScratchLease {
+  ~ScratchLease() { t_scratch.finish_query(); }
+};
+
+/// One batch read over subfiles whose footers this query has checked. The
+/// footer covers the whole file the record describes, so a read past its
+/// end means the file is no longer that file: a re-ingest shortened it
+/// under a query still holding the old record. That is CorruptData, the
+/// code a checksum mismatch on a rewritten segment gives.
+Result<std::vector<Bytes>> read_checked(
+    const pfs::PfsStorage& fs, std::span<const pfs::ReadRequest> requests,
+    parallel::RankContext& ctx) {
+  auto buffers = fs.read_batch(requests, &ctx.io_log,
+                               static_cast<std::uint32_t>(ctx.rank));
+  if (!buffers.is_ok() &&
+      buffers.status().code() == ErrorCode::kOutOfRange) {
+    return corrupt_data("subfile shorter than its record: " +
+                        buffers.status().message());
+  }
+  return buffers;
+}
 
 /// The checks execute_query and plan_query share: the rank count (a
 /// remote request must not size the plan) and the SC's dimensionality.
@@ -112,12 +142,12 @@ Result<QueryResult> execute_query(const MlocStore& store,
     grid.emplace(shape.volume());
   }
 
-  // The arrival buffer: every fragment's qualifying points, appended by
-  // decode_fragment. One buffer serves all ranks because
-  // parallel::run_query_ranks runs rank bodies one after another, so ranks
-  // append in task order.
-  std::vector<std::uint64_t>& arrivals = result.positions;
-  std::vector<double>& arrival_values = result.values;
+  // The thread's scratch holds the arrival buffer: every fragment's
+  // qualifying points, appended by decode_fragment. One buffer serves all
+  // ranks because parallel::run_query_ranks runs rank bodies one after
+  // another on this thread, so ranks append in task order.
+  const ScratchLease lease{};
+  QueryScratch& scratch = t_scratch;
 
   const auto rank_body = [&](parallel::RankContext& ctx) -> Status {
     RankPlan& rp = plan.ranks[static_cast<std::size_t>(ctx.rank)];
@@ -144,10 +174,8 @@ Result<QueryResult> execute_query(const MlocStore& store,
               ? naive_schedule(rp.hbx_segments, &hbx_slots)
               : coalesce_segments(rp.hbx_segments, kCoalesceGapBytes,
                                   &hbx_slots);
-      MLOC_ASSIGN_OR_RETURN(
-          const std::vector<Bytes> hbx_buffers,
-          fs.read_batch(hbx_requests, &ctx.io_log,
-                        static_cast<std::uint32_t>(ctx.rank)));
+      MLOC_ASSIGN_OR_RETURN(const std::vector<Bytes> hbx_buffers,
+                            read_checked(fs, hbx_requests, ctx));
 
       for (const HbxNodeTask& task : rp.hbx_tasks) {
         const index::HbxNode& node = plan.hbx_header->nodes[task.node];
@@ -203,7 +231,6 @@ Result<QueryResult> execute_query(const MlocStore& store,
       }
     }
 
-    DecodeScratch scratch;
     std::size_t a = 0;
     while (a < rp.tasks.size()) {
       std::size_t b = a;
@@ -232,10 +259,8 @@ Result<QueryResult> execute_query(const MlocStore& store,
           opts.naive_io
               ? naive_schedule(run_segs, &slots)
               : coalesce_segments(run_segs, kCoalesceGapBytes, &slots);
-      MLOC_ASSIGN_OR_RETURN(
-          const std::vector<Bytes> buffers,
-          fs.read_batch(requests, &ctx.io_log,
-                        static_cast<std::uint32_t>(ctx.rank)));
+      MLOC_ASSIGN_OR_RETURN(const std::vector<Bytes> buffers,
+                            read_checked(fs, requests, ctx));
 
       // Stage 3: decode + filter each fragment into the arrival buffer, in
       // task order.
@@ -255,7 +280,7 @@ Result<QueryResult> execute_query(const MlocStore& store,
             task.seg_begin - seg_begin, task.seg_count);
         in.buffers = &buffers;
         DecodedFragment d =
-            decode_fragment(in, scratch, arrivals, arrival_values);
+            decode_fragment(in, scratch.decode, scratch.arrivals);
         MLOC_RETURN_IF_ERROR(std::move(d.status));
         ctx.times.decompress += d.decompress_s;
         ctx.times.reconstruct += d.reconstruct_s;
@@ -271,23 +296,29 @@ Result<QueryResult> execute_query(const MlocStore& store,
   MLOC_RETURN_IF_ERROR(
       parallel::run_query_ranks(fs.config(), num_ranks, rank_body, &result));
 
-  // --- Gather: the arrivals into grid order (root process role).
+  // --- Gather: the arrivals into the result, in grid order (root process
+  // role).
   Stopwatch sw_gather;
   if (grid.has_value()) {
-    for (const std::uint64_t pos : arrivals) grid->set(pos);
-    arrivals.clear();
+    for (const std::uint64_t pos : scratch.arrivals.positions.span()) {
+      grid->set(pos);
+    }
     if (region_bits != nullptr) {
       *region_bits = std::move(*grid);
     } else {
-      arrivals.reserve(grid->count());
-      grid->for_each_set([&](std::uint64_t pos) { arrivals.push_back(pos); });
+      result.positions.reserve(grid->count());
+      grid->for_each_set(
+          [&](std::uint64_t pos) { result.positions.push_back(pos); });
     }
   } else {
-    sort_by_position(arrivals, arrival_values, shape.volume());
+    gather(scratch.arrivals, shape.volume(), scratch.gather, result.positions,
+           result.values);
   }
   // Ranks synchronize before the gather, so it adds to their CPU maximum.
   result.times.reconstruct += sw_gather.seconds();
   return result;
 }
+
+std::size_t thread_scratch_bytes() { return t_scratch.capacity_bytes(); }
 
 }  // namespace mloc::exec

@@ -12,15 +12,17 @@
 //                  cache decision is made before the first payload read;
 //   IoScheduler    merges each rank's segments into batch extents
 //                  (exec/io_scheduler.hpp);
-//   decode_fragment decodes + filters each fragment on the rank's own
-//                  thread and appends its points to the query's one
-//                  arrival buffer, in task order (exec/decode_pipeline.hpp);
-//   gather         puts the arrivals into grid order: a dense answer is
-//                  placed through a grid bitmap by prefix popcount, a
-//                  sparse one radix-sorted (exec/gather.hpp). A
-//                  region-only answer that folds .hbx nodes, or that the
+//   decode_fragment decodes + filters each fragment and appends its
+//                  points to the arrival buffer, in task order
+//                  (exec/decode_pipeline.hpp);
+//   gather         writes the arrivals into the result in grid order: a
+//                  dense answer is placed through a grid bitmap by prefix
+//                  popcount, a sparse one radix-sorted (exec/gather.hpp).
+//                  A region-only answer that folds .hbx nodes, or that the
 //                  caller takes as a bitmap, accumulates in a grid bitmap
 //                  instead and is read off in order.
+// The arrival buffer and the decode and gather buffers are the calling
+// thread's QueryScratch, reused from query to query (exec/scratch.hpp).
 //
 // Determinism: rank bodies run sequentially (parallel::run_query_ranks,
 // which also charges the merged I/O and per-phase CPU) and each appends
@@ -140,6 +142,11 @@ Result<QueryResult> execute_query(const MlocStore& store,
                                   int num_ranks, const Bitmap* position_filter,
                                   const ExecOptions& opts,
                                   Bitmap* region_bits = nullptr);
+
+/// Bytes of buffer the calling thread's QueryScratch keeps between queries
+/// (exec/scratch.hpp); never more than kScratchRetainBytes once a query
+/// has ended.
+std::size_t thread_scratch_bytes();
 
 /// Cost a query without executing it: the PlanSummary of the same plan
 /// execute_query would run, with no side effects on any cache. Feeding

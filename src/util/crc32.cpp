@@ -3,6 +3,8 @@
 #include <array>
 #include <cstddef>
 
+#include "util/cpu.hpp"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -90,16 +92,6 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_pclmul(
   return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
 }
 
-// The build sets no -march, so the fold is chosen at run time, once.
-bool have_pclmul() noexcept {
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("pclmul") != 0 &&
-           __builtin_cpu_supports("sse4.1") != 0;
-  }();
-  return supported;
-}
-
 #endif  // __x86_64__
 
 }  // namespace
@@ -107,7 +99,7 @@ bool have_pclmul() noexcept {
 std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t crc) noexcept {
 #if defined(__x86_64__)
-  if (bytes.size() >= 64 && have_pclmul()) {
+  if (bytes.size() >= 64 && cpu::has_pclmul()) {
     const std::size_t folded = bytes.size() & ~std::size_t{15};
     crc = ~fold_pclmul(~crc, bytes.data(), folded);
     bytes = bytes.subspan(folded);

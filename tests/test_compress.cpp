@@ -515,6 +515,33 @@ struct HandStream {
     put(lit_lens, 254 + len);
     put(dist_lens, dist - 1);
   }
+  // Any length 3..258 and distance 1..32768, extra bits included (the
+  // DEFLATE tables, RFC 1951 §3.2.5).
+  void match_with_extra(int len, int dist) {
+    static constexpr int kLenBase[29] = {
+        3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
+        31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
+    static constexpr int kLenExtra[29] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+                                          1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
+                                          4, 4, 4, 4, 5, 5, 5, 5, 0};
+    static constexpr int kDistBase[30] = {
+        1,    2,    3,    4,    5,    7,    9,    13,    17,    25,
+        33,   49,   65,   97,   129,  193,  257,  385,   513,   769,
+        1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577};
+    static constexpr int kDistExtra[30] = {0, 0, 0, 0, 1, 1, 2, 2,  3,  3,
+                                           4, 4, 5, 5, 6, 6, 7, 7,  8,  8,
+                                           9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
+    int ls = 28;
+    while (kLenBase[ls] > len) --ls;
+    put(lit_lens, 257 + ls);
+    bits.put_bits(static_cast<std::uint64_t>(len - kLenBase[ls]),
+                  kLenExtra[ls]);
+    int ds = 29;
+    while (kDistBase[ds] > dist) --ds;
+    put(dist_lens, ds);
+    bits.put_bits(static_cast<std::uint64_t>(dist - kDistBase[ds]),
+                  kDistExtra[ds]);
+  }
   // An `n`-bit pattern given MSB-first, as canonical codes are written.
   void pattern(std::uint32_t msb_first, int n) {
     std::uint32_t v = 0;
@@ -652,6 +679,34 @@ TEST(Mzip, OverlappingMatchesReplicate) {
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
   EXPECT_EQ(fast.value(), bytes_of("aaaaaaaaaaabcabcabcaabca"));
   EXPECT_EQ(verdict_diff(stream), "");
+
+  // Every distance 1 to 9 (the run, the byte loop, and the 8-byte steps
+  // with and without a tail) at every length 3 to 258, each behind as many
+  // distinct literals as its distance.
+  for (int dist = 1; dist <= 9; ++dist) {
+    for (int len = 3; len <= 258; ++len) {
+      HandStream h;
+      for (int c = 0; c < 9; ++c) h.lit_lens['a' + c] = 6;
+      for (int sym = 256; sym <= 285; ++sym) h.lit_lens[sym] = 6;
+      for (int code = 0; code <= 6; ++code) h.dist_lens[code] = 3;
+      std::string want;
+      for (int c = 0; c < dist; ++c) {
+        h.literal('a' + c);
+        want.push_back(static_cast<char>('a' + c));
+      }
+      h.match_with_extra(len, dist);
+      for (int k = 0; k < len; ++k) want.push_back(want[want.size() - dist]);
+      h.literal(256);
+      const Bytes hand = h.finish(want.size());
+      const auto got = MzipCodec().decode(hand);
+      ASSERT_TRUE(got.is_ok())
+          << "dist " << dist << " len " << len << ": "
+          << got.status().to_string();
+      ASSERT_EQ(got.value(), bytes_of(want))
+          << "dist " << dist << " len " << len;
+      ASSERT_EQ(verdict_diff(hand), "") << "dist " << dist << " len " << len;
+    }
+  }
 }
 
 // One payload byte carries at most 8 symbols of at most 258 bytes each, so

@@ -457,16 +457,33 @@ std::vector<std::uint64_t> distinct_positions(std::uint64_t volume,
   return out;
 }
 
-// The whole gather against the pair-sort reference. Volumes straddle the
-// 11-bit digit (one and two radix passes), leave a top digit that is
-// constant for nearly every input (2^22 + 1), and need more than 32 key
-// bits (2^33 + 5). For 2^11 + 1 and 2^22 + 1 the sizes ceil(volume/64) - 1
-// and ceil(volume/64) sit on either side of the dense rule (n * 64 >=
-// volume), so the radix sort and the bitmap placement both run at the
-// boundary; 100000 points over 2^11 + 1 and 2^22 + 1 are dense, and over
-// 2^33 + 5 sparse.
+/// Replace `out`'s contents with `pos` and `vals`.
+void fill_arrivals(exec::ArrivalBuffer& out,
+                   const std::vector<std::uint64_t>& pos,
+                   const std::vector<double>& vals) {
+  out.clear();
+  std::copy(pos.begin(), pos.end(), out.positions.grow_tail(pos.size()));
+  out.positions.commit(pos.size());
+  std::copy(vals.begin(), vals.end(), out.values.grow_tail(vals.size()));
+  out.values.commit(vals.size());
+}
+
+// The whole gather against the pair-sort reference, through one arrival
+// buffer, one scratch and one pair of output vectors reused across calls
+// that shrink and grow. Volumes straddle the 11-bit digit (one and two
+// radix passes), leave a top digit that is constant for nearly every input
+// (2^22 + 1), and need more than 32 key bits (2^33 + 5). For 2^11 + 1 and
+// 2^22 + 1 the sizes ceil(volume/64) - 1 and ceil(volume/64) sit on either
+// side of the dense rule (n * 64 >= volume), so the radix sort and the
+// bitmap placement both run at the boundary; 100000 points over 2^11 + 1
+// and 2^22 + 1 are dense, and over 2^33 + 5 sparse. Sorted inputs take the
+// copy.
 TEST(Gather, RadixMatchesPairSortReference) {
   Rng rng(2024);
+  exec::ArrivalBuffer arrivals;
+  exec::GatherScratch scratch;
+  std::vector<std::uint64_t> pos = {5, 1};
+  std::vector<double> vals = {0.5};
   const std::uint64_t volumes[] = {
       1, 2, 1u << 11, (1u << 11) + 1, (1u << 22) + 1, (1ull << 33) + 5};
   for (const std::uint64_t volume : volumes) {
@@ -495,9 +512,8 @@ TEST(Gather, RadixMatchesPairSortReference) {
           std::vector<std::uint64_t> ref_pos = input;
           std::vector<double> ref_vals = values;
           exec::detail::scalar::sort_by_position(ref_pos, ref_vals);
-          std::vector<std::uint64_t> pos = input;
-          std::vector<double> vals = values;
-          exec::sort_by_position(pos, vals, volume);
+          fill_arrivals(arrivals, input, values);
+          exec::gather(arrivals, volume, scratch, pos, vals);
           ASSERT_EQ(pos, ref_pos) << "volume " << volume << " n " << n << " "
                                   << order << " values " << with_values;
           ASSERT_EQ(vals, ref_vals) << "volume " << volume << " n " << n
@@ -710,10 +726,13 @@ std::vector<std::uint64_t> value_bits(const std::vector<double>& v) {
 // random fragments of 1-D to 4-D grids: random SC windows (or none), VCs
 // whose bounds are stored values or infinite over values holding NaN and
 // ±inf, with and without a position filter, region-only and with values,
-// at every (fetch level, requested level) pair. Both append behind the
-// same non-empty prefix; positions and value bits must be identical.
+// at every (fetch level, requested level) pair. The pass appends through
+// one arrival buffer reused by every case, the reference to vectors, both
+// behind the same non-empty prefix; positions and value bits must be
+// identical.
 TEST(EmitPass, MatchesRowWalkReference) {
   Rng rng(2027);
+  exec::ArrivalBuffer arrivals;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t kept_points = 0;
   std::size_t dropped_points = 0;
@@ -754,18 +773,21 @@ TEST(EmitPass, MatchesRowWalkReference) {
               spec.position_filter = with_filter ? &filter : nullptr;
               spec.values_needed = values_needed;
               spec.level = level;
-              std::vector<std::uint64_t> pos = {7, 3};
-              std::vector<double> out_vals;
-              std::vector<std::uint64_t> ref_pos = pos;
+              std::vector<std::uint64_t> ref_pos = {7, 3};
               std::vector<double> ref_vals;
-              if (values_needed) out_vals = ref_vals = {-1.0, 2.5};
-              exec::emit_fragment(spec, c.local, vals, pos, out_vals);
+              if (values_needed) ref_vals = {-1.0, 2.5};
+              fill_arrivals(arrivals, ref_pos, ref_vals);
+              exec::emit_fragment(spec, c.local, vals, arrivals);
               exec::detail::scalar::emit_fragment(spec, c.local, vals,
                                                   ref_pos, ref_vals);
-              ASSERT_EQ(pos, ref_pos)
+              const std::span<const std::uint64_t> pos =
+                  arrivals.positions.span();
+              const std::span<const double> out_vals = arrivals.values.span();
+              ASSERT_EQ(std::vector(pos.begin(), pos.end()), ref_pos)
                   << ndims << "-D trial " << trial << " fetch " << fetch
                   << " level " << level << " filter " << with_filter;
-              ASSERT_EQ(value_bits(out_vals), value_bits(ref_vals))
+              ASSERT_EQ(value_bits({out_vals.begin(), out_vals.end()}),
+                        value_bits(ref_vals))
                   << ndims << "-D trial " << trial << " fetch " << fetch
                   << " level " << level << " filter " << with_filter;
               kept_points += pos.size() - 2;

@@ -19,6 +19,7 @@
 #include "core/store.hpp"
 #include "datagen/datagen.hpp"
 #include "exec/engine.hpp"
+#include "exec/scratch.hpp"
 #include "plod/plod.hpp"
 #include "service/fragment_cache.hpp"
 #include "tools/fsck.hpp"
@@ -1194,6 +1195,248 @@ TEST(Store, ReaderHoldingTheOldRecordCompletesOrFailsClean) {
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GT(completed.load() + corrupt.load(), 0);
   EXPECT_TRUE(watch.expired());  // its last holder, the reader, let go
+}
+
+// The same reader over mzip grids that alternate between noise and a
+// smooth field: the smooth one compresses to shorter subfiles, so the held
+// (noisy) record's reads run past their ends as well as into the other
+// generation's bytes. Both are CorruptData; re-ingesting the noise restores
+// the held record's bytes, and the reader completes again.
+TEST(Store, ReaderHoldingTheOldRecordAcrossShorterSubfiles) {
+  pfs::PfsStorage fs;
+  const Grid smooth = test_grid_2d();
+  std::vector<double> random(smooth.size());
+  Rng rng(4242);
+  for (double& v : random) v = rng.next_double(-1.0, 1.0);
+  const Grid noisy(smooth.shape(), std::move(random));
+  auto store = MlocStore::create(
+      &fs, "t", small_config(smooth.shape(), NDShape{16, 16}, "mzip"));
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("phi", noisy).is_ok());
+
+  Query q;
+  q.vc = ValueConstraint{-0.5, 0.75};
+  q.values_needed = true;
+  const Truth want = brute_force(noisy, q);
+  std::shared_ptr<const VariableState> old =
+      store.value().variable("phi").value();
+  const std::weak_ptr<const VariableState> watch = old;
+  const auto run_old = [&](const VariableState& held) {
+    return exec::execute_query(store.value(), held, q, 2, nullptr,
+                               exec::ExecOptions{});
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> completed{0};
+  std::atomic<int> corrupt{0};
+  std::atomic<int> wrong{0};
+  std::thread reader([&, held = old]() mutable {
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto res = run_old(*held);
+      if (res.is_ok() && res.value().positions == want.positions &&
+          res.value().values == want.values) {
+        completed.fetch_add(1);
+      } else if (!res.is_ok() &&
+                 res.status().code() == ErrorCode::kCorruptData) {
+        corrupt.fetch_add(1);
+      } else {
+        wrong.fetch_add(1);
+      }
+    }
+    held.reset();
+  });
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_TRUE(store.value()
+                    .write_variable("phi", round % 2 == 0 ? smooth : noisy,
+                                    {.threads = 2, .write_behind = true})
+                    .is_ok())
+        << round;
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(completed.load() + corrupt.load(), 0);
+
+  // With the smooth field in place, the held record's reads run past the
+  // shortened subfiles' ends: CorruptData, the read past the end named.
+  ASSERT_TRUE(store.value().write_variable("phi", smooth).is_ok());
+  const auto past_end = run_old(*old);
+  ASSERT_FALSE(past_end.is_ok());
+  EXPECT_EQ(past_end.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(past_end.status().message().find("read past end"),
+            std::string::npos)
+      << past_end.status().to_string();
+  old.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+// ------------------------------------------------ per-thread query scratch
+
+// A query that fails part-way through its ranks leaves points in the
+// thread's arrival buffer; the next query on the thread must not see them.
+TEST(QueryScratch, FailedQueryThenGoodQueryOnOneThread) {
+  const Grid grid = test_grid_2d();
+  pfs::PfsStorage bad_fs;
+  auto bad = MlocStore::create(
+      &bad_fs, "c", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
+  ASSERT_TRUE(bad.is_ok());
+  ASSERT_TRUE(bad.value().write_variable("phi", grid).is_ok());
+  // The last bin's fragments come last, so earlier ones have arrived.
+  const std::string name = last_bin_file(bad_fs, ".dat");
+  ASSERT_FALSE(name.empty());
+  const auto id = bad_fs.open(name).value();
+  const std::uint64_t size = bad_fs.file_size(id).value();
+  Bytes content = bad_fs.read(id, 0, size).value();
+  content[size / 2] ^= 0xFF;
+  ASSERT_TRUE(bad_fs.set_contents(id, std::move(content)).is_ok());
+
+  pfs::PfsStorage good_fs;
+  auto good = MlocStore::create(
+      &good_fs, "g", small_config(grid.shape(), NDShape{16, 16}, "mzip"));
+  ASSERT_TRUE(good.is_ok());
+  ASSERT_TRUE(good.value().write_variable("phi", grid).is_ok());
+
+  Query all;
+  all.sc = Region(2, {0, 0}, {64, 64});
+  Query some;
+  some.vc = ValueConstraint{-0.5, 0.75};
+  some.values_needed = true;
+  for (const int ranks : {1, 3}) {
+    for (const Query& q : {all, some}) {
+      const auto failed = bad.value().execute("phi", all, ranks);
+      ASSERT_FALSE(failed.is_ok());
+      EXPECT_EQ(failed.status().code(), ErrorCode::kCorruptData);
+      const auto res = good.value().execute("phi", q, ranks);
+      ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+      const Truth truth = brute_force(grid, q);
+      EXPECT_EQ(res.value().positions, truth.positions) << "ranks " << ranks;
+      EXPECT_EQ(res.value().values, truth.values) << "ranks " << ranks;
+    }
+  }
+}
+
+// One thread alternates answers of different shapes, sizes and gather
+// paths through its one scratch: 2-D mzip value and region-only queries,
+// 3-D isobar queries under an SC, multivariable AND and OR, and a
+// region-only answer taken as a grid bitmap. Every answer is the
+// brute-force one, every time.
+TEST(QueryScratch, OneThreadAlternatesQueryShapes) {
+  const Grid flat = test_grid_2d();
+  pfs::PfsStorage fs2;
+  auto s2 = MlocStore::create(
+      &fs2, "f", small_config(flat.shape(), NDShape{16, 16}, "mzip"));
+  ASSERT_TRUE(s2.is_ok());
+  ASSERT_TRUE(s2.value().write_variable("phi", flat).is_ok());
+
+  const Grid temp = test_grid_3d();
+  const Grid species = datagen::s3d_species_like(temp, 99);
+  pfs::PfsStorage fs3;
+  auto s3 = MlocStore::create(
+      &fs3, "v", small_config(temp.shape(), NDShape{8, 8, 8}, "isobar"));
+  ASSERT_TRUE(s3.is_ok());
+  ASSERT_TRUE(s3.value().write_variable("temp", temp).is_ok());
+  ASSERT_TRUE(s3.value().write_variable("yfuel", species).is_ok());
+
+  Query wide;  // most of the grid: the bitmap placement
+  wide.vc = ValueConstraint{-1e30, 1e30};
+  wide.values_needed = true;
+  Query narrow;  // a sliver: the radix sort
+  narrow.vc = ValueConstraint{0.25, 0.26};
+  narrow.values_needed = true;
+  Query region = wide;
+  region.values_needed = false;
+  Query boxed;
+  boxed.vc = ValueConstraint{1500.0, 1e9};
+  boxed.sc = Region(3, {2, 3, 4}, {20, 17, 23});
+  boxed.values_needed = true;
+  const ValueConstraint hot{1800.0, 1e9};
+  const ValueConstraint rich{0.05, 1e9};
+
+  const auto expect_answer = [](const Result<QueryResult>& res,
+                                const Truth& truth, const char* what) {
+    ASSERT_TRUE(res.is_ok()) << what << ": " << res.status().to_string();
+    EXPECT_EQ(res.value().positions, truth.positions) << what;
+    EXPECT_EQ(res.value().values, truth.values) << what;
+  };
+  Truth both;  // hot AND rich, yfuel values
+  Truth either;  // hot OR rich, positions only
+  for (std::uint64_t i = 0; i < temp.size(); ++i) {
+    const bool h = hot.matches(temp.at_linear(i));
+    const bool r = rich.matches(species.at_linear(i));
+    if (h && r) {
+      both.positions.push_back(i);
+      both.values.push_back(species.at_linear(i));
+    }
+    if (h || r) either.positions.push_back(i);
+  }
+  const Truth region_truth = brute_force(flat, region);
+
+  for (int round = 0; round < 3; ++round) {
+    for (const int ranks : {1, 4}) {
+      expect_answer(s2.value().execute("phi", wide, ranks),
+                    brute_force(flat, wide), "2-D wide");
+      expect_answer(s3.value().execute("temp", boxed, ranks),
+                    brute_force(temp, boxed), "3-D boxed");
+      expect_answer(s2.value().execute("phi", narrow, ranks),
+                    brute_force(flat, narrow), "2-D narrow");
+      expect_answer(s3.value().multivar_select({{"temp", hot}, {"yfuel", rich}},
+                                               MlocStore::Combine::kAnd,
+                                               "yfuel", 7, ranks),
+                    both, "multivar AND");
+      expect_answer(s2.value().execute("phi", region, ranks), region_truth,
+                    "2-D region-only");
+      expect_answer(s3.value().multivar_select({{"temp", hot}, {"yfuel", rich}},
+                                               MlocStore::Combine::kOr, "", 7,
+                                               ranks),
+                    either, "multivar OR");
+      Bitmap bits;
+      const auto as_bits = exec::execute_query(
+          s2.value(), *s2.value().variable("phi").value(), region, ranks,
+          nullptr, exec::ExecOptions{}, &bits);
+      ASSERT_TRUE(as_bits.is_ok()) << as_bits.status().to_string();
+      std::vector<std::uint64_t> set;
+      bits.for_each_set([&](std::uint64_t p) { set.push_back(p); });
+      EXPECT_EQ(set, region_truth.positions) << "region_bits";
+    }
+  }
+}
+
+// A query whose buffers outgrow kScratchRetainBytes gives them back when
+// it ends; an ordinary one leaves the thread's scratch warm, and repeating
+// it grows nothing.
+TEST(QueryScratch, KeepsNoMoreThanTheCeiling) {
+  // 2^20 points with values need 16 MiB of arrivals alone.
+  const Grid big = datagen::gts_like(1024, 7);
+  pfs::PfsStorage fs;
+  auto store = MlocStore::create(
+      &fs, "b", small_config(big.shape(), NDShape{128, 128}, "raw"));
+  ASSERT_TRUE(store.is_ok());
+  ASSERT_TRUE(store.value().write_variable("phi", big).is_ok());
+
+  Query small;
+  small.sc = Region(2, {100, 100}, {200, 180});
+  small.values_needed = true;
+  Query whole;
+  whole.vc = ValueConstraint{-1e30, 1e30};
+  whole.values_needed = true;
+
+  std::thread([&] {
+    ASSERT_TRUE(store.value().execute("phi", small, 2).is_ok());
+    const std::size_t warm = exec::thread_scratch_bytes();
+    EXPECT_GT(warm, 0u);
+    ASSERT_TRUE(store.value().execute("phi", small, 2).is_ok());
+    EXPECT_EQ(exec::thread_scratch_bytes(), warm);
+
+    const auto res = store.value().execute("phi", whole, 2);
+    ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+    EXPECT_EQ(res.value().positions.size(), big.size());
+    EXPECT_LE(exec::thread_scratch_bytes(), exec::kScratchRetainBytes);
+
+    const auto again = store.value().execute("phi", small, 2);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_EQ(again.value().positions.size(), std::size_t{100} * 80);
+    EXPECT_LE(exec::thread_scratch_bytes(), exec::kScratchRetainBytes);
+  }).join();
 }
 
 TEST(Store, ShapeMismatchRejected) {
