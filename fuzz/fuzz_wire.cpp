@@ -3,14 +3,17 @@
 // The contract under test is the one the module header states: decoding
 // never trusts a length before bounds-checking it, and a malformed frame
 // yields a clean Status — never a crash, never UB. The harness drives the
-// same surface a hostile peer reaches: header validation, payload
-// verification, and every payload decoder, each over attacker-controlled
+// same surface a hostile peer reaches: the FrameReader that server and
+// client both receive through, fed the input in chunks whose sizes come
+// from the input, and every payload decoder, each over attacker-controlled
 // bytes. Run with UBSan linked so "clean" means no silent overflow either.
 // Every input is also a CRC-32 oracle case: the folded crc32 must equal the
 // byte-at-a-time reference at whatever length and alignment the fuzzer
 // picks.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "net/wire.hpp"
@@ -40,6 +43,32 @@ void fuzz_payload_decoders(std::span<const std::uint8_t> data) {
   }
 }
 
+// The receive path: the input arrives in chunks of 1 to 256 bytes, sized
+// by the input's bytes read from the back, and each chunk is followed by
+// every frame it completes, as the server and the client take them. A
+// query result is decoded where it lies, as the client does.
+void fuzz_frame_reader(std::span<const std::uint8_t> data) {
+  mloc::net::FrameReader reader;
+  std::size_t fed = 0;
+  for (std::size_t k = 0; fed < data.size(); ++k) {
+    const std::size_t want = 1 + data[data.size() - 1 - k % data.size()];
+    const std::span<std::uint8_t> space = reader.recv_space();
+    const std::size_t n = std::min({want, space.size(), data.size() - fed});
+    std::memcpy(space.data(), data.data() + fed, n);
+    reader.commit(n);
+    fed += n;
+    for (;;) {
+      auto next = reader.next(mloc::net::kMaxPayloadBytes);
+      if (!next.is_ok()) return;  // the stream ends here
+      const auto& frame = next.value();
+      if (!frame.has_value()) break;
+      if (frame->header.type == mloc::net::FrameType::kQueryResult) {
+        (void)mloc::net::decode_response(frame->payload);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -49,14 +78,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     __builtin_trap();
   }
 
-  // Frame path: exactly what the server does with bytes off the socket.
-  if (size >= mloc::net::kHeaderBytes) {
-    auto header = mloc::net::decode_header(bytes);
-    if (header.is_ok()) {
-      (void)mloc::net::verify_payload(header.value(),
-                                      bytes.subspan(mloc::net::kHeaderBytes));
-    }
-  }
+  // Frame path: exactly what the server and the client do with bytes off
+  // the socket.
+  fuzz_frame_reader(bytes);
 
   // Payload path: decoders see the body only after CRC checks in real use,
   // but they must hold up against arbitrary bytes regardless.

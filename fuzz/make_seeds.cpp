@@ -55,7 +55,6 @@ void make_wire_seeds(const std::filesystem::path& dir) {
 
   mloc::service::Request req;
   req.var = "temperature";
-  req.priority = 3;
   req.deadline_s = 0.5;
   const mloc::Bytes request = encode_request(req);
 

@@ -69,6 +69,14 @@ class ScratchArray {
     return data_.get();
   }
 
+  /// Drop the first `n` elements (n <= size()); the rest move to the front.
+  void drop_front(std::size_t n) noexcept {
+    size_ -= n;
+    if (size_ != 0) {
+      std::memmove(data_.get(), data_.get() + n, size_ * sizeof(T));
+    }
+  }
+
   void clear() noexcept { size_ = 0; }
 
  private:

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -35,7 +34,7 @@ Status Client::connect(const std::string& host, std::uint16_t port) {
   fd_ = fd;
   broken_ = Status::ok();
   next_id_ = 1;
-  rbuf_.clear();
+  reader_ = FrameReader{};
   stashed_.clear();
   return Status::ok();
 }
@@ -45,7 +44,7 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  rbuf_.clear();
+  reader_ = FrameReader{};
   stashed_.clear();
   shm_.reset();
 }
@@ -74,69 +73,71 @@ Status Client::send_all(const Bytes& frame) {
   return Status::ok();
 }
 
-Result<Client::Stash> Client::wait_frame(std::uint64_t request_id) {
+Result<Client::Reply> Client::wait_frame(std::uint64_t request_id) {
+  if (auto it = stashed_.find(request_id); it != stashed_.end()) {
+    Reply r = std::move(it->second);
+    stashed_.erase(it);
+    return r;
+  }
   for (;;) {
-    if (auto it = stashed_.find(request_id); it != stashed_.end()) {
-      Stash s = std::move(it->second);
-      stashed_.erase(it);
-      return s;
-    }
     if (fd_ < 0) {
       return broken_.is_ok() ? failed_precondition("client not connected")
                              : broken_;
     }
-
-    // Parse every complete frame already buffered before reading more.
-    bool parsed = false;
-    while (rbuf_.size() >= kHeaderBytes) {
-      auto h = decode_header({rbuf_.data(), kHeaderBytes});
-      if (!h.is_ok()) return fail(h.status());
-      const std::size_t need = kHeaderBytes + h.value().payload_len;
-      if (rbuf_.size() < need) break;
-      std::span<const std::uint8_t> payload(rbuf_.data() + kHeaderBytes,
-                                            h.value().payload_len);
-      if (Status vst = verify_payload(h.value(), payload); !vst.is_ok()) {
-        return fail(std::move(vst));
-      }
-      if (h.value().type == FrameType::kShmResult) {
-        // Decode straight out of the ring, then release the bytes right
-        // away: descriptors arrive in cursor order, so prompt release is
-        // what keeps the producer from backpressuring into TCP.
-        if (shm_ == nullptr) {
-          return fail(corrupt_data("shm result without an attached segment"));
-        }
-        auto d = decode_shm_result(payload);
-        if (!d.is_ok()) return fail(d.status());
-        auto view =
-            shm_->view(d.value().offset, d.value().len, d.value().release);
-        if (!view.is_ok()) return fail(view.status());
-        auto resp = decode_response(view.value());
-        shm_->release(d.value().release);
-        if (!resp.is_ok()) return fail(resp.status());
-        Stash s;
-        s.type = FrameType::kQueryResult;
-        s.decoded = std::move(resp).value();
-        stashed_.emplace(h.value().request_id, std::move(s));
-      } else {
-        stashed_.emplace(
-            h.value().request_id,
-            Stash{h.value().type, Bytes(payload.begin(), payload.end()), {}});
-      }
-      rbuf_.erase(rbuf_.begin(),
-                  rbuf_.begin() + static_cast<std::ptrdiff_t>(need));
-      parsed = true;
+    // Take every complete frame already buffered before reading more.
+    auto next = reader_.next(kMaxPayloadBytes);
+    if (!next.is_ok()) return fail(next.status());
+    if (const std::optional<FrameReader::Frame>& frame = next.value();
+        frame.has_value()) {
+      MLOC_ASSIGN_OR_RETURN(Reply r, take(*frame));
+      if (frame->header.request_id == request_id) return r;
+      stashed_.emplace(frame->header.request_id, std::move(r));
+      continue;
     }
-    if (parsed) continue;
-
-    std::array<std::uint8_t, 64 * 1024> buf;
-    ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    const std::span<std::uint8_t> space = reader_.recv_space();
+    const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n == 0) return fail(io_error("server closed the connection"));
     if (n < 0) {
       if (errno == EINTR) continue;
       return fail(io_error("recv: " + std::string(strerror(errno))));
     }
-    rbuf_.insert(rbuf_.end(), buf.data(), buf.data() + n);
+    reader_.commit(static_cast<std::size_t>(n));
   }
+}
+
+Result<Client::Reply> Client::take(const FrameReader::Frame& frame) {
+  Reply r;
+  r.type = frame.header.type;
+  if (r.type == FrameType::kQueryResult) {
+    r.response = decode_response(frame.payload);
+  } else if (r.type == FrameType::kShmResult) {
+    // Decode straight out of the ring, then release the bytes right
+    // away: descriptors arrive in cursor order, so prompt release is what
+    // keeps the producer from backpressuring into TCP.
+    if (shm_ == nullptr) {
+      return fail(corrupt_data("shm result without an attached segment"));
+    }
+    auto d = decode_shm_result(frame.payload);
+    if (!d.is_ok()) return fail(d.status());
+    auto view = shm_->view(d.value().offset, d.value().len, d.value().release);
+    if (!view.is_ok()) return fail(view.status());
+    auto resp = decode_response(view.value());
+    shm_->release(d.value().release);
+    if (!resp.is_ok()) return fail(resp.status());
+    r.response = std::move(resp);
+  } else {
+    r.payload.assign(frame.payload.begin(), frame.payload.end());
+  }
+  return r;
+}
+
+Status Client::unexpected(const Reply& r, std::string_view what) {
+  if (!frame_type_known(static_cast<std::uint16_t>(r.type))) {
+    return unsupported("unknown reply type " +
+                       std::to_string(static_cast<std::uint16_t>(r.type)) +
+                       " to " + std::string(what));
+  }
+  return fail(corrupt_data("unexpected reply to " + std::string(what)));
 }
 
 Result<Bytes> Client::call(FrameType type,
@@ -144,18 +145,15 @@ Result<Bytes> Client::call(FrameType type,
                            FrameType reply, std::string_view what) {
   const std::uint64_t id = next_id_++;
   MLOC_RETURN_IF_ERROR(send_all(encode_frame(type, id, payload)));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type == FrameType::kAck) {
-    MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-    return ack.carried.is_ok()
-               ? internal_error(std::string(what) +
-                                " refused without a reason")
-               : ack.carried;
+  MLOC_ASSIGN_OR_RETURN(Reply r, wait_frame(id));
+  if (r.type == FrameType::kAck) {
+    MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(r.payload));
+    if (!ack.carried.is_ok()) return ack.carried;
+    if (reply == FrameType::kAck) return Bytes{};
+    return internal_error(std::string(what) + " refused without a reason");
   }
-  if (s.type != reply) {
-    return fail(corrupt_data("unexpected reply to " + std::string(what)));
-  }
-  return std::move(s.payload);
+  if (r.type != reply) return unexpected(r, what);
+  return std::move(r.payload);
 }
 
 Status Client::ping() {
@@ -171,15 +169,8 @@ Result<service::SessionId> Client::open_session(std::string_view label) {
 }
 
 Status Client::close_session() {
-  const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(
-      send_all(encode_frame(FrameType::kCloseSession, id, {})));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type != FrameType::kAck) {
-    return fail(corrupt_data("unexpected reply to close_session"));
-  }
-  MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-  return ack.carried;
+  return call(FrameType::kCloseSession, {}, FrameType::kAck, "close_session")
+      .status();
 }
 
 Status Client::enable_shm(std::uint64_t ring_bytes) {
@@ -189,21 +180,11 @@ Status Client::enable_shm(std::uint64_t ring_bytes) {
   }
   if (shm_ != nullptr) return failed_precondition("shm already active");
 
-  const std::uint64_t offer_id = next_id_++;
-  MLOC_RETURN_IF_ERROR(send_all(encode_frame(FrameType::kShmOffer, offer_id,
-                                             encode_shm_offer(ring_bytes))));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(offer_id));
-  if (s.type == FrameType::kAck) {
-    // Server refused (disabled, no segment room): stay on TCP.
-    MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-    return ack.carried.is_ok()
-               ? internal_error("shm offer refused without a reason")
-               : ack.carried;
-  }
-  if (s.type != FrameType::kShmAccept) {
-    return fail(corrupt_data("unexpected reply to shm offer"));
-  }
-  auto info = decode_shm_accept(s.payload);
+  // A refusal (disabled, no segment room) is the server's Ack: stay on TCP.
+  MLOC_ASSIGN_OR_RETURN(const Bytes accept,
+                        call(FrameType::kShmOffer, encode_shm_offer(ring_bytes),
+                             FrameType::kShmAccept, "shm offer"));
+  auto info = decode_shm_accept(accept);
   if (!info.is_ok()) return fail(info.status());
 
   auto seg = ShmClientSegment::open(info.value());
@@ -213,32 +194,15 @@ Status Client::enable_shm(std::uint64_t ring_bytes) {
   // ack: the server starts using the ring the moment it processes the
   // attach, so a response can precede the ack in the stream.
   if (seg.is_ok()) shm_ = std::move(seg).value();
-  const std::uint64_t attach_id = next_id_++;
-  Status sent = send_all(encode_frame(FrameType::kShmAttach, attach_id,
-                                      encode_shm_attach(shm_ != nullptr)));
-  if (!sent.is_ok()) {
+  const Status acked = call(FrameType::kShmAttach,
+                            encode_shm_attach(shm_ != nullptr),
+                            FrameType::kAck, "shm attach")
+                           .status();
+  if (!acked.is_ok()) {
     shm_.reset();
-    return sent;
-  }
-  auto a = wait_frame(attach_id);
-  if (!a.is_ok()) {
-    shm_.reset();
-    return a.status();
-  }
-  if (a.value().type != FrameType::kAck) {
-    shm_.reset();
-    return fail(corrupt_data("unexpected reply to shm attach"));
-  }
-  auto ack = decode_status(a.value().payload);
-  if (!ack.is_ok()) {
-    shm_.reset();
-    return ack.status();
+    return acked;
   }
   if (shm_ == nullptr) return seg.status();  // mapping failed; TCP continues
-  if (!ack.value().carried.is_ok()) {
-    shm_.reset();
-    return ack.value().carried;
-  }
   return Status::ok();
 }
 
@@ -250,12 +214,9 @@ Result<std::uint64_t> Client::send_query(const service::Request& req) {
 }
 
 Result<service::Response> Client::wait(std::uint64_t request_id) {
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(request_id));
-  if (s.type != FrameType::kQueryResult) {
-    return fail(corrupt_data("unexpected reply to query"));
-  }
-  if (s.decoded.has_value()) return std::move(*s.decoded);
-  return decode_response(s.payload);
+  MLOC_ASSIGN_OR_RETURN(Reply r, wait_frame(request_id));
+  if (!r.response.has_value()) return unexpected(r, "query");
+  return std::move(*r.response);
 }
 
 Result<service::Response> Client::query(const service::Request& req) {
@@ -264,15 +225,9 @@ Result<service::Response> Client::query(const service::Request& req) {
 }
 
 Status Client::cancel(std::uint64_t request_id) {
-  const std::uint64_t id = next_id_++;
-  MLOC_RETURN_IF_ERROR(
-      send_all(encode_frame(FrameType::kCancel, id, encode_cancel(request_id))));
-  MLOC_ASSIGN_OR_RETURN(Stash s, wait_frame(id));
-  if (s.type != FrameType::kAck) {
-    return fail(corrupt_data("unexpected reply to cancel"));
-  }
-  MLOC_ASSIGN_OR_RETURN(Ack ack, decode_status(s.payload));
-  return ack.carried;
+  return call(FrameType::kCancel, encode_cancel(request_id), FrameType::kAck,
+              "cancel")
+      .status();
 }
 
 Result<StatsSnapshot> Client::stats() {

@@ -9,12 +9,19 @@
 // A load generator drives hundreds of in-flight queries per connection
 // this way without any client-side threads.
 //
-// Transport/protocol failures (socket error, corrupt frame, unexpected
-// type) surface as the Result's error Status and poison the connection
-// (every later call fails until close()/connect()). Server-side outcomes
-// — a rejected query, a cancelled query, a closed session — arrive as a
-// normal Response whose `status` carries the error; the connection stays
-// usable.
+// Replies are read through the same FrameReader the server uses: the
+// client recv()s into its buffer, a query result is decoded where it lies
+// (straight into the answer's vectors), and only a control reply's small
+// payload is copied out.
+//
+// Transport/protocol failures (socket error, corrupt frame, a known reply
+// type that does not answer the call) surface as the Result's error Status
+// and poison the connection (every later call fails until
+// close()/connect()). A reply of a type this protocol version does not
+// define fails only the call it answers, with Unsupported, as the
+// versioning rules in wire.hpp promise. Server-side outcomes — a rejected
+// query, a cancelled query, a closed session — arrive as a normal
+// Response whose `status` carries the error; the connection stays usable.
 #pragma once
 
 #include <cstdint>
@@ -82,30 +89,36 @@ class Client {
   Result<std::vector<MlocStore::VariableDesc>> list_variables();
 
  private:
-  struct Stash {
-    FrameType type = FrameType::kPong;
-    Bytes payload;
-    /// Set for responses that arrived through the shm ring: kShmResult
-    /// frames are decoded straight out of the ring at parse time (so the
-    /// bytes can be released immediately, in descriptor order) and stash
-    /// the finished Response instead of payload bytes.
-    std::optional<service::Response> decoded;
+  /// One reply, taken off the stream as it arrived.
+  struct Reply {
+    FrameType type = FrameType::kPong;  ///< may be a type not defined here
+    Bytes payload;                      ///< a control reply's payload
+    /// A query result (kQueryResult or kShmResult), decoded on arrival:
+    /// from the receive buffer, or from the ring, whose bytes are then
+    /// released at once, in descriptor order.
+    std::optional<Result<service::Response>> response;
   };
 
   Status send_all(const Bytes& frame);
   /// Read frames until `request_id`'s arrives; stash the rest.
-  Result<Stash> wait_frame(std::uint64_t request_id);
-  /// Send a `type` request and return the payload of its `reply` frame; an
-  /// Ack in its place carries the server's refusal.
+  Result<Reply> wait_frame(std::uint64_t request_id);
+  /// Decode or copy `frame` so it outlives the receive buffer.
+  Result<Reply> take(const FrameReader::Frame& frame);
+  /// Send a `type` request and return the payload of its `reply` frame. An
+  /// Ack is the server's answer in its place: its carried error, or, when
+  /// `reply` is kAck itself, success with an empty payload.
   Result<Bytes> call(FrameType type, std::span<const std::uint8_t> payload,
                      FrameType reply, std::string_view what);
+  /// A reply that does not answer `what`: Unsupported for a type this
+  /// version does not define, else the connection is poisoned.
+  Status unexpected(const Reply& r, std::string_view what);
   Status fail(Status st);  ///< poison the connection, pass `st` through
 
   int fd_ = -1;
   Status broken_;  ///< first transport error; non-ok poisons the client
   std::uint64_t next_id_ = 1;
-  Bytes rbuf_;
-  std::unordered_map<std::uint64_t, Stash> stashed_;
+  FrameReader reader_;
+  std::unordered_map<std::uint64_t, Reply> stashed_;
   std::unique_ptr<ShmClientSegment> shm_;  ///< non-null once negotiated
 };
 

@@ -29,29 +29,22 @@ namespace {
 /// gigabytes.
 constexpr std::uint32_t kMaxReceivePayloadBytes = 64u << 20;
 
-std::uint32_t raw_u32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t raw_u64(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint64_t>(raw_u32(p)) |
-         (static_cast<std::uint64_t>(raw_u32(p + 4)) << 32);
-}
-
 }  // namespace
 
-// A connection is pinned to one loop: its fd is only ever read, written,
-// or closed by that loop's thread, and `rbuf`/`session` are loop-thread
-// state. `mutex` guards the cross-thread pieces: the outbox (service
-// worker callbacks append responses), the request-id map (callbacks
-// erase, kCancel looks up, shutdown() harvests), and the closed flag.
+// A connection is pinned to one loop. Its fd is read and closed only by
+// that loop, and written under `mutex` by whichever thread has a frame to
+// send: the loop for control replies, the service worker that resolved a
+// query for its response. `reader` and `session` are loop-thread state.
+// `mutex` guards the cross-thread pieces: the outbox and the EPOLLOUT arm
+// state, the request-id map (callbacks erase, kCancel looks up,
+// shutdown() harvests), and the closed flag. A writer that sees `closed`
+// false under `mutex` knows the fd is still this connection's; if its
+// send fails it shuts the socket down, and the loop closes the connection
+// on the hang-up.
 struct Server::Connection {
   int fd = -1;
   Loop* loop = nullptr;
-  Bytes rbuf;
+  FrameReader reader;
 
   sync::Mutex mutex;
   std::deque<EncodedResponse> outbox MLOC_GUARDED_BY(mutex);
@@ -89,7 +82,6 @@ struct Server::Loop {
 
   sync::Mutex mutex;
   std::vector<std::shared_ptr<Connection>> incoming MLOC_GUARDED_BY(mutex);
-  std::vector<std::shared_ptr<Connection>> writable MLOC_GUARDED_BY(mutex);
 
   /// fd -> connection; loop-thread only.
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
@@ -197,14 +189,11 @@ void Server::loop_main(Loop& loop) {
         while (::read(loop.wakefd, &junk, sizeof junk) > 0) {
         }
         std::vector<std::shared_ptr<Connection>> incoming;
-        std::vector<std::shared_ptr<Connection>> writable;
         {
           sync::MutexLock lock(loop.mutex);
           incoming.swap(loop.incoming);
-          writable.swap(loop.writable);
         }
         for (auto& c : incoming) register_connection(loop, std::move(c));
-        for (auto& c : writable) flush_writes(c);
         continue;
       }
       if (fd == listen_fd_) {
@@ -223,7 +212,14 @@ void Server::loop_main(Loop& loop) {
     }
   }
   // Teardown: shutdown() has already drained in-flight queries, so no
-  // callback will enqueue into these connections after this point.
+  // callback will enqueue into these connections after this point, and it
+  // stopped the acceptor first, so a connection handed over after this
+  // loop's last wake-up is in `incoming` now.
+  {
+    sync::MutexLock lock(loop.mutex);
+    for (auto& c : loop.incoming) loop.conns.emplace(c->fd, std::move(c));
+    loop.incoming.clear();
+  }
   for (auto& entry : loop.conns) {
     Connection& conn = *entry.second;
     service::SessionId session = 0;
@@ -309,93 +305,44 @@ void Server::accept_ready(Loop& loop) {
 
 void Server::handle_readable(Loop& loop,
                              const std::shared_ptr<Connection>& conn) {
-  std::array<std::uint8_t, 64 * 1024> buf;
   std::uint64_t received = 0;
-  bool eof = false;
-  bool fatal = false;
-  for (;;) {
-    ssize_t n = ::recv(conn->fd, buf.data(), buf.size(), 0);
+  bool stream_ok = true;
+  bool hung_up = false;
+  while (stream_ok) {
+    const std::span<std::uint8_t> space = conn->reader.recv_space();
+    const ssize_t n = ::recv(conn->fd, space.data(), space.size(), 0);
     if (n > 0) {
-      conn->rbuf.insert(conn->rbuf.end(), buf.data(), buf.data() + n);
+      conn->reader.commit(static_cast<std::size_t>(n));
       received += static_cast<std::uint64_t>(n);
+      stream_ok = parse_frames(conn);
       continue;
     }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    fatal = true;
+    if (n < 0 && errno == EINTR) continue;
+    hung_up = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
     break;
   }
   if (received != 0) {
     sync::MutexLock lock(stats_mutex_);
     stats_.bytes_received += received;
   }
-  if (!parse_frames(conn)) {
-    close_connection(loop, conn, /*protocol_error=*/true);
-    return;
+  if (!stream_ok || hung_up) {
+    close_connection(loop, conn, /*protocol_error=*/!stream_ok);
   }
-  if (eof || fatal) close_connection(loop, conn, /*protocol_error=*/false);
 }
 
 bool Server::parse_frames(const std::shared_ptr<Connection>& conn) {
-  Bytes& buf = conn->rbuf;
-  std::size_t off = 0;
   bool stream_ok = true;
   std::uint64_t frames = 0;
-  while (buf.size() - off >= kHeaderBytes) {
-    std::span<const std::uint8_t> head(buf.data() + off, kHeaderBytes);
-    auto h = decode_header(head);
-    std::size_t need = 0;
-    if (h.is_ok()) {
-      if (h.value().payload_len > kMaxReceivePayloadBytes) {
-        stream_ok = false;
-        break;
-      }
-      need = kHeaderBytes + h.value().payload_len;
-      if (buf.size() - off < need) break;
-      std::span<const std::uint8_t> payload(buf.data() + off + kHeaderBytes,
-                                            h.value().payload_len);
-      if (!verify_payload(h.value(), payload).is_ok()) {
-        stream_ok = false;
-        break;
-      }
-      ++frames;
-      handle_frame(conn, h.value(), payload);
-    } else if (h.status().code() == ErrorCode::kUnsupported &&
-               (static_cast<std::uint16_t>(head[4]) |
-                static_cast<std::uint16_t>(head[5] << 8)) ==
-                   kProtocolVersion) {
-      // Same protocol version but an unknown frame type: the header CRC
-      // already validated (decode_header orders CRC before the type
-      // check), so payload_len is trustworthy. Skip the frame and answer
-      // Unsupported — the connection stays in sync, per the versioning
-      // rules in wire.hpp.
-      const std::uint32_t plen = raw_u32(head.data() + 16);
-      if (plen > kMaxReceivePayloadBytes) {
-        stream_ok = false;
-        break;
-      }
-      need = kHeaderBytes + plen;
-      if (buf.size() - off < need) break;
-      const std::uint64_t request_id = raw_u64(head.data() + 8);
-      {
-        sync::MutexLock lock(stats_mutex_);
-        ++stats_.payload_errors;
-      }
-      send_frame(conn, encode_frame(
-                           FrameType::kAck, request_id,
-                           encode_status(unsupported("unknown frame type"))));
-    } else {
+  for (;;) {
+    auto next = conn->reader.next(kMaxReceivePayloadBytes);
+    if (!next.is_ok()) {
       stream_ok = false;
       break;
     }
-    off += need;
-  }
-  if (off > 0) {
-    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+    const std::optional<FrameReader::Frame>& frame = next.value();
+    if (!frame.has_value()) break;
+    ++frames;
+    handle_frame(conn, frame->header, frame->payload);
   }
   if (frames != 0) {
     sync::MutexLock lock(stats_mutex_);
@@ -409,7 +356,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
                           std::span<const std::uint8_t> payload) {
   auto ack = [&](std::uint64_t request_id, const Status& st) {
     send_frame(conn,
-               encode_frame(FrameType::kAck, request_id, encode_status(st)));
+               {encode_frame(FrameType::kAck, request_id, encode_status(st))});
   };
   auto payload_error = [&](std::uint64_t request_id, const Status& st) {
     {
@@ -421,7 +368,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
 
   switch (h.type) {
     case FrameType::kPing:
-      send_frame(conn, encode_frame(FrameType::kPong, h.request_id, {}));
+      send_frame(conn, {encode_frame(FrameType::kPong, h.request_id, {})});
       return;
 
     case FrameType::kOpenSession: {
@@ -434,8 +381,8 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       auto sid = svc_.open_session(std::move(label.value()));
       if (!sid.is_ok()) return ack(h.request_id, sid.status());
       conn->session = sid.value();
-      send_frame(conn, encode_frame(FrameType::kSessionOpened, h.request_id,
-                                    encode_session_opened(sid.value())));
+      send_frame(conn, {encode_frame(FrameType::kSessionOpened, h.request_id,
+                                     encode_session_opened(sid.value()))});
       return;
     }
 
@@ -470,15 +417,15 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
 
     case FrameType::kStats: {
       StatsSnapshot snap{svc_.aggregate(), svc_.cache_stats()};
-      send_frame(conn, encode_frame(FrameType::kStatsResult, h.request_id,
-                                    encode_stats(snap)));
+      send_frame(conn, {encode_frame(FrameType::kStatsResult, h.request_id,
+                                     encode_stats(snap))});
       return;
     }
 
     case FrameType::kListVariables: {
-      send_frame(conn,
-                 encode_frame(FrameType::kVariableList, h.request_id,
-                              encode_variable_list(svc_.store().describe_all())));
+      send_frame(conn, {encode_frame(
+                           FrameType::kVariableList, h.request_id,
+                           encode_variable_list(svc_.store().describe_all()))});
       return;
     }
 
@@ -514,7 +461,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         sync::MutexLock lock(stats_mutex_);
         ++stats_.shm_segments;
       }
-      send_frame(conn, std::move(accept));
+      send_frame(conn, {std::move(accept)});
       return;
     }
 
@@ -556,18 +503,21 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       }
       auto st = svc_.session_stats(conn->session);
       if (!st.is_ok()) return ack(h.request_id, st.status());
-      send_frame(conn, encode_frame(FrameType::kSessionStatsResult,
-                                    h.request_id, encode_session_stats(st.value())));
+      send_frame(conn,
+                 {encode_frame(FrameType::kSessionStatsResult, h.request_id,
+                               encode_session_stats(st.value()))});
       return;
     }
 
     default:
-      // A known type that is not a client->server frame (kQueryResult
-      // etc. arriving at the server). The stream is still framed
-      // correctly, so answer and carry on.
+      // A type this version does not define, or a server->client type
+      // arriving here. The stream is still framed correctly (the header
+      // CRC vouched for the length), so answer and carry on.
       return payload_error(
           h.request_id,
-          invalid_argument("frame type not valid in this direction"));
+          frame_type_known(static_cast<std::uint16_t>(h.type))
+              ? invalid_argument("frame type not valid in this direction")
+              : unsupported("unknown frame type"));
   }
 }
 
@@ -577,7 +527,7 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
   auto error_response = [&](Status st) {
     service::Response resp;
     resp.status = std::move(st);
-    send_response(conn, encode_response_frame(request_id, std::move(resp)));
+    send_frame(conn, encode_response_frame(request_id, std::move(resp)));
   };
 
   auto req = decode_request(payload);
@@ -620,15 +570,17 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
   const service::QueryId qid = svc_.submit_async(
       conn->session, std::move(req.value()),
       [this, wc, request_id](service::Response resp) {
+        // The worker that resolved the query writes its response.
         auto c = wc.lock();
         bool enqueued = false;
         bool via_shm = false;
         bool fell_back = false;
         if (c) {
-          // Shm fast path first. The ring allocate-write-publish must be
-          // one critical section per connection (see Connection::shm), and
-          // it is the fold-into-slot hook: the payload is serialized from
-          // the engine's buffers straight into the ring, so the TCP path's
+          // Shm fast path first. The ring allocate-write-publish and the
+          // descriptor's place in the outbox must be one critical section
+          // per connection (see Connection::shm), and it is the
+          // fold-into-slot hook: the payload is serialized from the
+          // engine's buffers straight into the ring, so the TCP path's
           // payload CRC pass and two socket copies never happen.
           {
             sync::MutexLock lock(c->mutex);
@@ -657,28 +609,22 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
                 d.offset = slot->offset;
                 d.len = slot->len;
                 d.release = slot->release;
-                c->outbox.push_back(
-                    EncodedResponse{encode_frame(FrameType::kShmResult,
-                                                 request_id,
-                                                 encode_shm_result(d)),
-                                    {},
-                                    {}});
+                c->outbox.push_back({encode_frame(FrameType::kShmResult,
+                                                  request_id,
+                                                  encode_shm_result(d))});
                 enqueued = via_shm = true;
               } else {
                 fell_back = true;  // ring full or oversize: frame it below
               }
             }
           }
-          if (!enqueued) {
+          if (via_shm) {
+            flush_writes(c);
+          } else {
             resp.stats.via_shm = false;
-            auto er = encode_response_frame(request_id, std::move(resp));
-            sync::MutexLock lock(c->mutex);
-            if (!c->closed) {
-              c->outbox.push_back(std::move(er));
-              enqueued = true;
-            }
+            enqueued = send_frame(
+                c, encode_response_frame(request_id, std::move(resp)));
           }
-          if (enqueued) notify_writable(c);
         }
         if (enqueued) {
           sync::MutexLock lock(stats_mutex_);
@@ -698,23 +644,15 @@ void Server::handle_query(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void Server::send_frame(const std::shared_ptr<Connection>& conn, Bytes frame) {
+bool Server::send_frame(const std::shared_ptr<Connection>& conn,
+                        EncodedResponse frame) {
   {
     sync::MutexLock lock(conn->mutex);
-    if (conn->closed) return;
-    conn->outbox.push_back(EncodedResponse{std::move(frame), {}, {}});
+    if (conn->closed) return false;
+    conn->outbox.push_back(std::move(frame));
   }
   flush_writes(conn);
-}
-
-void Server::send_response(const std::shared_ptr<Connection>& conn,
-                           EncodedResponse er) {
-  {
-    sync::MutexLock lock(conn->mutex);
-    if (conn->closed) return;
-    conn->outbox.push_back(std::move(er));
-  }
-  flush_writes(conn);
+  return true;
 }
 
 void Server::flush_writes(const std::shared_ptr<Connection>& conn) {
@@ -767,6 +705,9 @@ void Server::flush_writes(const std::shared_ptr<Connection>& conn) {
         ++sent_frames;
       }
     }
+    // `closed` is false under this lock, so the fd is still this
+    // connection's; only its loop closes it, on the hang-up.
+    if (fatal) ::shutdown(conn->fd, SHUT_RDWR);
     const bool need_write = !conn->outbox.empty() && !fatal;
     if (need_write != conn->want_write) {
       conn->want_write = need_write;
@@ -780,9 +721,6 @@ void Server::flush_writes(const std::shared_ptr<Connection>& conn) {
     sync::MutexLock lock(stats_mutex_);
     stats_.bytes_sent += sent_bytes;
     stats_.frames_sent += sent_frames;
-  }
-  if (fatal) {
-    close_connection(*conn->loop, conn, /*protocol_error=*/false);
   }
 }
 
@@ -815,15 +753,6 @@ void Server::close_connection(Loop& loop,
     ++stats_.connections_closed;
     if (protocol_error) ++stats_.protocol_errors;
   }
-}
-
-void Server::notify_writable(const std::shared_ptr<Connection>& conn) {
-  Loop& loop = *conn->loop;
-  {
-    sync::MutexLock lock(loop.mutex);
-    loop.writable.push_back(conn);
-  }
-  wake(loop);
 }
 
 void Server::finish_inflight() {
@@ -898,11 +827,11 @@ void Server::shutdown(double grace_s) {
   }
 
   // Phase 4: stop the loops; their teardown closes sockets and sessions.
+  // Loop 0, the acceptor, goes first: a connection it accepted just
+  // before draining began may still be on its way to another loop.
   for (auto& loop : loops_) {
     loop->stop.store(true, std::memory_order_release);
     wake(*loop);
-  }
-  for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
   for (auto& loop : loops_) {

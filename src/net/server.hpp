@@ -4,15 +4,18 @@
 // Architecture: one listen socket plus `num_loops` worker event loops,
 // each an epoll instance driven by its own thread. Loop 0 owns the
 // acceptor; accepted connections are handed round-robin to the loops and
-// stay pinned there (a connection's fd is only ever read, written, or
-// closed by its loop thread). Each connection multiplexes many in-flight
+// stay pinned there: a connection's fd is read and closed only by its
+// loop, and written, under the connection's mutex, by whichever thread
+// has a frame to send. Each connection multiplexes many in-flight
 // queries: every kQuery frame is submitted through
-// QueryService::submit_async, the completion callback encodes the
-// response and appends it to the connection's outbox, and responses go
-// back tagged with the client's request_id — out of order, as queries
-// finish. Result payloads are written with scatter-gather sendmsg
-// straight from the engine's fold buffers (EncodedResponse), so a large
-// result is never copied into a serialization buffer.
+// QueryService::submit_async, and the completion callback, on the
+// service worker that resolved the query, encodes the response, appends
+// it to the connection's outbox and writes what the socket takes; the
+// loop finishes a partial write on EPOLLOUT. Responses go back tagged
+// with the client's request_id — out of order, as queries finish. Result
+// payloads are written with scatter-gather sendmsg straight from the
+// engine's fold buffers (EncodedResponse), so a large result is never
+// copied into a serialization buffer.
 //
 // Co-located clients can negotiate the shared-memory fast path
 // (net/shm.hpp): after kShmOffer/kShmAccept/kShmAttach, worker callbacks
@@ -26,12 +29,12 @@
 // Connection lifecycle: a fresh connection has no session; the client
 // sends kOpenSession (at most once) and queries after that. Closing the
 // socket — or any protocol error (bad magic, CRC mismatch, version
-// mismatch, unknown frame type) — tears the connection down: the server
-// closes its session, and responses for its in-flight queries are
-// dropped on arrival (counted in ServerStats::responses_dropped).
-// Malformed *payloads* behind a valid header are answered with an error
-// frame and the connection stays usable, since the stream is still in
-// sync.
+// mismatch, a payload over the receive cap) — tears the connection down:
+// the server closes its session, and responses for its in-flight queries
+// are dropped on arrival (counted in ServerStats::responses_dropped).
+// Malformed *payloads* and unknown frame types behind a valid header are
+// answered with an error frame and the connection stays usable, since
+// the stream is still in sync.
 //
 // Shutdown: shutdown(grace) stops accepting, refuses new queries
 // (FailedPrecondition), waits up to `grace` seconds for in-flight
@@ -131,18 +134,17 @@ class Server {
   void handle_query(const std::shared_ptr<Connection>& conn,
                     std::uint64_t request_id,
                     std::span<const std::uint8_t> payload);
-  /// Append a frame to the outbox and flush what the socket accepts.
-  void send_frame(const std::shared_ptr<Connection>& conn, Bytes frame);
-  void send_response(const std::shared_ptr<Connection>& conn,
-                     EncodedResponse er);
+  /// Append a frame to the outbox and flush what the socket accepts; any
+  /// thread. False when the connection is closed and the frame dropped.
+  bool send_frame(const std::shared_ptr<Connection>& conn,
+                  EncodedResponse frame);
   /// Drain the outbox with scatter-gather writes; arms/disarms EPOLLOUT.
-  /// Loop-thread only.
+  /// Any thread: the loop on EPOLLOUT, whoever appended a frame. A failed
+  /// send shuts the socket down for the loop to close.
   void flush_writes(const std::shared_ptr<Connection>& conn);
   /// Loop-thread only: closes the fd, the session, and drops the outbox.
   void close_connection(Loop& loop, const std::shared_ptr<Connection>& conn,
                         bool protocol_error);
-  /// Wake `loop` so it re-flushes `conn` (called from worker callbacks).
-  void notify_writable(const std::shared_ptr<Connection>& conn);
   void finish_inflight() MLOC_EXCLUDES(drain_mutex_);
 
   service::QueryService& svc_;

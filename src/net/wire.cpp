@@ -297,11 +297,12 @@ void encode_header(const FrameHeader& h, std::uint8_t* out) noexcept {
   put_le32(out + 24, crc32(byte_view(out, 24)));
 }
 
-Result<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes) {
-    return corrupt_data("frame header truncated");
-  }
-  const std::uint8_t* b = bytes.data();
+namespace {
+
+/// Every header check but the type's: kHeaderBytes at `b` with a valid
+/// magic, header CRC, version and length. The type is stored as sent
+/// (FrameType's fixed underlying type holds any 16-bit value).
+Result<FrameHeader> decode_header_any_type(const std::uint8_t* b) {
   if (get_le32(b) != kMagic) {
     return corrupt_data("bad frame magic");
   }
@@ -314,17 +315,27 @@ Result<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
     return unsupported("unsupported wire protocol version " +
                        std::to_string(h.version));
   }
-  const std::uint16_t raw_type = get_le16(b + 6);
+  h.type = static_cast<FrameType>(get_le16(b + 6));
   h.request_id = get_le64(b + 8);
   h.payload_len = get_le32(b + 16);
   h.payload_crc = get_le32(b + 20);
   if (h.payload_len > kMaxPayloadBytes) {
     return corrupt_data("frame payload length exceeds the protocol maximum");
   }
+  return h;
+}
+
+}  // namespace
+
+Result<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes) {
+    return corrupt_data("frame header truncated");
+  }
+  MLOC_ASSIGN_OR_RETURN(FrameHeader h, decode_header_any_type(bytes.data()));
+  const auto raw_type = static_cast<std::uint16_t>(h.type);
   if (!frame_type_known(raw_type)) {
     return unsupported("unknown frame type " + std::to_string(raw_type));
   }
-  h.type = static_cast<FrameType>(raw_type);
   return h;
 }
 
@@ -337,6 +348,35 @@ Status verify_payload(const FrameHeader& h,
     return corrupt_data("frame payload CRC mismatch");
   }
   return Status::ok();
+}
+
+std::span<std::uint8_t> FrameReader::recv_space() {
+  if (consumed_ == buf_.size()) {
+    buf_.clear();  // every byte was a frame: start again at the front
+    consumed_ = 0;
+  } else if (consumed_ != 0 &&
+             buf_.capacity_bytes() - buf_.size() < kRecvBytes) {
+    buf_.drop_front(consumed_);
+    consumed_ = 0;
+  }
+  std::uint8_t* tail = buf_.grow_tail(kRecvBytes);
+  return {tail, buf_.capacity_bytes() - buf_.size()};
+}
+
+Result<std::optional<FrameReader::Frame>> FrameReader::next(
+    std::uint32_t max_payload) {
+  const std::size_t avail = buf_.size() - consumed_;
+  if (avail < kHeaderBytes) return std::optional<Frame>();
+  const std::uint8_t* at = buf_.data() + consumed_;
+  MLOC_ASSIGN_OR_RETURN(const FrameHeader h, decode_header_any_type(at));
+  if (h.payload_len > max_payload) {
+    return corrupt_data("frame payload length exceeds the receive cap");
+  }
+  if (avail - kHeaderBytes < h.payload_len) return std::optional<Frame>();
+  const Frame f{h, {at + kHeaderBytes, h.payload_len}};
+  MLOC_RETURN_IF_ERROR(verify_payload(h, f.payload));
+  consumed_ += kHeaderBytes + h.payload_len;
+  return std::optional<Frame>(f);
 }
 
 Bytes encode_frame(FrameType type, std::uint64_t request_id,
@@ -382,8 +422,7 @@ Bytes encode_request(const service::Request& req) {
   if (req.query.values_needed) flags |= kReqValuesNeeded;
   if (req.multivar.has_value()) flags |= kReqMultivar;
   w.put_u8(flags);
-  put_each(w, req.var, req.query.plod_level, req.priority, req.deadline_s,
-           req.num_ranks);
+  put_each(w, req.var, req.query.plod_level, req.deadline_s, req.num_ranks);
   if (req.query.vc.has_value()) put(w, *req.query.vc);
   if (req.query.sc.has_value()) {
     const Region& sc = *req.query.sc;
@@ -410,8 +449,7 @@ Result<service::Request> decode_request(std::span<const std::uint8_t> p) {
     return corrupt_data("request frame carries unknown flags");
   }
   MLOC_RETURN_IF_ERROR(get_each(r, &req.var, &req.query.plod_level,
-                                &req.priority, &req.deadline_s,
-                                &req.num_ranks));
+                                &req.deadline_s, &req.num_ranks));
   req.query.values_needed = (flags & kReqValuesNeeded) != 0;
   if ((flags & kReqHasVc) != 0) {
     ValueConstraint vc;

@@ -22,12 +22,20 @@
 // Unsupported), never UB — the property tests flip/truncate bytes at every
 // offset to enforce this.
 //
+// Receiving: FrameReader is the one place bytes off a stream become
+// frames, on the server and on the client. Callers recv() into its free
+// tail; next() checks each header (magic, header CRC, version, the
+// caller's payload cap) and payload CRC and hands the frame out in place.
+// Any failed check ends the stream.
+//
 // Versioning rules: kProtocolVersion bumps on any layout change to the
 // header or an existing payload. Adding a new FrameType is *not* a version
-// bump — receivers reject unknown types per-frame (Unsupported) while the
-// connection stays usable. A server never answers a frame whose version it
-// does not speak (the connection closes), so mixed-version pipelines fail
-// fast instead of misparsing.
+// bump — FrameReader hands an unknown type out like any other frame (its
+// header CRC vouched for its length), the receiver answers or fails just
+// that request with Unsupported, and the connection stays usable. A
+// server never answers a frame whose version it does not speak (the
+// connection closes), so mixed-version pipelines fail fast instead of
+// misparsing.
 //
 // Response payloads put the positions/values arrays *last*, as raw
 // little-endian element bytes: the server sends them straight from the
@@ -46,11 +54,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "exec/scratch.hpp"
 #include "net/shm.hpp"
 #include "service/query_service.hpp"
 #include "util/bytes.hpp"
@@ -67,7 +77,9 @@ inline constexpr std::uint32_t kMagic = 0x434F4C4Du;  // "MLOC" as LE bytes
 /// result's duplicate byte count; STATS drops its summed modeled time and
 /// the transport counters (net::ServerStats keeps those); SESSION_STATS
 /// carries counts only.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// v4: the request payload drops its priority field (the service dispatches
+/// in submission order only).
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 28;
 /// Upper bound on payload_len: rejects absurd lengths (corrupt or hostile
 /// headers) before any allocation. 1 GiB comfortably covers the largest
@@ -122,6 +134,46 @@ Result<FrameHeader> decode_header(std::span<const std::uint8_t> bytes);
 Status verify_payload(const FrameHeader& h,
                       std::span<const std::uint8_t> payload);
 
+/// Turns a received byte stream into frames (see the file comment). It
+/// makes no system call: the owner fills recv_space(), reports the bytes
+/// with commit(), then takes frames with next() until it returns nullopt.
+/// The buffer grows by doubling, only as bytes arrive (a header announcing
+/// a large payload reserves nothing), and is never value-initialized.
+class FrameReader {
+ public:
+  /// One complete frame. `payload` points into the reader's buffer and
+  /// stays valid until the next recv_space(). `header.type` may be a type
+  /// this version does not define (frame_type_known); such a frame is
+  /// intact and can be skipped.
+  struct Frame {
+    FrameHeader header;
+    std::span<const std::uint8_t> payload;
+  };
+
+  /// The least free space recv_space() offers.
+  static constexpr std::size_t kRecvBytes = 64 * 1024;
+
+  /// The buffer's free tail, at least kRecvBytes long, unwritten. Consumed
+  /// frames are dropped from the front first when the tail is short.
+  std::span<std::uint8_t> recv_space();
+  /// Count `n` bytes written at the front of the last recv_space().
+  void commit(std::size_t n) noexcept { buf_.commit(n); }
+
+  /// The next complete frame whose payload is at most `max_payload`
+  /// bytes; nullopt when more bytes are needed; or the error that ends the
+  /// stream (bad magic or header CRC, another version, a payload over the
+  /// cap, a bad payload CRC). An error repeats on every later call.
+  Result<std::optional<Frame>> next(std::uint32_t max_payload);
+
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return buf_.capacity_bytes();
+  }
+
+ private:
+  exec::ScratchArray<std::uint8_t> buf_;
+  std::size_t consumed_ = 0;  ///< bytes of buf_ already handed out as frames
+};
+
 /// Assemble a complete frame (header + payload) for small messages.
 Bytes encode_frame(FrameType type, std::uint64_t request_id,
                    std::span<const std::uint8_t> payload);
@@ -154,10 +206,11 @@ Result<Ack> decode_status(std::span<const std::uint8_t> p);
 /// frame header plus every payload field up to the arrays; the arrays are
 /// sent directly from the vectors (zero-copy from the engine's fold
 /// buffers). The header's payload_len/payload_crc cover all three pieces.
+/// A control frame is `head` alone: `{encode_frame(...)}`.
 struct EncodedResponse {
   Bytes head;
-  std::vector<std::uint64_t> positions;
-  std::vector<double> values;
+  std::vector<std::uint64_t> positions{};
+  std::vector<double> values{};
 
   [[nodiscard]] std::size_t total_bytes() const noexcept {
     return head.size() + positions.size() * sizeof(std::uint64_t) +

@@ -34,11 +34,7 @@ QueryService::~QueryService() {
     resp.stats.query_id = p->id;
     resp.stats.session = p->session;
     resp.stats.queue_wait_s = p->queued.seconds();
-    if (p->callback) {
-      p->callback(std::move(resp));
-    } else {
-      p->promise.set_value(std::move(resp));
-    }
+    p->callback(std::move(resp));
   }
   // pool_ destruction drains in-flight dispatch tasks; they find an empty
   // queue and return.
@@ -101,9 +97,11 @@ QueryService::AdmitDecision QueryService::admit_locked(
   return out;
 }
 
-QueryId QueryService::admit(SessionId session, Request req,
-                            std::unique_ptr<PendingQuery> p) {
+QueryId QueryService::submit_async(SessionId session, Request req,
+                                   ResponseCallback cb) {
+  auto p = std::make_unique<PendingQuery>();
   p->session = session;
+  p->callback = std::move(cb);
 
   AdmitDecision decision;
   {
@@ -114,11 +112,7 @@ QueryId QueryService::admit(SessionId session, Request req,
     Response resp;
     resp.status = std::move(decision.reject);
     resp.stats.session = session;
-    if (p->callback) {
-      p->callback(std::move(resp));
-    } else {
-      p->promise.set_value(std::move(resp));
-    }
+    p->callback(std::move(resp));
     return 0;
   }
   if (decision.dispatch) {
@@ -128,18 +122,14 @@ QueryId QueryService::admit(SessionId session, Request req,
 }
 
 Submission QueryService::submit(SessionId session, Request req) {
-  auto p = std::make_unique<PendingQuery>();
+  // std::function needs a copyable callable, so the promise is shared.
+  auto promise = std::make_shared<std::promise<Response>>();
   Submission out;
-  out.response = p->promise.get_future();
-  out.id = admit(session, std::move(req), std::move(p));
+  out.response = promise->get_future();
+  out.id = submit_async(session, std::move(req), [promise](Response resp) {
+    promise->set_value(std::move(resp));
+  });
   return out;
-}
-
-QueryId QueryService::submit_async(SessionId session, Request req,
-                                   ResponseCallback cb) {
-  auto p = std::make_unique<PendingQuery>();
-  p->callback = std::move(cb);
-  return admit(session, std::move(req), std::move(p));
 }
 
 Response QueryService::run(SessionId session, Request req) {
@@ -194,14 +184,8 @@ void QueryService::resume() {
 std::unique_ptr<QueryService::PendingQuery>
 QueryService::pop_scheduled_locked() {
   if (pending_.empty()) return nullptr;  // raced with shutdown/another worker
-  std::size_t pick = 0;
-  if (cfg_.policy == SchedulingPolicy::kPriority) {
-    for (std::size_t i = 1; i < pending_.size(); ++i) {
-      if (pending_[i]->req.priority > pending_[pick]->req.priority) pick = i;
-    }
-  }
-  std::unique_ptr<PendingQuery> p = std::move(pending_[pick]);
-  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(pick));
+  std::unique_ptr<PendingQuery> p = std::move(pending_.front());
+  pending_.pop_front();
   --agg_.queued;
   ++agg_.executing;
   return p;
@@ -301,11 +285,7 @@ void QueryService::finish(std::unique_ptr<PendingQuery> p, Response resp) {
     sync::MutexLock lock(mutex_);
     fold_stats_locked(*p, resp);
   }
-  if (p->callback) {
-    p->callback(std::move(resp));
-  } else {
-    p->promise.set_value(std::move(resp));
-  }
+  p->callback(std::move(resp));
 }
 
 AggregateStats QueryService::aggregate() const {

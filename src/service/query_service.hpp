@@ -13,8 +13,7 @@
 //     so overload produces fast feedback instead of unbounded queues;
 //   * bounded concurrency — execution happens on a parallel::ThreadPool of
 //     `num_workers` threads (the max-in-flight limit);
-//   * scheduling — FIFO by default, or highest-priority-first (FIFO among
-//     equals) with SchedulingPolicy::kPriority;
+//   * scheduling — FIFO: queries dispatch in submission order;
 //   * deadlines/cancellation — a query whose deadline passes while queued
 //     (or whose execution overruns it) resolves to DeadlineExceeded; a
 //     queued query can be cancelled by id;
@@ -51,15 +50,9 @@ namespace mloc::service {
 using SessionId = std::uint64_t;
 using QueryId = std::uint64_t;
 
-enum class SchedulingPolicy : std::uint8_t {
-  kFifo = 0,      ///< strict submission order
-  kPriority = 1,  ///< highest Request::priority first, FIFO among equals
-};
-
 struct ServiceConfig {
   int num_workers = 4;               ///< max queries executing at once
   std::size_t max_queue_depth = 256; ///< admission limit on waiting queries
-  SchedulingPolicy policy = SchedulingPolicy::kFifo;
   FragmentCache::Config cache;       ///< budget 0 disables the cache
   /// Write-path options applied by QueryService::ingest (pipeline threads,
   /// write-behind flushing).
@@ -86,7 +79,6 @@ struct Request {
   /// executed instead of (var, query.vc, query.sc); query.plod_level still
   /// selects the precision of fetched values.
   std::optional<MultivarSpec> multivar;
-  int priority = 0;        ///< larger runs earlier under kPriority
   double deadline_s = -1;  ///< seconds from submission; <= 0 = none
   int num_ranks = 0;       ///< emulated ranks; < 1 = one rank
 };
@@ -190,8 +182,9 @@ class QueryService {
       MLOC_EXCLUDES(mutex_);
   Status close_session(SessionId id) MLOC_EXCLUDES(mutex_);
 
-  /// Submit a query. Always returns a Submission; admission rejections and
-  /// execution errors surface through Response::status.
+  /// Submit a query through submit_async, with a callback that resolves
+  /// the returned future. Always returns a Submission; admission
+  /// rejections and execution errors surface through Response::status.
   Submission submit(SessionId session, Request req) MLOC_EXCLUDES(mutex_);
 
   /// Invoked exactly once per submit_async call with the final Response —
@@ -201,10 +194,11 @@ class QueryService {
   /// from inside the callback is allowed.
   using ResponseCallback = std::function<void(Response)>;
 
-  /// Callback-flavored submission for event-driven callers (the wire
-  /// server): no future, no blocked thread per in-flight query. Returns the
-  /// QueryId usable with cancel(), or 0 when the request was rejected at
-  /// admission (the callback still fires with the rejection Response).
+  /// The one way a query is submitted; submit() and run() wrap it.
+  /// Event-driven callers (the wire server) use it directly: no future,
+  /// no blocked thread per in-flight query. Returns the QueryId usable
+  /// with cancel(), or 0 when the request was rejected at admission (the
+  /// callback still fires with the rejection Response).
   QueryId submit_async(SessionId session, Request req, ResponseCallback cb)
       MLOC_EXCLUDES(mutex_);
 
@@ -253,8 +247,7 @@ class QueryService {
     QueryId id = 0;
     SessionId session = 0;
     Request req;
-    std::promise<Response> promise;   ///< used when `callback` is empty
-    ResponseCallback callback;        ///< set by submit_async
+    ResponseCallback callback;
     Stopwatch queued;  ///< started at submission; read at dispatch
     bool cancelled = false;
   };
@@ -265,10 +258,6 @@ class QueryService {
     QueryId id = 0;        ///< assigned id (0 on rejection)
   };
 
-  /// Shared admission path behind submit/submit_async: run admission
-  /// control, enqueue or resolve a rejection, kick a worker.
-  QueryId admit(SessionId session, Request req,
-                std::unique_ptr<PendingQuery> p) MLOC_EXCLUDES(mutex_);
   /// Locked admission phase: validate the session, apply queue-depth
   /// control, and either enqueue `p` (consumed) or leave it for the caller
   /// to resolve with the rejection. Callers hold the lock; rejection
@@ -278,8 +267,8 @@ class QueryService {
       MLOC_REQUIRES(mutex_);
   /// Worker-thread body: pop the scheduled pending query and execute it.
   void dispatch_one() MLOC_EXCLUDES(mutex_);
-  /// Locked scheduling phase of dispatch_one: pick the next query under
-  /// the configured policy, move the queued->executing gauges.
+  /// Locked scheduling phase of dispatch_one: take the oldest query, move
+  /// the queued->executing gauges.
   std::unique_ptr<PendingQuery> pop_scheduled_locked() MLOC_REQUIRES(mutex_);
   /// Resolve a query and fold its stats into the aggregates.
   void finish(std::unique_ptr<PendingQuery> p, Response resp)

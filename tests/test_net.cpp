@@ -1,9 +1,11 @@
 // Wire-protocol tests: frame codec round-trip identity for every frame
 // type, deterministic fuzz (truncation + byte flips at every offset must
-// yield a clean Status, never UB), and server/client integration — served
-// results bit-identical to in-process execution, pipelined out-of-order
+// yield a clean Status, never UB), the FrameReader fed whole or split at
+// every byte, and server/client integration — served results
+// bit-identical to in-process execution, pipelined out-of-order
 // collection, cancel/deadline/session edge cases, protocol-error
-// handling, and shutdown under load (the TSan hammer).
+// handling, unknown frame types both ways, a reset mid-burst, and
+// shutdown under load (the TSan hammer).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -143,7 +146,6 @@ Request full_request() {
   req.query.sc = Region(2, lo, hi);
   req.query.plod_level = 3;
   req.query.values_needed = true;
-  req.priority = -7;
   req.deadline_s = 1.5;
   req.num_ranks = 9;
   service::MultivarSpec mv;
@@ -159,7 +161,6 @@ void expect_request_eq(const Request& a, const Request& b) {
   EXPECT_EQ(a.var, b.var);
   EXPECT_EQ(a.query.plod_level, b.query.plod_level);
   EXPECT_EQ(a.query.values_needed, b.query.values_needed);
-  EXPECT_EQ(a.priority, b.priority);
   EXPECT_EQ(a.deadline_s, b.deadline_s);
   EXPECT_EQ(a.num_ranks, b.num_ranks);
   ASSERT_EQ(a.query.vc.has_value(), b.query.vc.has_value());
@@ -263,9 +264,9 @@ TEST(WireRequest, RejectsInvalidRegionWithoutAborting) {
   req.query.sc = Region(1, lo, hi);
   Bytes p = encode_request(req);
   // Payload layout: flags u8, var (varint len + bytes), plod i64,
-  // priority i64, deadline f64, ranks i64, then sc: ndims u8, lo u32, hi
-  // u32. Overwrite hi with a value below lo.
-  const std::size_t sc_off = 1 + 2 + 8 + 8 + 8 + 8;
+  // deadline f64, ranks i64, then sc: ndims u8, lo u32, hi u32. Overwrite
+  // hi with a value below lo.
+  const std::size_t sc_off = 1 + 2 + 8 + 8 + 8;
   ASSERT_EQ(p.size(), sc_off + 1 + 4 + 4);
   p[sc_off] = 9;  // ndims out of range
   EXPECT_FALSE(decode_request(p).is_ok());
@@ -561,6 +562,213 @@ TEST(WireVariableList, RoundTripMixedLayouts) {
   for (std::size_t n = 0; n < full.size(); ++n) {
     EXPECT_FALSE(
         decode_variable_list(std::span(full.data(), n)).is_ok());
+  }
+}
+
+// ------------------------------------------------------------ frame reader
+
+/// A frame of a type this protocol version does not define, with an
+/// intact header and payload.
+Bytes unknown_type_frame(std::uint64_t request_id) {
+  const Bytes payload = {1, 2, 3};
+  FrameHeader h;
+  h.type = static_cast<FrameType>(907);
+  h.request_id = request_id;
+  h.payload_len = static_cast<std::uint32_t>(payload.size());
+  h.payload_crc = crc32(payload);
+  Bytes frame(kHeaderBytes);
+  encode_header(h, frame.data());
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+void append(Bytes* out, std::span<const std::uint8_t> bytes) {
+  out->insert(out->end(), bytes.begin(), bytes.end());
+}
+
+/// The five frames the reader tests use, back to back: a control reply, a
+/// query result with both arrays, an shm descriptor, a type this version
+/// does not define, and an empty payload. Request ids run 1..5.
+Bytes five_frame_stream() {
+  Bytes out;
+  append(&out, encode_frame(FrameType::kAck, 1,
+                            encode_status(not_found("no such query"))));
+  Response resp;
+  resp.result.positions = {3, 17, 400};
+  resp.result.values = {0.5, -1.25, 9.0};
+  const EncodedResponse er = encode_response_frame(2, std::move(resp));
+  append(&out, er.head);
+  append(&out, {reinterpret_cast<const std::uint8_t*>(er.positions.data()),
+                er.positions.size() * sizeof(std::uint64_t)});
+  append(&out, {reinterpret_cast<const std::uint8_t*>(er.values.data()),
+                er.values.size() * sizeof(double)});
+  append(&out, encode_frame(FrameType::kShmResult, 3,
+                            encode_shm_result(ShmDescriptor{64, 100, 164})));
+  append(&out, unknown_type_frame(4));
+  append(&out, encode_frame(FrameType::kPong, 5, {}));
+  return out;
+}
+
+struct TakenFrame {
+  FrameType type;
+  std::uint64_t request_id;
+  Bytes payload;
+  bool operator==(const TakenFrame&) const = default;
+};
+
+/// What a receiver takes from `stream` when its bytes arrive in pieces
+/// ending at each of `cuts` (ascending) and then the rest: every frame,
+/// and in *end the error that ended the stream, if one did.
+std::vector<TakenFrame> take_all(const Bytes& stream,
+                                 std::vector<std::size_t> cuts, Status* end,
+                                 std::uint32_t max_payload = kMaxPayloadBytes) {
+  cuts.push_back(stream.size());
+  FrameReader reader;
+  std::vector<TakenFrame> taken;
+  *end = Status::ok();
+  std::size_t fed = 0;
+  for (const std::size_t cut : cuts) {
+    while (fed < cut) {
+      const std::span<std::uint8_t> space = reader.recv_space();
+      EXPECT_GE(space.size(), FrameReader::kRecvBytes);
+      const std::size_t n = std::min(space.size(), cut - fed);
+      std::memcpy(space.data(), stream.data() + fed, n);
+      reader.commit(n);
+      fed += n;
+    }
+    for (;;) {
+      auto frame = reader.next(max_payload);
+      if (!frame.is_ok()) {
+        *end = frame.status();
+        // The error ends the stream: it repeats, and nothing follows it.
+        EXPECT_EQ(reader.next(max_payload).status().code(), end->code());
+        return taken;
+      }
+      if (!frame.value().has_value()) break;
+      const FrameReader::Frame& f = *frame.value();
+      taken.push_back({f.header.type, f.header.request_id,
+                       Bytes(f.payload.begin(), f.payload.end())});
+    }
+  }
+  return taken;
+}
+
+TEST(FrameReader, WholeOrSplitAtEveryByteYieldsTheSameFrames) {
+  const Bytes stream = five_frame_stream();
+  Status end;
+  const std::vector<TakenFrame> whole = take_all(stream, {}, &end);
+  ASSERT_TRUE(end.is_ok()) << end.to_string();
+  ASSERT_EQ(whole.size(), 5u);
+  const FrameType types[] = {FrameType::kAck, FrameType::kQueryResult,
+                             FrameType::kShmResult, static_cast<FrameType>(907),
+                             FrameType::kPong};
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(whole[i].type, types[i]) << "frame " << i;
+    EXPECT_EQ(whole[i].request_id, i + 1);
+  }
+  auto ack = decode_status(whole[0].payload);
+  ASSERT_TRUE(ack.is_ok());
+  EXPECT_EQ(ack.value().carried.code(), ErrorCode::kNotFound);
+  auto resp = decode_response(whole[1].payload);
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  EXPECT_EQ(resp.value().result.positions,
+            (std::vector<std::uint64_t>{3, 17, 400}));
+  EXPECT_EQ(resp.value().result.values,
+            (std::vector<double>{0.5, -1.25, 9.0}));
+  auto desc = decode_shm_result(whole[2].payload);
+  ASSERT_TRUE(desc.is_ok());
+  EXPECT_EQ(desc.value().len, 100u);
+  EXPECT_FALSE(frame_type_known(static_cast<std::uint16_t>(whole[3].type)));
+  EXPECT_EQ(whole[3].payload, (Bytes{1, 2, 3}));
+  EXPECT_TRUE(whole[4].payload.empty());
+
+  for (std::size_t cut = 1; cut < stream.size(); ++cut) {
+    EXPECT_EQ(take_all(stream, {cut}, &end), whole) << "split at " << cut;
+    EXPECT_TRUE(end.is_ok());
+  }
+  std::vector<std::size_t> every_byte(stream.size());
+  for (std::size_t i = 0; i < every_byte.size(); ++i) every_byte[i] = i + 1;
+  EXPECT_EQ(take_all(stream, every_byte, &end), whole);
+  EXPECT_TRUE(end.is_ok());
+}
+
+TEST(FrameReader, EachBadFrameEndsTheStream) {
+  // A good ping, the bad frame, and a good ping that must never be taken.
+  const Bytes good = encode_frame(FrameType::kPing, 1, {});
+  const Bytes open = encode_frame(FrameType::kOpenSession, 2,
+                                  encode_open_session("reader"));
+  Bytes other_version(kHeaderBytes);
+  FrameHeader h;
+  h.version = kProtocolVersion + 1;
+  h.request_id = 2;
+  encode_header(h, other_version.data());
+  struct Case {
+    const char* name;
+    Bytes bad;
+    ErrorCode code;
+    std::uint32_t max_payload;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"bad magic", open, ErrorCode::kCorruptData,
+                   kMaxPayloadBytes});
+  cases.back().bad[0] ^= 0x01;
+  cases.push_back({"bad header CRC", open, ErrorCode::kCorruptData,
+                   kMaxPayloadBytes});
+  cases.back().bad[25] ^= 0x01;
+  cases.push_back({"another version", other_version, ErrorCode::kUnsupported,
+                   kMaxPayloadBytes});
+  cases.push_back({"bad payload CRC", open, ErrorCode::kCorruptData,
+                   kMaxPayloadBytes});
+  cases.back().bad.back() ^= 0x01;
+  cases.push_back({"payload over the cap", open, ErrorCode::kCorruptData,
+                   static_cast<std::uint32_t>(open.size() - kHeaderBytes - 1)});
+  for (const Case& c : cases) {
+    Bytes stream = good;
+    append(&stream, c.bad);
+    append(&stream, encode_frame(FrameType::kPing, 3, {}));
+    for (std::size_t cut : {std::size_t{0}, good.size() + 3}) {
+      Status end;
+      std::vector<std::size_t> cuts;
+      if (cut != 0) cuts.push_back(cut);
+      const auto taken = take_all(stream, cuts, &end, c.max_payload);
+      ASSERT_EQ(taken.size(), 1u) << c.name;
+      EXPECT_EQ(taken[0].request_id, 1u) << c.name;
+      EXPECT_EQ(end.code(), c.code) << c.name << ": " << end.to_string();
+    }
+  }
+}
+
+TEST(FrameReader, LargeAnnouncedPayloadGrowsOnlyWithArrivingBytes) {
+  // A header that announces a payload just under a 64 MiB cap reserves
+  // nothing: the buffer doubles only as payload bytes arrive.
+  constexpr std::uint32_t kCap = 64u << 20;
+  FrameHeader h;
+  h.type = FrameType::kQueryResult;
+  h.payload_len = kCap - 1;
+  Bytes head(kHeaderBytes);
+  encode_header(h, head.data());
+
+  FrameReader reader;
+  std::span<std::uint8_t> space = reader.recv_space();
+  std::memcpy(space.data(), head.data(), head.size());
+  reader.commit(head.size());
+  auto frame = reader.next(kCap);
+  ASSERT_TRUE(frame.is_ok());
+  EXPECT_FALSE(frame.value().has_value());
+  EXPECT_EQ(reader.capacity_bytes(), FrameReader::kRecvBytes);
+
+  std::size_t fed = head.size();
+  const Bytes chunk(16 * 1024, 0xAB);
+  while (fed < (std::size_t{1} << 20)) {
+    space = reader.recv_space();
+    std::memcpy(space.data(), chunk.data(), chunk.size());
+    reader.commit(chunk.size());
+    fed += chunk.size();
+    frame = reader.next(kCap);
+    ASSERT_TRUE(frame.is_ok());
+    EXPECT_FALSE(frame.value().has_value());
+    EXPECT_LE(reader.capacity_bytes(), 2 * (fed + FrameReader::kRecvBytes))
+        << "after " << fed << " bytes";
   }
 }
 
@@ -882,22 +1090,53 @@ bool raw_read_frame(int fd, FrameHeader* h, Bytes* payload) {
   return true;
 }
 
+TEST(NetClient, UnknownReplyTypeFailsOnlyTheCallItAnswers) {
+  // A scripted peer answers a ping and a query with a type this version
+  // does not define, then a second ping with a Pong.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t alen = sizeof addr;
+  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen);
+
+  std::thread peer([lfd] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    MLOC_CHECK(fd >= 0);
+    FrameHeader h;
+    Bytes payload;
+    for (int i = 0; i < 2 && raw_read_frame(fd, &h, &payload); ++i) {
+      raw_send(fd, unknown_type_frame(h.request_id));
+    }
+    if (raw_read_frame(fd, &h, &payload)) {
+      raw_send(fd, encode_frame(FrameType::kPong, h.request_id, {}));
+    }
+    ::close(fd);
+  });
+
+  net::Client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", ntohs(addr.sin_port)).is_ok());
+  EXPECT_EQ(c.ping().code(), ErrorCode::kUnsupported);
+  EXPECT_TRUE(c.connected());
+  auto resp = c.query(vc_request(0.0, 1.0));
+  ASSERT_FALSE(resp.is_ok());
+  EXPECT_EQ(resp.status().code(), ErrorCode::kUnsupported);
+  EXPECT_TRUE(c.ping().is_ok());
+  c.close();
+  peer.join();
+  ::close(lfd);
+}
+
 TEST(NetServer, UnknownFrameTypeIsSkippedNotFatal) {
   ServedStore served;
   const int fd = raw_connect(served.server->port());
 
   // Same version, unknown type: the server must answer Unsupported and
   // keep the connection parseable (versioning rule in wire.hpp).
-  FrameHeader h;
-  h.type = static_cast<FrameType>(907);
-  h.request_id = 5;
-  const Bytes payload = {1, 2, 3};
-  h.payload_len = static_cast<std::uint32_t>(payload.size());
-  h.payload_crc = crc32(payload);
-  Bytes frame(kHeaderBytes);
-  encode_header(h, frame.data());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  raw_send(fd, frame);
+  raw_send(fd, unknown_type_frame(5));
 
   FrameHeader reply;
   Bytes reply_payload;
@@ -978,6 +1217,104 @@ TEST(NetServer, ConnectionDropWithInFlightQueriesClosesSession) {
   const service::AggregateStats agg = served.svc->aggregate();
   EXPECT_EQ(agg.submitted, agg.completed + agg.failed + agg.expired +
                                agg.cancelled + agg.queued + agg.executing);
+}
+
+TEST(NetServer, ResetMidBurstClosesOnlyThatConnection) {
+  // Connection A pipelines a burst of whole-grid answers, more than the
+  // socket buffers hold behind its small receive window, reads one, and
+  // resets (SO_LINGER 0) while workers are still writing the rest. The
+  // loop closes A and its session; B, on the same server, gets every
+  // answer.
+  pfs::PfsStorage expected_fs;
+  auto expected_store = make_store(&expected_fs);
+  ASSERT_TRUE(expected_store.is_ok());
+  const Request probe = vc_request(-1e9, 1e9);
+  auto expected = expected_store.value().execute("phi", probe.query, 1);
+  ASSERT_TRUE(expected.is_ok());
+
+  ServiceConfig cfg;
+  cfg.num_workers = 2;
+  cfg.start_paused = true;
+  ServedStore served(cfg);
+
+  constexpr int kBurst = 128;
+  constexpr int kOther = 8;
+  const int a = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(a, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(a, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(served.server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(a, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  raw_send(a, encode_frame(FrameType::kOpenSession, 1,
+                           encode_open_session("reset")));
+  FrameHeader h;
+  Bytes payload;
+  ASSERT_TRUE(raw_read_frame(a, &h, &payload));
+  ASSERT_EQ(h.type, FrameType::kSessionOpened);
+  for (int i = 0; i < kBurst; ++i) {
+    raw_send(a, encode_frame(FrameType::kQuery, 100 + i,
+                             encode_request(probe)));
+  }
+
+  net::Client b;
+  served.connect(&b);
+  ASSERT_TRUE(b.open_session("steady").is_ok());
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kOther; ++i) {
+    auto id = b.send_query(probe);
+    ASSERT_TRUE(id.is_ok());
+    ids.push_back(id.value());
+  }
+  for (int i = 0; i < 400 && served.svc->aggregate().queued <
+                                 static_cast<std::uint64_t>(kBurst + kOther);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(served.svc->aggregate().queued,
+            static_cast<std::uint64_t>(kBurst + kOther));
+  served.svc->resume();
+
+  // Take one answer, let a few more queue, then reset mid-burst.
+  ASSERT_TRUE(raw_read_frame(a, &h, &payload));
+  EXPECT_EQ(h.type, FrameType::kQueryResult);
+  for (int i = 0; i < 400 && served.server->stats().responses_tcp < 8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const linger reset{1, 0};
+  ::setsockopt(a, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+  ::close(a);
+
+  for (std::uint64_t id : ids) {
+    auto resp = b.wait(id);
+    ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+    ASSERT_TRUE(resp.value().status.is_ok());
+    EXPECT_EQ(resp.value().result.positions, expected.value().positions);
+    EXPECT_EQ(resp.value().result.values, expected.value().values);
+  }
+  EXPECT_TRUE(b.ping().is_ok());
+
+  auto settled = [&] {
+    const service::AggregateStats agg = served.svc->aggregate();
+    const ServerStats st = served.server->stats();
+    return agg.sessions_open == 1 && st.connections_closed == 1 &&
+           agg.queued == 0 && agg.executing == 0 &&
+           st.responses_tcp + st.responses_dropped ==
+               static_cast<std::uint64_t>(kBurst + kOther);
+  };
+  for (int i = 0; i < 400 && !settled(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const service::AggregateStats agg = served.svc->aggregate();
+  const ServerStats st = served.server->stats();
+  EXPECT_EQ(agg.sessions_open, 1u);  // B's
+  EXPECT_EQ(st.connections_closed, 1u);
+  EXPECT_EQ(st.protocol_errors, 0u);
+  EXPECT_EQ(st.responses_tcp + st.responses_dropped,
+            static_cast<std::uint64_t>(kBurst + kOther));
+  EXPECT_EQ(agg.completed, static_cast<std::uint64_t>(kBurst + kOther));
 }
 
 // ------------------------------------------------------- shutdown / hammer

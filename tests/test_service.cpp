@@ -450,41 +450,6 @@ TEST(QueryService, CancelQueuedQuery) {
   EXPECT_FALSE(svc.cancel(12345).is_ok());  // unknown id
 }
 
-TEST(QueryService, PrioritySchedulingRunsHighFirst) {
-  pfs::PfsStorage fs;
-  auto store = make_store(&fs);
-  ASSERT_TRUE(store.is_ok());
-  ServiceConfig cfg;
-  cfg.num_workers = 1;  // serialize dispatch to observe the order
-  cfg.policy = service::SchedulingPolicy::kPriority;
-  cfg.start_paused = true;
-  QueryService svc(std::move(store).value(), cfg);
-  auto sid = svc.open_session();
-  ASSERT_TRUE(sid.is_ok());
-
-  Request req;
-  req.var = "phi";
-  req.query.sc = Region(2, {0, 0}, {8, 8});
-  std::vector<service::Submission> subs;
-  for (int prio : {0, 5, 1, 5}) {
-    req.priority = prio;
-    subs.push_back(svc.submit(sid.value(), req));
-  }
-  svc.resume();
-  std::vector<double> wait(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    Response r = subs[i].response.get();
-    ASSERT_TRUE(r.status.is_ok());
-    wait[i] = r.stats.queue_wait_s;
-  }
-  // prio-5 queries (ids 1 and 3, submission order) dispatch before the
-  // prio-1 and prio-0 ones; among equals, FIFO.
-  EXPECT_LT(wait[1], wait[2]);
-  EXPECT_LT(wait[3], wait[2]);
-  EXPECT_LT(wait[1], wait[0]);
-  EXPECT_LT(wait[2], wait[0]);
-}
-
 TEST(QueryService, ShutdownFailsUndispatchedQueries) {
   pfs::PfsStorage fs;
   auto store = make_store(&fs);
