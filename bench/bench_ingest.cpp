@@ -4,7 +4,10 @@
 // byte-for-byte equal to the serial store's, CRC footers included — and an
 // fsck pass over the 4-thread store. Results land in BENCH_ingest.json
 // (`MLOC_BENCH_JSON` overrides the path) so CI can jq-assert the two core
-// claims: `parallel_identical == true` and `speedup_4t >= 1.5`.
+// claims: `parallel_identical == true` and `speedup_4t >= 1.5`. Every run,
+// serial and parallel, also records `encode_s`, the encode seconds summed
+// over its threads, so a parallel encode that costs more CPU than the
+// serial one shows beside its wall time.
 //
 // Speedups are wall-clock and only meaningful when the host actually has
 // the cores, so both this binary's exit status and the CI jq assertion
@@ -196,9 +199,9 @@ int main() {
       const bool identical = same_files(serial[c].files, par[c][t].files);
       std::fprintf(
           f,
-          "        {\"threads\": %d, \"wall_s\": %.6f, \"speedup\": %.3f, "
-          "\"identical\": %s, \"fsck_ok\": %s}%s\n",
-          kThreadCounts[t], par[c][t].wall_s,
+          "        {\"threads\": %d, \"wall_s\": %.6f, \"encode_s\": %.6f, "
+          "\"speedup\": %.3f, \"identical\": %s, \"fsck_ok\": %s}%s\n",
+          kThreadCounts[t], par[c][t].wall_s, par[c][t].stats.encode_s,
           serial[c].wall_s / par[c][t].wall_s, identical ? "true" : "false",
           par[c][t].fsck_ok ? "true" : "false",
           t + 1 == kThreadCounts.size() ? "" : ",");

@@ -9,6 +9,13 @@
 // the ErrorCode and the decoded bytes must match. When a mutated stream
 // does decode, the harness additionally checks the codec's round-trip
 // property: re-encoding the decoded bytes must reproduce them exactly.
+//
+// Each input is also plaintext for the encoder: MzipCodec::encode, which
+// settles most stored streams from an entropy bound, must write exactly
+// the bytes of the exhaustive reference encoder,
+// detail::scalar::mzip_encode, and those bytes must decode back to the
+// input.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -18,6 +25,18 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const mloc::MzipCodec codec;
+  const std::span<const std::uint8_t> input(data, size);
+  auto encoded = codec.encode(input);
+  auto encoded_ref = mloc::detail::scalar::mzip_encode(input, 64);
+  if (!encoded.is_ok() || !encoded_ref.is_ok()) __builtin_trap();
+  if (encoded.value() != encoded_ref.value()) __builtin_trap();
+  auto plain = codec.decode(encoded.value());
+  if (!plain.is_ok()) __builtin_trap();
+  if (!std::equal(plain.value().begin(), plain.value().end(), input.begin(),
+                  input.end())) {
+    __builtin_trap();
+  }
+
   auto decoded = codec.decode({data, size});
   const auto reference = mloc::detail::scalar::mzip_decode({data, size});
   if (decoded.is_ok() != reference.is_ok()) __builtin_trap();

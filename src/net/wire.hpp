@@ -60,10 +60,10 @@
 #include <string_view>
 #include <vector>
 
-#include "exec/scratch.hpp"
 #include "net/shm.hpp"
 #include "service/query_service.hpp"
 #include "util/bytes.hpp"
+#include "util/scratch_array.hpp"
 #include "util/status.hpp"
 
 namespace mloc::net {
@@ -170,7 +170,7 @@ class FrameReader {
   }
 
  private:
-  exec::ScratchArray<std::uint8_t> buf_;
+  ScratchArray<std::uint8_t> buf_;
   std::size_t consumed_ = 0;  ///< bytes of buf_ already handed out as frames
 };
 
